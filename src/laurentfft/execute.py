@@ -27,14 +27,11 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .plan import FftPlan, IMAG_OUT, REAL_OUT
+from .decomposition import dft_matrix
+from .plan import FftPlan, REAL_OUT
 from .rational import RationalMatrix
 
-
-@lru_cache(maxsize=None)
-def _dft_matrix_cached(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+_dft_matrix_cached = lru_cache(maxsize=None)(dft_matrix)
 
 
 def naive_dft(v) -> np.ndarray:

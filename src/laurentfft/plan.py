@@ -9,9 +9,13 @@ share the one constant sqrt(2)/2. Class 0 needs no multiplications at all
 and becomes the additive stage.
 
 The multiplication count of a compiled plan is the sum of branch ranks.
-The module also reports that count three ways (per-branch ranks, stacked
-ranks, and the doubled sum over real-part ranks) so their agreement can be
-checked rather than assumed, and can serialize plans to JSON and back.
+One table (_LAYOUT) says which combination matrix becomes which branch,
+and one walk (_factored_slots) factors each matrix once for both
+compile_plan and complexity. The module also reports the count three ways
+(per-branch ranks, an independent stacked elimination, and the doubled sum
+over real-part ranks) so their agreement can be checked rather than
+assumed, and can serialize plans to JSON and back, rejecting documents
+that break the layout.
 """
 
 from __future__ import annotations
@@ -20,16 +24,45 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import ClassDecomposition, decompose
+from .decomposition import ClassDecomposition, class_indices, decompose
 from .rational import RationalMatrix, ZeroMatrixError, rank, rank_factor, vstack
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
+
+COSINE = "cosine"
+SINE = "sine"
+HALF_SQRT2 = "half_sqrt2"
+
+REAL_OUT = "real_out"
+IMAG_OUT = "imag_out"
+
+# The branch each combination matrix becomes, per class kind:
+# (matrix slot, constant kind, destination, sign). compile_plan, complexity
+# and plan_from_dict all read this one table.
+_LAYOUT = {
+    SYMMETRIC: (
+        ("re_sum", COSINE, REAL_OUT, +1),
+        ("im_diff", SINE, REAL_OUT, +1),
+        ("im_sum", COSINE, IMAG_OUT, +1),
+        ("re_diff", SINE, IMAG_OUT, -1),
+    ),
+    ASYMMETRIC: (
+        ("re_sum", HALF_SQRT2, REAL_OUT, +1),
+        ("im_diff", HALF_SQRT2, IMAG_OUT, +1),
+    ),
+}
+
+
+def _class_kind(n: int, m: int) -> str:
+    """ASYMMETRIC for the top class m = N/8 (present only when 8 | N)."""
+    return ASYMMETRIC if n % 8 == 0 and m == n // 8 else SYMMETRIC
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +87,7 @@ def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
     if m < 1 or m not in dec.indices:
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
     pos = dec.matrix(m)
-    if dec.n % 8 == 0 and m == dec.n // 8:
+    if _class_kind(dec.n, m) == ASYMMETRIC:
         return BranchMatrices(m=m, kind=ASYMMETRIC,
                               re_sum=pos.re + pos.im, re_diff=None,
                               im_sum=None, im_diff=pos.im - pos.re)
@@ -68,12 +101,44 @@ def _positive_indices(dec: ClassDecomposition) -> tuple[int, ...]:
     return tuple(m for m in dec.indices if m >= 1)
 
 
-COSINE = "cosine"
-SINE = "sine"
-HALF_SQRT2 = "half_sqrt2"
+@dataclass(frozen=True, eq=False)
+class _FactoredSlot:
+    """One combination matrix, its layout row and its exact factorization.
 
-REAL_OUT = "real_out"
-IMAG_OUT = "imag_out"
+    factors is rank_factor's (postadd, preadd), or None for an all-zero
+    matrix.
+    """
+
+    m: int
+    slot: str
+    constant_kind: str
+    destination: str
+    sign: int
+    matrix: RationalMatrix
+    factors: tuple[RationalMatrix, RationalMatrix] | None
+
+    @property
+    def rank(self) -> int:
+        return 0 if self.factors is None else self.factors[1].rows
+
+
+def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
+    """Factor every combination matrix once, class by class in layout order.
+
+    Lazy on purpose: a consumer that drops each class before asking for the
+    next holds at most one class's dense rational matrices at a time.
+    """
+    for m in _positive_indices(dec):
+        bm = branch_matrices(dec, m)
+        for slot, kind, destination, sign in _LAYOUT[bm.kind]:
+            matrix = RationalMatrix.from_int_matrix(getattr(bm, slot))
+            try:
+                factors = rank_factor(matrix)
+            except ZeroMatrixError:
+                factors = None
+            yield _FactoredSlot(m=m, slot=slot, constant_kind=kind,
+                                destination=destination, sign=sign,
+                                matrix=matrix, factors=factors)
 
 
 def constant_value(kind: str, m: int, n: int) -> float:
@@ -160,20 +225,6 @@ def _nonunit_entries(mat: RationalMatrix) -> int:
                if x != 0 and abs(x) != 1)
 
 
-_BRANCH_LAYOUT = (
-    # (matrix slot, constant kind, destination, sign)
-    ("re_sum", COSINE, REAL_OUT, +1),
-    ("im_diff", SINE, REAL_OUT, +1),
-    ("im_sum", COSINE, IMAG_OUT, +1),
-    ("re_diff", SINE, IMAG_OUT, -1),
-)
-
-_ASYM_LAYOUT = (
-    ("re_sum", HALF_SQRT2, REAL_OUT, +1),
-    ("im_diff", HALF_SQRT2, IMAG_OUT, +1),
-)
-
-
 def compile_plan(dec: ClassDecomposition) -> FftPlan:
     """Build the executable plan for one decomposition.
 
@@ -188,22 +239,17 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     m0 = dec.matrix(0)
     branches: list[MultiplicativeBranch] = []
     extra = 0
-    for m in _positive_indices(dec):
-        bm = branch_matrices(dec, m)
-        layout = _ASYM_LAYOUT if bm.kind == ASYMMETRIC else _BRANCH_LAYOUT
-        for slot, kind, destination, sign in layout:
-            source = getattr(bm, slot)
-            rat = RationalMatrix.from_int_matrix(source)
-            try:
-                post, pre = rank_factor(rat)
-            except ZeroMatrixError:
-                continue
-            value = constant_value(kind, m, dec.n)
-            assert 0.0 < value < 1.0
-            extra += _nonunit_entries(pre) + _nonunit_entries(post)
-            branches.append(MultiplicativeBranch(
-                m=m, constant_kind=kind, constant_value=value,
-                preadd=pre, postadd=post, destination=destination, sign=sign))
+    for f in _factored_slots(dec):
+        if f.factors is None:
+            continue
+        post, pre = f.factors
+        value = constant_value(f.constant_kind, f.m, dec.n)
+        assert 0.0 < value < 1.0
+        extra += _nonunit_entries(pre) + _nonunit_entries(post)
+        branches.append(MultiplicativeBranch(
+            m=f.m, constant_kind=f.constant_kind, constant_value=value,
+            preadd=pre, postadd=post, destination=f.destination,
+            sign=f.sign))
     mult_count = sum(b.rank for b in branches)
     add_count = _int_row_adds(m0.re) + _int_row_adds(m0.im)
     for b in branches:
@@ -238,15 +284,16 @@ class ClassRankRow:
 class ComplexityReport:
     """Multiplication counts for one blocklength, three ways.
 
-    realized_total sums the four individual ranks per class (what a
-    compiled plan actually spends and equals plan.mult_count).
-    stacked_total instead ranks the row-stacked pairs
+    realized_total sums the per-branch ranks, each read off the same rank
+    factorization compile_plan turns into a branch, so it is what a
+    compiled plan spends and equals plan.mult_count. stacked_total is an
+    independent elimination: it ranks the row-stacked pairs
     [re_sum; im_sum] and [re_diff; im_diff] per symmetric class, which
     collapses any rank shared between the real and imaginary families.
     simplified_total doubles the (re_sum, im_sum) ranks per symmetric
     class, valid whenever sum and difference ranks agree. All three
-    coincide on every supported blocklength up to 64; they are computed
-    independently so that claim is checked, not assumed.
+    coincide on every supported blocklength up to 64; the tests check that
+    claim, and check each per-branch rank against sympy.
     """
 
     n: int
@@ -257,35 +304,37 @@ class ComplexityReport:
     nlog2n: int
 
 
+def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot]
+                 ) -> tuple[ClassRankRow, int, int, int]:
+    """One class's rank row and its realized, stacked and simplified counts.
+
+    A function of its own so that the class's matrices are freed when it
+    returns, before the walk factors the next class.
+    """
+    by_slot = {f.slot: f for f in slots}
+    ranks = {slot: f.rank for slot, f in by_slot.items()}
+    kind = _class_kind(n, m)
+    row = ClassRankRow(m=m, kind=kind, rank_re_sum=ranks["re_sum"],
+                       rank_re_diff=ranks.get("re_diff"),
+                       rank_im_sum=ranks.get("im_sum"),
+                       rank_im_diff=ranks["im_diff"])
+    realized = sum(ranks.values())
+    if kind == ASYMMETRIC:
+        return row, realized, realized, realized
+    mat = {slot: f.matrix for slot, f in by_slot.items()}
+    stacked = (rank(vstack(mat["re_sum"], mat["im_sum"]))
+               + rank(vstack(mat["re_diff"], mat["im_diff"])))
+    return row, realized, stacked, 2 * (ranks["re_sum"] + ranks["im_sum"])
+
+
 def complexity(dec: ClassDecomposition) -> ComplexityReport:
     rows: list[ClassRankRow] = []
-    realized = 0
-    stacked = 0
-    simplified = 0
-    for m in _positive_indices(dec):
-        bm = branch_matrices(dec, m)
-        re_sum = RationalMatrix.from_int_matrix(bm.re_sum)
-        im_diff = RationalMatrix.from_int_matrix(bm.im_diff)
-        r_rs = rank(re_sum)
-        r_id = rank(im_diff)
-        if bm.kind == ASYMMETRIC:
-            rows.append(ClassRankRow(m=m, kind=ASYMMETRIC, rank_re_sum=r_rs,
-                                     rank_re_diff=None, rank_im_sum=None,
-                                     rank_im_diff=r_id))
-            realized += r_rs + r_id
-            stacked += r_rs + r_id
-            simplified += r_rs + r_id
-            continue
-        re_diff = RationalMatrix.from_int_matrix(bm.re_diff)
-        im_sum = RationalMatrix.from_int_matrix(bm.im_sum)
-        r_rd = rank(re_diff)
-        r_is = rank(im_sum)
-        rows.append(ClassRankRow(m=m, kind=SYMMETRIC, rank_re_sum=r_rs,
-                                 rank_re_diff=r_rd, rank_im_sum=r_is,
-                                 rank_im_diff=r_id))
-        realized += r_rs + r_rd + r_is + r_id
-        stacked += rank(vstack(re_sum, im_sum)) + rank(vstack(re_diff, im_diff))
-        simplified += 2 * (r_rs + r_is)
+    totals = [0, 0, 0]
+    for m, group in groupby(_factored_slots(dec), key=lambda f: f.m):
+        row, *counts = _class_ranks(dec.n, m, group)
+        rows.append(row)
+        totals = [t + c for t, c in zip(totals, counts)]
+    realized, stacked, simplified = totals
     nlog2n = 0 if dec.n < 1 else int(math.floor(dec.n * math.log2(dec.n) + 0.5))
     return ComplexityReport(n=dec.n, per_class=tuple(rows),
                             realized_total=realized, stacked_total=stacked,
@@ -354,16 +403,25 @@ def _rational_matrix_doc(mat: RationalMatrix) -> dict:
     return {"rows": mat.rows, "cols": mat.cols, "triplets": triplets}
 
 
+def _checked_triplets(doc: dict):
+    rows, cols = doc["rows"], doc["cols"]
+    for r, c, v in doc["triplets"]:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"triplet index ({r}, {c}) is outside a "
+                             f"{rows}x{cols} matrix")
+        yield r, c, v
+
+
 def _int_matrix_from_doc(doc: dict) -> np.ndarray:
     mat = np.zeros((doc["rows"], doc["cols"]), dtype=np.int64)
-    for r, c, v in doc["triplets"]:
+    for r, c, v in _checked_triplets(doc):
         mat[r, c] = int(v)
     return mat
 
 
 def _rational_matrix_from_doc(doc: dict) -> RationalMatrix:
     entries = [[Fraction(0)] * doc["cols"] for _ in range(doc["rows"])]
-    for r, c, v in doc["triplets"]:
+    for r, c, v in _checked_triplets(doc):
         entries[r][c] = Fraction(v)
     return RationalMatrix(entries, cols=doc["cols"])
 
@@ -399,32 +457,71 @@ def plan_to_dict(plan: FftPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> FftPlan:
+    """Rebuild a plan from its JSON document, rejecting one that breaks the
+    compile layout.
+
+    Raises ValueError for a wrong format or version, an unsupported N, a
+    branch whose m is not a positive class index, whose (constant_kind,
+    destination, sign) is not a layout row for its class, which repeats an
+    earlier (m, constant_kind, destination), or whose constant is off; a
+    triplet index outside its matrix; shapes that do not chain
+    (preadd N columns, postadd N rows and one column per preadd row,
+    additive N x N); and a mult_count other than the sum of preadd rows.
+    The checks cost O(branches + nonzeros); add_count and
+    extra_mult_count are left to verify_plan's measured counters.
+    """
     if doc.get("format") != PLAN_FORMAT:
         raise ValueError(f"not a plan document: format={doc.get('format')!r}")
     if doc.get("version") != PLAN_VERSION:
         raise ValueError(f"unsupported plan version {doc.get('version')!r}")
     n = doc["N"]
+    if not isinstance(n, int):
+        raise ValueError(f"plan N must be an integer, got {n!r}")
+    positive = tuple(m for m in class_indices(n) if m >= 1)
     branches = []
+    seen = set()
     for b in doc["branches"]:
-        expected = constant_value(b["constant_kind"], b["m"], n)
+        m = b["m"]
+        if m not in positive:
+            raise ValueError(f"branch m={m!r} is not a positive class index "
+                             f"for N={n}")
+        row = (b["constant_kind"], b["destination"], b["sign"])
+        if row not in [layout[1:] for layout in _LAYOUT[_class_kind(n, m)]]:
+            raise ValueError(f"branch (constant_kind, destination, sign)="
+                             f"{row!r} is not in the layout for m={m}, N={n}")
+        key = (m, b["constant_kind"], b["destination"])
+        if key in seen:
+            raise ValueError(f"duplicate branch {key!r}")
+        seen.add(key)
+        expected = constant_value(b["constant_kind"], m, n)
         if abs(b["constant_value"] - expected) > 1e-12:
             raise ValueError(
                 f"branch constant {b['constant_value']!r} does not match "
-                f"{b['constant_kind']} for m={b['m']}, N={n}")
+                f"{b['constant_kind']} for m={m}, N={n}")
+        pre = _rational_matrix_from_doc(b["preadd"])
+        post = _rational_matrix_from_doc(b["postadd"])
+        if pre.cols != n or post.rows != n or post.cols != pre.rows:
+            raise ValueError(
+                f"branch {key!r} shapes do not chain: preadd "
+                f"{pre.rows}x{pre.cols}, postadd {post.rows}x{post.cols}, "
+                f"N={n}")
         branches.append(MultiplicativeBranch(
-            m=b["m"], constant_kind=b["constant_kind"],
-            constant_value=b["constant_value"],
-            preadd=_rational_matrix_from_doc(b["preadd"]),
-            postadd=_rational_matrix_from_doc(b["postadd"]),
+            m=m, constant_kind=b["constant_kind"],
+            constant_value=b["constant_value"], preadd=pre, postadd=post,
             destination=b["destination"], sign=b["sign"]))
-    return FftPlan(
-        n=n,
-        additive=AdditiveStage(re_m0=_int_matrix_from_doc(doc["additive"]["re"]),
-                               im_m0=_int_matrix_from_doc(doc["additive"]["im"])),
-        branches=tuple(branches),
-        mult_count=doc["mult_count"],
-        add_count=doc["add_count"],
-        extra_mult_count=doc["extra_mult_count"])
+    additive = AdditiveStage(re_m0=_int_matrix_from_doc(doc["additive"]["re"]),
+                             im_m0=_int_matrix_from_doc(doc["additive"]["im"]))
+    for mat in (additive.re_m0, additive.im_m0):
+        if mat.shape != (n, n):
+            raise ValueError(f"additive matrix is {mat.shape[0]}x"
+                             f"{mat.shape[1]}, not {n}x{n}")
+    mult_count = sum(b.rank for b in branches)
+    if doc["mult_count"] != mult_count:
+        raise ValueError(f"mult_count {doc['mult_count']!r} is not the "
+                         f"{mult_count} preadd rows of the branches")
+    return FftPlan(n=n, additive=additive, branches=tuple(branches),
+                   mult_count=mult_count, add_count=doc["add_count"],
+                   extra_mult_count=doc["extra_mult_count"])
 
 
 def save_plan(plan: FftPlan, path: str | Path) -> None:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-Rational = Fraction
 
 
 class ZeroMatrixError(ValueError):
@@ -69,24 +67,11 @@ class RationalMatrix:
         return cls([[int(x) for x in row] for row in arr])
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def to_float_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries],
@@ -196,16 +181,6 @@ def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     if top.cols != bottom.cols:
         raise ValueError(f"column mismatch: {top.cols} vs {bottom.cols}")
     return RationalMatrix(top.entries + bottom.entries, cols=top.cols)
-
-
-def matvec_exact(matrix: RationalMatrix,
-                 vector: Sequence) -> tuple[Fraction, ...]:
-    """Exact matrix-vector product."""
-    if len(vector) != matrix.cols:
-        raise ValueError(f"vector length {len(vector)} != cols {matrix.cols}")
-    vec = [_as_fraction(x) for x in vector]
-    return tuple(sum(a * b for a, b in zip(row, vec) if a != 0)
-                 for row in matrix.entries)
 
 
 def matmul_exact(left: RationalMatrix,

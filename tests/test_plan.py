@@ -9,10 +9,12 @@ from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import decompose
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              MultiplicativeBranch, branch_matrices,
-                             compile_plan, compile_plan_for, complexity_for,
-                             constant_value, coupled_samples, load_plan,
-                             plan_from_dict, plan_to_dict, save_plan)
+                             compile_plan, compile_plan_for, complexity,
+                             complexity_for, constant_value, coupled_samples,
+                             load_plan, plan_from_dict, plan_to_dict,
+                             save_plan)
 from laurentfft.rational import RationalMatrix, matmul_exact, rank
+from oracles import sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -160,6 +162,19 @@ def test_three_count_forms_agree():
         assert r.realized_total == r.stacked_total == r.simplified_total, n
 
 
+@pytest.mark.parametrize("n", range(4, 37, 4))
+def test_class_ranks_match_sympy(n):
+    # complexity reads each rank off the factorization compile_plan uses;
+    # sympy recomputes it from the combination matrix with other machinery
+    dec = decompose(n)
+    for row in complexity(dec).per_class:
+        bm = branch_matrices(dec, row.m)
+        for slot in ("re_sum", "re_diff", "im_sum", "im_diff"):
+            mat = getattr(bm, slot)
+            expected = None if mat is None else sympy_rank(mat.tolist())
+            assert getattr(row, f"rank_{slot}") == expected, (n, row.m, slot)
+
+
 def test_rank_symmetry_between_sum_and_difference():
     for n in SUPPORTED:
         for row in complexity_for(n).per_class:
@@ -284,6 +299,83 @@ def test_plan_from_dict_rejects_bad_documents():
     tampered["branches"][0]["constant_value"] = 0.123
     with pytest.raises(ValueError):
         plan_from_dict(tampered)
+
+
+def _tamper_unsupported_n(doc):
+    doc["N"] = 6
+
+
+def _tamper_class_index(doc):
+    doc["branches"][0]["m"] = -1  # cos is even, so the constant still fits
+
+
+def _tamper_sign(doc):
+    doc["branches"][0]["sign"] = -1
+
+
+def _tamper_destination(doc):
+    doc["branches"][0]["destination"] = "bogus"
+
+
+def _tamper_duplicate_branch(doc):
+    doc["branches"].append(doc["branches"][0])
+    doc["mult_count"] += doc["branches"][0]["preadd"]["rows"]
+
+
+def _tamper_negative_index(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][1] = -1
+
+
+def _tamper_index_past_the_end(doc):
+    doc["additive"]["re"]["triplets"][0][0] = doc["N"]
+
+
+def _tamper_preadd_cols(doc):
+    doc["branches"][0]["preadd"]["cols"] = doc["N"] + 1
+
+
+def _tamper_postadd_rows(doc):
+    doc["branches"][0]["postadd"]["rows"] = doc["N"] + 1
+
+
+def _tamper_preadd_rows(doc):
+    doc["branches"][0]["preadd"]["rows"] += 1
+
+
+def _tamper_additive_shape(doc):
+    doc["additive"]["im"]["cols"] = doc["N"] + 1
+
+
+def _tamper_mult_count(doc):
+    doc["mult_count"] = 3
+
+
+# case id -> (blocklength, tamper, expected message)
+_TAMPERS = {
+    "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
+    "class_index": (12, _tamper_class_index, "not a positive class index"),
+    "sign": (12, _tamper_sign, "not in the layout"),
+    "destination": (12, _tamper_destination, "not in the layout"),
+    "duplicate_branch": (12, _tamper_duplicate_branch, "duplicate branch"),
+    "negative_index": (12, _tamper_negative_index, "outside"),
+    "index_past_the_end": (12, _tamper_index_past_the_end, "outside"),
+    "preadd_cols": (12, _tamper_preadd_cols, "do not chain"),
+    "postadd_rows": (12, _tamper_postadd_rows, "do not chain"),
+    "preadd_rows": (12, _tamper_preadd_rows, "do not chain"),
+    "additive_shape": (12, _tamper_additive_shape, "additive matrix"),
+    "mult_count": (12, _tamper_mult_count, "mult_count"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAMPERS))
+def test_load_plan_rejects_a_plan_that_breaks_the_layout(tmp_path, case):
+    n, tamper, match = _TAMPERS[case]
+    doc = json.loads(json.dumps(plan_to_dict(compile_plan_for(n))))
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_plan(path)
 
 
 def test_save_and_load_plan(tmp_path):
