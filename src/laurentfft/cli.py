@@ -167,7 +167,7 @@ def cmd_bench(args) -> int:
     plan = compile_plan_for(n)
     rng = np.random.default_rng(args.seed)
     v = rng.uniform(-1.0, 1.0, n)
-    execute_real(plan, v)  # warm the compiled program cache
+    execute_real(plan, v)  # untimed warm-up of both sides
     naive_dft(v)
     plan_times = []
     naive_times = []

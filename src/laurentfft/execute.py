@@ -1,11 +1,12 @@
 """Run compiled plans with instrumented operation counters.
 
-Execution is a fixed straight-line program: the additive stage forms the
-class-0 contribution with signed accumulation only, then every branch
-preadds its input combinations, scales each preadded value once by the
-branch constant, and accumulates the postadd pattern onto the real or
-imaginary output. Counters reflect the floating-point work actually done
-under one documented convention:
+Execution is a fixed straight-line program, read directly off the plan's
+SparseRows with no lowering step: the additive stage forms the class-0
+contribution with signed accumulation only, then every branch preadds its
+input combinations, scales each preadded value once by the branch
+constant, and accumulates the postadd pattern onto the real or imaginary
+output. Counters are tallied as the work is done, under one documented
+convention:
 
 * each branch-constant scaling is one real multiplication, as is any
   application of a matrix entry outside {-1, 0, +1} (none occur for the
@@ -23,13 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .decomposition import dft_matrix
-from .plan import FftPlan, REAL_OUT
-from .rational import RationalMatrix
+from .plan import FftPlan, REAL_OUT, SparseRows
 
 _dft_matrix_cached = lru_cache(maxsize=None)(dft_matrix)
 
@@ -57,96 +56,30 @@ class OpCounters:
         self.real_adds += other.real_adds
 
 
-# Precompiled row: (output index, ((input index, coefficient), ...)).
-# Coefficients are floats; +-1.0 applications are sign routing, anything
-# else is a counted multiplication.
-_Row = tuple[int, tuple[tuple[int, float], ...]]
-
-
-def _compile_int_rows(mat: np.ndarray) -> tuple[_Row, ...]:
-    rows = []
-    for i in range(mat.shape[0]):
-        support = np.nonzero(mat[i])[0]
-        if support.size:
-            rows.append((i, tuple((int(c), float(mat[i, c])) for c in support)))
-    return tuple(rows)
-
-
-def _compile_rational_rows(mat: RationalMatrix) -> tuple[_Row, ...]:
-    rows = []
-    for i, row in enumerate(mat.entries):
-        support = tuple((j, float(x)) for j, x in enumerate(row) if x != 0)
-        if support:
-            rows.append((i, support))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class _BranchProgram:
-    constant: float
-    dest_real: bool
-    sign: float
-    pre_rows: tuple[_Row, ...]
-    n_pre: int
-    post_entries: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True)
-class _Program:
-    n: int
-    additive_re: tuple[_Row, ...]
-    additive_im: tuple[_Row, ...]
-    branches: tuple[_BranchProgram, ...]
-
-
-_PROGRAMS: "WeakKeyDictionary[FftPlan, _Program]" = WeakKeyDictionary()
-
-
-def _program_for(plan: FftPlan) -> _Program:
-    cached = _PROGRAMS.get(plan)
-    if cached is not None:
-        return cached
-    branches = []
-    for b in plan.branches:
-        post = tuple((i, j, float(x))
-                     for i, row in enumerate(b.postadd.entries)
-                     for j, x in enumerate(row) if x != 0)
-        branches.append(_BranchProgram(
-            constant=b.constant_value,
-            dest_real=b.destination == REAL_OUT,
-            sign=float(b.sign),
-            pre_rows=_compile_rational_rows(b.preadd),
-            n_pre=b.preadd.rows,
-            post_entries=post))
-    program = _Program(n=plan.n,
-                       additive_re=_compile_int_rows(plan.additive.re_m0),
-                       additive_im=_compile_int_rows(plan.additive.im_m0),
-                       branches=tuple(branches))
-    _PROGRAMS[plan] = program
-    return program
-
-
-def _accumulate_rows(rows: tuple[_Row, ...], v: np.ndarray, out: np.ndarray,
-                     counters: OpCounters) -> None:
-    for i, support in rows:
-        (c0, x0), rest = support[0], support[1:]
-        if x0 == 1.0:
-            acc = v[c0]
-        elif x0 == -1.0:
-            acc = -v[c0]
-        else:
-            acc = x0 * v[c0]
-            counters.real_mults += 1
-        for c, x in rest:
-            if x == 1.0:
-                acc += v[c]
-            elif x == -1.0:
-                acc -= v[c]
+def _apply(mat: SparseRows, v: list[float],
+           counters: OpCounters) -> list[float]:
+    """mat @ v, counting the real multiplications and additions it takes."""
+    out = [0.0] * mat.rows
+    mults = adds = 0
+    for i, row in enumerate(mat.nonzeros):
+        acc = None
+        for c, x in row:
+            if x == 1:
+                term = v[c]
+            elif x == -1:
+                term = -v[c]
             else:
-                acc += x * v[c]
-                counters.real_mults += 1
-            counters.real_adds += 1
-        out[i] = acc
+                term = x * v[c]
+                mults += 1
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+                adds += 1
+        if acc is not None:
+            out[i] = acc
+    counters.merge(OpCounters(real_mults=mults, real_adds=adds))
+    return out
 
 
 def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
@@ -158,27 +91,33 @@ def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     vec = vec.astype(float, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a real vector of length {plan.n}")
-    program = _program_for(plan)
+    # Python floats: scalar arithmetic on them is much cheaper than on
+    # numpy scalars, and rounds the same
+    vin = vec.tolist()
     counters = OpCounters()
-    re_out = np.zeros(plan.n)
-    im_out = np.zeros(plan.n)
-    _accumulate_rows(program.additive_re, vec, re_out, counters)
-    _accumulate_rows(program.additive_im, vec, im_out, counters)
-    for branch in program.branches:
-        t = np.zeros(branch.n_pre)
-        _accumulate_rows(branch.pre_rows, vec, t, counters)
-        scaled = np.empty(branch.n_pre)
-        for j in range(branch.n_pre):
-            scaled[j] = branch.constant * t[j]
-        counters.real_mults += branch.n_pre
-        out = re_out if branch.dest_real else im_out
-        for i, j, x in branch.post_entries:
-            # sign and a +-1 entry are routing; anything else is a real mult
-            if x != 1.0 and x != -1.0:
-                counters.real_mults += 1
-            out[i] += branch.sign * x * scaled[j]
-            counters.real_adds += 1
-    return re_out + 1j * im_out, counters
+    re_out = _apply(plan.additive.re_m0, vin, counters)
+    im_out = _apply(plan.additive.im_m0, vin, counters)
+    for branch in plan.branches:
+        constant = branch.constant_value
+        scaled = [constant * x for x in _apply(branch.preadd, vin, counters)]
+        out = re_out if branch.destination == REAL_OUT else im_out
+        sign, flip = branch.sign, -branch.sign
+        mults, adds = len(scaled), 0
+        for i, row in enumerate(branch.postadd.nonzeros):
+            acc = out[i]
+            for j, x in row:
+                # sign and a +-1 entry are routing; anything else is a mult
+                if x == sign:
+                    acc += scaled[j]
+                elif x == flip:
+                    acc -= scaled[j]
+                else:
+                    acc += sign * x * scaled[j]
+                    mults += 1
+                adds += 1
+            out[i] = acc
+        counters.merge(OpCounters(real_mults=mults, real_adds=adds))
+    return np.array(re_out) + 1j * np.array(im_out), counters
 
 
 def execute_complex(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:

@@ -11,11 +11,14 @@ and becomes the additive stage.
 The multiplication count of a compiled plan is the sum of branch ranks.
 One table (_LAYOUT) says which combination matrix becomes which branch,
 and one walk (_factored_slots) factors each matrix once for both
-compile_plan and complexity. The module also reports the count three ways
-(per-branch ranks, an independent stacked elimination, and the doubled sum
-over real-part ranks) so their agreement can be checked rather than
-assumed, and can serialize plans to JSON and back, rejecting documents
-that break the layout.
+compile_plan and complexity. compile_plan converts every plan matrix once
+into SparseRows, the exact row form that the executor, the counts
+(_plan_counts), coupled_samples and the JSON codec all read. The module
+also reports the count three ways (per-branch ranks, an independent
+stacked elimination, and the doubled sum over real-part ranks) so their
+agreement can be checked rather than assumed, and can serialize plans to
+JSON and back. The loader certifies a document exactly against
+decompose(N) and recounts it, so a plan it accepts is the compiled one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import ClassDecomposition, class_indices, decompose
+from .decomposition import ClassDecomposition, decompose
 from .rational import RationalMatrix, ZeroMatrixError, rank, rank_factor, vstack
 
 SYMMETRIC = "symmetric"
@@ -141,6 +144,50 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
                                 matrix=matrix, factors=factors)
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """An exact matrix held row by row; every plan matrix has this form.
+
+    nonzeros[i] lists row i's nonzero entries as (column, value) pairs in
+    increasing column order, and an all-zero row is an empty tuple, so
+    rows is len(nonzeros). A value is an int, or a Fraction only when it
+    is not integral: the unit entries of every supported plan are then
+    compared and applied as plain ints, never through Fraction methods.
+    """
+
+    cols: int
+    nonzeros: tuple[tuple[tuple[int, int | Fraction], ...], ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.nonzeros)
+
+
+def _sparse(entries: Iterable[Iterable[int | Fraction]],
+            cols: int) -> SparseRows:
+    """From dense rows of ints or Fractions."""
+    return SparseRows(cols, tuple(
+        tuple((c, _exact(x)) for c, x in enumerate(row) if x)
+        for row in entries))
+
+
+def _dense_product(left: SparseRows, right: SparseRows) -> list[list]:
+    """Exact left * right as dense rows; left.cols must equal right.rows."""
+    out = []
+    for row in left.nonzeros:
+        acc = [0] * right.cols
+        for k, a in row:
+            for c, b in right.nonzeros[k]:
+                acc[c] += a * b
+        out.append(acc)
+    return out
+
+
 def constant_value(kind: str, m: int, n: int) -> float:
     if kind == COSINE:
         return math.cos(2.0 * math.pi * m / n)
@@ -164,8 +211,8 @@ class MultiplicativeBranch:
     m: int
     constant_kind: str
     constant_value: float
-    preadd: RationalMatrix
-    postadd: RationalMatrix
+    preadd: SparseRows
+    postadd: SparseRows
     destination: str
     sign: int
 
@@ -178,8 +225,8 @@ class MultiplicativeBranch:
 class AdditiveStage:
     """Multiplication-free class-0 contribution: Re and Im of M_0."""
 
-    re_m0: np.ndarray
-    im_m0: np.ndarray
+    re_m0: SparseRows
+    im_m0: SparseRows
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,27 +249,28 @@ class FftPlan:
     extra_mult_count: int
 
 
-def _int_row_adds(mat: np.ndarray) -> int:
-    nnz_per_row = (mat != 0).sum(axis=1)
-    return int(np.maximum(nnz_per_row - 1, 0).sum())
+def _plan_counts(additive: AdditiveStage,
+                 branches: list[MultiplicativeBranch]
+                 ) -> tuple[int, int, int]:
+    """(mult_count, add_count, extra_mult_count) of a plan's matrices.
 
-
-def _rational_nnz(mat: RationalMatrix) -> int:
-    return sum(1 for row in mat.entries for x in row if x != 0)
-
-
-def _rational_row_adds(mat: RationalMatrix) -> int:
-    total = 0
-    for row in mat.entries:
-        nnz = sum(1 for x in row if x != 0)
-        if nnz > 1:
-            total += nnz - 1
-    return total
-
-
-def _nonunit_entries(mat: RationalMatrix) -> int:
-    return sum(1 for row in mat.entries for x in row
-               if x != 0 and abs(x) != 1)
+    A row of k nonzeros costs k - 1 additions in the additive and preadd
+    stages (its first term starts the sum) and k in the postadd stage
+    (each term accumulates onto an output); every entry outside
+    {-1, 0, 1} costs one extra multiplication. This is the convention
+    execute.py measures.
+    """
+    stages = [(additive.re_m0, 1), (additive.im_m0, 1)]
+    for b in branches:
+        stages += [(b.preadd, 1), (b.postadd, 0)]
+    adds = extra = 0
+    for mat, first_term_free in stages:
+        for row in mat.nonzeros:
+            adds += max(len(row) - first_term_free, 0)
+            for _, x in row:
+                if x != 1 and x != -1:
+                    extra += 1
+    return sum(b.rank for b in branches), adds, extra
 
 
 def compile_plan(dec: ClassDecomposition) -> FftPlan:
@@ -238,26 +286,21 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     """
     m0 = dec.matrix(0)
     branches: list[MultiplicativeBranch] = []
-    extra = 0
     for f in _factored_slots(dec):
         if f.factors is None:
             continue
         post, pre = f.factors
         value = constant_value(f.constant_kind, f.m, dec.n)
         assert 0.0 < value < 1.0
-        extra += _nonunit_entries(pre) + _nonunit_entries(post)
         branches.append(MultiplicativeBranch(
             m=f.m, constant_kind=f.constant_kind, constant_value=value,
-            preadd=pre, postadd=post, destination=f.destination,
-            sign=f.sign))
-    mult_count = sum(b.rank for b in branches)
-    add_count = _int_row_adds(m0.re) + _int_row_adds(m0.im)
-    for b in branches:
-        add_count += _rational_row_adds(b.preadd) + _rational_nnz(b.postadd)
-    return FftPlan(n=dec.n,
-                   additive=AdditiveStage(re_m0=m0.re, im_m0=m0.im),
-                   branches=tuple(branches), mult_count=mult_count,
-                   add_count=add_count, extra_mult_count=extra)
+            preadd=_sparse(pre.entries, pre.cols),
+            postadd=_sparse(post.entries, post.cols),
+            destination=f.destination, sign=f.sign))
+    additive = AdditiveStage(re_m0=_sparse(m0.re.tolist(), dec.n),
+                             im_m0=_sparse(m0.im.tolist(), dec.n))
+    return FftPlan(dec.n, additive, tuple(branches),
+                   *_plan_counts(additive, branches))
 
 
 def compile_plan_for(n: int) -> FftPlan:
@@ -369,15 +412,13 @@ def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
     """
     pairs: list[CoupledPair] = []
     for branch in plan.branches:
-        for row in branch.preadd.entries:
-            support = [(c, x) for c, x in enumerate(row) if x != 0]
-            for i in range(0, len(support) - 1, 2):
-                (c1, x1), (c2, x2) = support[i], support[i + 1]
+        for row in branch.preadd.nonzeros:
+            for (c1, x1), (c2, x2) in zip(row[::2], row[1::2]):
                 sign = 1 if (x1 > 0) == (x2 > 0) else -1
                 pairs.append(CoupledPair(first=c1, second=c2,
                                          relative_sign=sign))
-            if len(support) % 2:
-                pairs.append(CoupledPair(first=support[-1][0], second=None,
+            if len(row) % 2:
+                pairs.append(CoupledPair(first=row[-1][0], second=None,
                                          relative_sign=None))
     return pairs
 
@@ -386,51 +427,50 @@ PLAN_FORMAT = "laurentfft-plan"
 PLAN_VERSION = 1
 
 
-def _int_triplets(mat: np.ndarray) -> list[list[int]]:
-    rows, cols = np.nonzero(mat)
-    return [[int(r), int(c), int(mat[r, c])] for r, c in zip(rows, cols)]
-
-
-def _int_matrix_doc(mat: np.ndarray) -> dict:
-    return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]),
-            "triplets": _int_triplets(mat)}
-
-
-def _rational_matrix_doc(mat: RationalMatrix) -> dict:
-    triplets = [[i, j, str(x)]
-                for i, row in enumerate(mat.entries)
-                for j, x in enumerate(row) if x != 0]
+def _matrix_doc(mat: SparseRows, as_text: bool) -> dict:
+    triplets = [[i, c, str(x) if as_text else x]
+                for i, row in enumerate(mat.nonzeros) for c, x in row]
     return {"rows": mat.rows, "cols": mat.cols, "triplets": triplets}
 
 
-def _checked_triplets(doc: dict):
-    rows, cols = doc["rows"], doc["cols"]
+def _triplet_value(v) -> int | Fraction:
+    """A nonzero triplet value: a JSON int, or a string like "3" or "-1/2"."""
+    if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        x = _exact(Fraction(int(num), int(den))) if slash else int(num)
+    elif type(v) is int:
+        x = v
+    else:
+        raise ValueError(f"triplet value {v!r} is not an int or a string")
+    if x == 0:
+        raise ValueError("a triplet value is zero")
+    return x
+
+
+def _matrix_from_doc(doc: dict, shape: tuple[int, int],
+                     what: str) -> SparseRows:
+    rows, cols = shape
+    if (doc["rows"], doc["cols"]) != shape:
+        raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
+                         f"{rows}x{cols}")
+    entries: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
     for r, c, v in doc["triplets"]:
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ValueError(f"triplet index ({r}, {c}) is outside a "
-                             f"{rows}x{cols} matrix")
-        yield r, c, v
-
-
-def _int_matrix_from_doc(doc: dict) -> np.ndarray:
-    mat = np.zeros((doc["rows"], doc["cols"]), dtype=np.int64)
-    for r, c, v in _checked_triplets(doc):
-        mat[r, c] = int(v)
-    return mat
-
-
-def _rational_matrix_from_doc(doc: dict) -> RationalMatrix:
-    entries = [[Fraction(0)] * doc["cols"] for _ in range(doc["rows"])]
-    for r, c, v in _checked_triplets(doc):
-        entries[r][c] = Fraction(v)
-    return RationalMatrix(entries, cols=doc["cols"])
+        if (type(r) is not int or type(c) is not int
+                or not (0 <= r < rows and 0 <= c < cols)):
+            raise ValueError(f"triplet index ({r!r}, {c!r}) is not an "
+                             f"integer or is outside a {rows}x{cols} matrix")
+        if c in entries[r]:
+            raise ValueError(f"triplet index ({r}, {c}) repeats in {what}")
+        entries[r][c] = _triplet_value(v)
+    return SparseRows(cols, tuple(tuple(sorted(row.items()))
+                                  for row in entries))
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
     """JSON-ready document for a plan.
 
     Matrices are sparse {rows, cols, triplets} objects with triplets listed
-    row-major; integer-matrix values are JSON integers, rational values are
+    row-major; additive-stage values are JSON integers, branch values are
     strings in lowest terms ("3", "-1/2"). Constants are stored as floats
     (JSON round-trips them exactly), so a reloaded plan executes
     bit-for-bit like the original.
@@ -442,86 +482,105 @@ def plan_to_dict(plan: FftPlan) -> dict:
         "mult_count": plan.mult_count,
         "add_count": plan.add_count,
         "extra_mult_count": plan.extra_mult_count,
-        "additive": {"re": _int_matrix_doc(plan.additive.re_m0),
-                     "im": _int_matrix_doc(plan.additive.im_m0)},
+        "additive": {"re": _matrix_doc(plan.additive.re_m0, as_text=False),
+                     "im": _matrix_doc(plan.additive.im_m0, as_text=False)},
         "branches": [{
             "m": b.m,
             "constant_kind": b.constant_kind,
             "constant_value": b.constant_value,
             "destination": b.destination,
             "sign": b.sign,
-            "preadd": _rational_matrix_doc(b.preadd),
-            "postadd": _rational_matrix_doc(b.postadd),
+            "preadd": _matrix_doc(b.preadd, as_text=True),
+            "postadd": _matrix_doc(b.postadd, as_text=True),
         } for b in plan.branches],
     }
 
 
 def plan_from_dict(doc: dict) -> FftPlan:
-    """Rebuild a plan from its JSON document, rejecting one that breaks the
-    compile layout.
+    """Rebuild a plan from its JSON document, certifying it exactly.
 
-    Raises ValueError for a wrong format or version, an unsupported N, a
-    branch whose m is not a positive class index, whose (constant_kind,
-    destination, sign) is not a layout row for its class, which repeats an
-    earlier (m, constant_kind, destination), or whose constant is off; a
-    triplet index outside its matrix; shapes that do not chain
-    (preadd N columns, postadd N rows and one column per preadd row,
-    additive N x N); and a mult_count other than the sum of preadd rows.
-    The checks cost O(branches + nonzeros); add_count and
-    extra_mult_count are left to verify_plan's measured counters.
+    Raises ValueError unless the document is, up to branch order, the plan
+    compile_plan builds for its N: one branch per nonzero layout slot,
+    each with its slot's constant, shapes that chain and postadd * preadd
+    equal in exact arithmetic to the slot's combination matrix from
+    decompose(N); the additive stage equal to M_0; and stored counts equal
+    to the recounted ones. A malformed document (a missing key, a value of
+    the wrong type, an index outside its matrix) is a ValueError too.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plan document is a JSON object, not "
+                         f"{type(doc).__name__}")
+    try:
+        return _certified_plan(doc)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed plan document: {exc!r}") from exc
+
+
+def _certified_plan(doc: dict) -> FftPlan:
     if doc.get("format") != PLAN_FORMAT:
         raise ValueError(f"not a plan document: format={doc.get('format')!r}")
     if doc.get("version") != PLAN_VERSION:
         raise ValueError(f"unsupported plan version {doc.get('version')!r}")
     n = doc["N"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
-    positive = tuple(m for m in class_indices(n) if m >= 1)
-    branches = []
-    seen = set()
+    dec = decompose(n)
+    layout = {(m, *row[1:]) for m in _positive_indices(dec)
+              for row in _LAYOUT[_class_kind(n, m)]}
+    by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
-        m = b["m"]
-        if m not in positive:
-            raise ValueError(f"branch m={m!r} is not a positive class index "
-                             f"for N={n}")
-        row = (b["constant_kind"], b["destination"], b["sign"])
-        if row not in [layout[1:] for layout in _LAYOUT[_class_kind(n, m)]]:
-            raise ValueError(f"branch (constant_kind, destination, sign)="
-                             f"{row!r} is not in the layout for m={m}, N={n}")
-        key = (m, b["constant_kind"], b["destination"])
-        if key in seen:
+        key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
+        if key not in layout:
+            raise ValueError(f"branch {key!r} is not in the layout for N={n}: "
+                             f"m is not a positive class index or the rest "
+                             f"is not a layout row of its class")
+        if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
-        seen.add(key)
-        expected = constant_value(b["constant_kind"], m, n)
-        if abs(b["constant_value"] - expected) > 1e-12:
-            raise ValueError(
-                f"branch constant {b['constant_value']!r} does not match "
-                f"{b['constant_kind']} for m={m}, N={n}")
-        pre = _rational_matrix_from_doc(b["preadd"])
-        post = _rational_matrix_from_doc(b["postadd"])
-        if pre.cols != n or post.rows != n or post.cols != pre.rows:
-            raise ValueError(
-                f"branch {key!r} shapes do not chain: preadd "
-                f"{pre.rows}x{pre.cols}, postadd {post.rows}x{post.cols}, "
-                f"N={n}")
-        branches.append(MultiplicativeBranch(
-            m=m, constant_kind=b["constant_kind"],
-            constant_value=b["constant_value"], preadd=pre, postadd=post,
-            destination=b["destination"], sign=b["sign"]))
-    additive = AdditiveStage(re_m0=_int_matrix_from_doc(doc["additive"]["re"]),
-                             im_m0=_int_matrix_from_doc(doc["additive"]["im"]))
-    for mat in (additive.re_m0, additive.im_m0):
-        if mat.shape != (n, n):
-            raise ValueError(f"additive matrix is {mat.shape[0]}x"
-                             f"{mat.shape[1]}, not {n}x{n}")
-    mult_count = sum(b.rank for b in branches)
-    if doc["mult_count"] != mult_count:
-        raise ValueError(f"mult_count {doc['mult_count']!r} is not the "
-                         f"{mult_count} preadd rows of the branches")
-    return FftPlan(n=n, additive=additive, branches=tuple(branches),
-                   mult_count=mult_count, add_count=doc["add_count"],
-                   extra_mult_count=doc["extra_mult_count"])
+        by_slot[key] = b
+    branches = []
+    for m in _positive_indices(dec):
+        bm = branch_matrices(dec, m)
+        for slot, kind, destination, sign in _LAYOUT[bm.kind]:
+            target = getattr(bm, slot)
+            b = by_slot.get((m, kind, destination, sign))
+            if b is None:
+                if target.any():
+                    raise ValueError(f"no branch for the nonzero {slot} "
+                                     f"matrix of m={m}, N={n}")
+                continue
+            value = b["constant_value"]
+            if not (isinstance(value, float) and
+                    abs(value - constant_value(kind, m, n)) <= 1e-12):
+                raise ValueError(f"branch constant {value!r} does not match "
+                                 f"{kind} for m={m}, N={n}")
+            rank = b["preadd"]["rows"]
+            where = f"branch {(m, kind, destination)!r} shapes do not chain:"
+            if type(rank) is not int or not 0 < rank <= n:
+                raise ValueError(f"{where} preadd has {rank!r} rows, N={n}")
+            pre = _matrix_from_doc(b["preadd"], (rank, n), f"{where} preadd")
+            post = _matrix_from_doc(b["postadd"], (n, rank),
+                                    f"{where} postadd")
+            if _dense_product(post, pre) != target.tolist():
+                raise ValueError(f"postadd * preadd of branch "
+                                 f"{(m, kind, destination)!r} is not its "
+                                 f"{slot} matrix")
+            branches.append(MultiplicativeBranch(
+                m=m, constant_kind=kind, constant_value=value, preadd=pre,
+                postadd=post, destination=destination, sign=sign))
+    m0 = dec.matrix(0)
+    additive = AdditiveStage(*(
+        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix")
+        for part in ("re", "im")))
+    if (additive.re_m0, additive.im_m0) != (_sparse(m0.re.tolist(), n),
+                                            _sparse(m0.im.tolist(), n)):
+        raise ValueError(f"additive stage is not M_0 for N={n}")
+    counts = _plan_counts(additive, branches)
+    for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
+                           counts):
+        if doc[name] != count:
+            raise ValueError(f"{name} {doc[name]!r} is not the recounted "
+                             f"{count}")
+    return FftPlan(n, additive, tuple(branches), *counts)
 
 
 def save_plan(plan: FftPlan, path: str | Path) -> None:

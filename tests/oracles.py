@@ -71,3 +71,13 @@ def sympy_rref(int_rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
 
 def sympy_rank(int_rows) -> int:
     return sympy.Matrix(int_rows).rank()
+
+
+def dense(mat) -> list[list]:
+    """A plan matrix (laurentfft.plan.SparseRows) as dense rows of its int
+    or Fraction values, zeros filled in."""
+    out = [[0] * mat.cols for _ in range(mat.rows)]
+    for i, row in enumerate(mat.nonzeros):
+        for c, x in row:
+            out[i][c] = x
+    return out

@@ -1,20 +1,23 @@
+import copy
+import hashlib
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import decompose
+from laurentfft.execute import execute_real
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
-                             MultiplicativeBranch, branch_matrices,
-                             compile_plan, compile_plan_for, complexity,
-                             complexity_for, constant_value, coupled_samples,
-                             load_plan, plan_from_dict, plan_to_dict,
-                             save_plan)
-from laurentfft.rational import RationalMatrix, matmul_exact, rank
-from oracles import sympy_rank
+                             MultiplicativeBranch, SparseRows,
+                             branch_matrices, compile_plan, compile_plan_for,
+                             complexity, complexity_for, constant_value,
+                             coupled_samples, load_plan, plan_from_dict,
+                             plan_to_dict, save_plan)
+from laurentfft.rational import RationalMatrix, rank
+from oracles import dense, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -110,7 +113,7 @@ def test_compile_plan_n4_is_additive_only():
     plan = compile_plan_for(4)
     assert plan.branches == ()
     assert plan.mult_count == 0
-    assert np.array_equal(plan.additive.re_m0,
+    assert np.array_equal(dense(plan.additive.re_m0),
                           np.array([[1, 1, 1, 1], [1, 0, -1, 0],
                                     [1, -1, 1, -1], [1, 0, -1, 0]]))
 
@@ -139,8 +142,8 @@ def test_branch_factorizations_are_exact():
         for b in plan.branches:
             source = getattr(branch_matrices(dec, b.m),
                              slot_for[(b.constant_kind, b.destination)])
-            product = matmul_exact(b.postadd, b.preadd)
-            assert np.array_equal(product.to_int_array(), source), (n, b.m)
+            product = np.array(dense(b.postadd)) @ np.array(dense(b.preadd))
+            assert np.array_equal(product, source), (n, b.m)
 
 
 def test_mult_count_equals_realized_total_everywhere():
@@ -206,7 +209,7 @@ def test_asymmetric_class_only_when_8_divides_n():
 def test_n12_preadd_rows_match_the_known_reductions():
     plan = compile_plan_for(12)
     rows = {(b.constant_kind, b.destination):
-            [tuple(int(x) for x in row) for row in b.preadd.entries]
+            [tuple(row) for row in dense(b.preadd)]
             for b in plan.branches}
     assert rows[("cosine", "real_out")] == \
         [(0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)]
@@ -237,11 +240,11 @@ def test_coupled_samples_n4_empty():
 def test_coupled_samples_odd_row_leaves_a_singleton():
     branch = MultiplicativeBranch(
         m=1, constant_kind="cosine", constant_value=0.5,
-        preadd=RationalMatrix([[1, 0, -1, 1]]),
-        postadd=RationalMatrix([[1], [0], [0], [0]]),
+        preadd=SparseRows(4, (((0, 1), (2, -1), (3, 1)),)),
+        postadd=SparseRows(1, (((0, 1),), (), (), ())),
         destination="real_out", sign=1)
-    plan = FftPlan(n=4, additive=AdditiveStage(re_m0=np.zeros((4, 4), int),
-                                               im_m0=np.zeros((4, 4), int)),
+    plan = FftPlan(n=4, additive=AdditiveStage(re_m0=SparseRows(4, ((),) * 4),
+                                               im_m0=SparseRows(4, ((),) * 4)),
                    branches=(branch,), mult_count=1, add_count=2,
                    extra_mult_count=0)
     pairs = coupled_samples(plan)
@@ -251,8 +254,8 @@ def test_coupled_samples_odd_row_leaves_a_singleton():
 
 def test_n20_couples_the_condensed_row_pattern():
     plan = compile_plan_for(20)
-    supports = {tuple(i for i, x in enumerate(row) if x != 0)
-                for b in plan.branches for row in b.preadd.entries}
+    supports = {tuple(c for c, _ in row)
+                for b in plan.branches for row in b.preadd.nonzeros}
     assert (1, 9, 11, 19) in supports
     assert (3, 7, 13, 17) in supports
 
@@ -265,8 +268,8 @@ def test_plan_dict_roundtrip_preserves_everything():
     assert again.mult_count == plan.mult_count
     assert again.add_count == plan.add_count
     assert again.extra_mult_count == plan.extra_mult_count
-    assert np.array_equal(again.additive.re_m0, plan.additive.re_m0)
-    assert np.array_equal(again.additive.im_m0, plan.additive.im_m0)
+    assert dense(again.additive.re_m0) == dense(plan.additive.re_m0)
+    assert dense(again.additive.im_m0) == dense(plan.additive.im_m0)
     assert len(again.branches) == len(plan.branches)
     for a, b in zip(again.branches, plan.branches):
         assert (a.m, a.constant_kind, a.destination, a.sign) == \
@@ -350,6 +353,52 @@ def _tamper_mult_count(doc):
     doc["mult_count"] = 3
 
 
+def _tamper_preadd_value(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][2] = "-1"
+
+
+def _tamper_postadd_value(doc):
+    triplet = doc["branches"][1]["postadd"]["triplets"][0]
+    triplet[2] = str(-int(triplet[2]))
+
+
+def _tamper_additive_value(doc):
+    doc["additive"]["re"]["triplets"][0][2] *= -1
+
+
+def _tamper_dropped_branch(doc):
+    dropped = doc["branches"].pop(0)
+    doc["mult_count"] -= dropped["preadd"]["rows"]
+
+
+def _tamper_add_count(doc):
+    doc["add_count"] = 7
+
+
+def _tamper_extra_mult_count(doc):
+    doc["extra_mult_count"] = 3
+
+
+def _tamper_missing_n(doc):
+    del doc["N"]
+
+
+def _tamper_missing_branches(doc):
+    del doc["branches"]
+
+
+def _tamper_string_constant(doc):
+    doc["branches"][0]["constant_value"] = "0.5"
+
+
+def _tamper_float_index(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][1] = 1.0
+
+
+def _tamper_branch_not_object(doc):
+    doc["branches"][0] = [1, "cosine"]
+
+
 # case id -> (blocklength, tamper, expected message)
 _TAMPERS = {
     "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
@@ -364,6 +413,17 @@ _TAMPERS = {
     "preadd_rows": (12, _tamper_preadd_rows, "do not chain"),
     "additive_shape": (12, _tamper_additive_shape, "additive matrix"),
     "mult_count": (12, _tamper_mult_count, "mult_count"),
+    "preadd_value": (12, _tamper_preadd_value, "postadd \\* preadd"),
+    "postadd_value": (12, _tamper_postadd_value, "postadd \\* preadd"),
+    "additive_value": (12, _tamper_additive_value, "not M_0"),
+    "dropped_branch": (12, _tamper_dropped_branch, "no branch for"),
+    "add_count": (12, _tamper_add_count, "add_count 7"),
+    "extra_mult_count": (12, _tamper_extra_mult_count, "extra_mult_count 3"),
+    "missing_n": (12, _tamper_missing_n, "malformed.*'N'"),
+    "missing_branches": (12, _tamper_missing_branches, "malformed.*branches"),
+    "string_constant": (12, _tamper_string_constant, "does not match"),
+    "float_index": (12, _tamper_float_index, "not an integer"),
+    "branch_not_object": (12, _tamper_branch_not_object, "malformed"),
 }
 
 
@@ -378,6 +438,92 @@ def test_load_plan_rejects_a_plan_that_breaks_the_layout(tmp_path, case):
         load_plan(path)
 
 
+# sha256 of save_plan's output with Python 3.11.7 and numpy 2.4.6; the
+# plan file format must stay byte-stable
+_PLAN_SHA256 = {
+    12: "cc337392118e40e478e7b4f219d1e2695e7347a287a9f4ad25c25a7922fc8801",
+    60: "e7d0bead55789d429b2bdda73f24a60205c15172d10f8ffaa733c5e29bb8004c",
+    64: "43d715d3d980df7d7b8847ba0269281e7486f68e02139dedec30bb1496ef8534",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PLAN_SHA256))
+def test_saved_plan_bytes_are_pinned(tmp_path, n):
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(n), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PLAN_SHA256[n]
+
+
+_DOC12 = plan_to_dict(compile_plan_for(12))
+
+
+def _nodes(node, path=()):
+    """Every (path, value) of a JSON document, depth first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_KEYED = [p for p, _ in _nodes(_DOC12)
+          if p and isinstance(_at(_DOC12, p[:-1]), dict)]
+_LEAVES = [p for p, v in _nodes(_DOC12)
+           if p and not isinstance(v, (dict, list))]
+_MATRICES = [p for p, v in _nodes(_DOC12)
+             if isinstance(v, dict) and "triplets" in v]
+
+
+def _other_type(value):
+    """Replacements of another type than value's, for the fuzz to pick."""
+    options = [None, True, [value], {"value": value}, str(value), 0.5]
+    if type(value) is int:
+        options.append(float(value))
+    return [x for x in options if type(x) is not type(value)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_load_plan_fuzz_rejects_or_stays_exact(data):
+    # one mutation of a valid N=12 document: the loader must either reject
+    # it or return a plan that is still an exact DFT with honest counters
+    doc = copy.deepcopy(_DOC12)
+    mutation = data.draw(st.sampled_from(["delete", "retype", "triplet"]))
+    if mutation == "delete":
+        path = data.draw(st.sampled_from(_KEYED))
+        del _at(doc, path[:-1])[path[-1]]
+    elif mutation == "retype":
+        path = data.draw(st.sampled_from(_LEAVES))
+        holder = _at(doc, path[:-1])
+        holder[path[-1]] = data.draw(st.sampled_from(
+            _other_type(holder[path[-1]])))
+    else:
+        triplets = _at(doc, data.draw(st.sampled_from(_MATRICES)))["triplets"]
+        triplet = triplets[data.draw(st.integers(0, len(triplets) - 1))]
+        field = data.draw(st.integers(0, 2))
+        if field < 2:  # move it
+            triplet[field] = data.draw(st.integers(-1, 13))
+        else:
+            value = data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
+            triplet[2] = str(value) if isinstance(triplet[2], str) else value
+    try:
+        plan = plan_from_dict(doc)
+    except ValueError:
+        return
+    v = np.random.default_rng(5).uniform(-1.0, 1.0, 12)
+    out, counters = execute_real(plan, v)
+    assert np.max(np.abs(out - np.fft.fft(v))) <= 1e-10
+    assert (counters.real_mults, counters.real_adds) == \
+        (plan.mult_count, plan.add_count)
+    assert plan.extra_mult_count == 0
+
+
 def test_save_and_load_plan(tmp_path):
     plan = compile_plan_for(20)
     path = tmp_path / "plan20.json"
@@ -389,9 +535,11 @@ def test_save_and_load_plan(tmp_path):
 
 
 def test_preadd_and_postadd_entries_are_unit_for_supported_lengths():
+    # unit entries are stored as ints, so the executor and the counts never
+    # compare or multiply through Fraction
     for n in SUPPORTED:
         for b in compile_plan_for(n).branches:
             for mat in (b.preadd, b.postadd):
-                for row in mat.entries:
+                for row in dense(mat):
                     for x in row:
-                        assert x == 0 or abs(x) == Fraction(1), (n, b.m)
+                        assert type(x) is int and abs(x) <= 1, (n, b.m)
