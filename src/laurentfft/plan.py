@@ -17,8 +17,9 @@ into SparseRows, the exact row form that the executor, the counts
 also reports the count three ways (per-branch ranks, an independent
 stacked elimination, and the doubled sum over real-part ranks) so their
 agreement can be checked rather than assumed, and can serialize plans to
-JSON and back. The loader certifies a document exactly against
-decompose(N) and recounts it, so a plan it accepts is the compiled one.
+JSON and back. The loader certifies a document exactly against the class
+matrices of N, one class at a time, and recounts it, so a plan it accepts
+is the compiled one.
 """
 
 from __future__ import annotations
@@ -27,14 +28,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import ClassDecomposition, decompose
-from .rational import RationalMatrix, ZeroMatrixError, rank, rank_factor, vstack
+from .decomposition import (ClassDecomposition, ClassMatrix, class_indices,
+                            class_matrix, decompose, exponent_matrix)
+from .rational import (RationalMatrix, ZeroMatrixError, _exact, rank,
+                       rank_factor, vstack)
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -89,19 +93,26 @@ class BranchMatrices:
 def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
     if m < 1 or m not in dec.indices:
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
-    pos = dec.matrix(m)
-    if _class_kind(dec.n, m) == ASYMMETRIC:
+    return _combine(dec.n, m, dec.matrix)
+
+
+def _combine(n: int, m: int,
+             class_of: Callable[[int], ClassMatrix]) -> BranchMatrices:
+    """The combination matrices of class m > 0 from class_of(m), and
+    class_of(-m) for a symmetric class."""
+    pos = class_of(m)
+    if _class_kind(n, m) == ASYMMETRIC:
         return BranchMatrices(m=m, kind=ASYMMETRIC,
                               re_sum=pos.re + pos.im, re_diff=None,
                               im_sum=None, im_diff=pos.im - pos.re)
-    neg = dec.matrix(-m)
+    neg = class_of(-m)
     return BranchMatrices(m=m, kind=SYMMETRIC,
                           re_sum=pos.re + neg.re, re_diff=pos.re - neg.re,
                           im_sum=pos.im + neg.im, im_diff=pos.im - neg.im)
 
 
-def _positive_indices(dec: ClassDecomposition) -> tuple[int, ...]:
-    return tuple(m for m in dec.indices if m >= 1)
+def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
+    return tuple(m for m in indices if m >= 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +142,7 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
     Lazy on purpose: a consumer that drops each class before asking for the
     next holds at most one class's dense rational matrices at a time.
     """
-    for m in _positive_indices(dec):
+    for m in _positive_indices(dec.indices):
         bm = branch_matrices(dec, m)
         for slot, kind, destination, sign in _LAYOUT[bm.kind]:
             matrix = RationalMatrix.from_int_matrix(getattr(bm, slot))
@@ -142,11 +153,6 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
             yield _FactoredSlot(m=m, slot=slot, constant_kind=kind,
                                 destination=destination, sign=sign,
                                 matrix=matrix, factors=factors)
-
-
-def _exact(x: int | Fraction) -> int | Fraction:
-    """x as an int when it is integral, else the Fraction itself."""
-    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,9 @@ class SparseRows:
 
 def _sparse(entries: Iterable[Iterable[int | Fraction]],
             cols: int) -> SparseRows:
-    """From dense rows of ints or Fractions."""
+    """From dense exact rows: ints, and Fractions only where non-integral."""
     return SparseRows(cols, tuple(
-        tuple((c, _exact(x)) for c, x in enumerate(row) if x)
-        for row in entries))
+        tuple((c, x) for c, x in enumerate(row) if x) for row in entries))
 
 
 def _dense_product(left: SparseRows, right: SparseRows) -> list[list]:
@@ -291,7 +296,9 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
             continue
         post, pre = f.factors
         value = constant_value(f.constant_kind, f.m, dec.n)
-        assert 0.0 < value < 1.0
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{f.constant_kind} constant {value!r} of m={f.m}, "
+                             f"N={dec.n} is not strictly between 0 and 1")
         branches.append(MultiplicativeBranch(
             m=f.m, constant_kind=f.constant_kind, constant_value=value,
             preadd=_sparse(pre.entries, pre.cols),
@@ -502,8 +509,8 @@ def plan_from_dict(doc: dict) -> FftPlan:
     Raises ValueError unless the document is, up to branch order, the plan
     compile_plan builds for its N: one branch per nonzero layout slot,
     each with its slot's constant, shapes that chain and postadd * preadd
-    equal in exact arithmetic to the slot's combination matrix from
-    decompose(N); the additive stage equal to M_0; and stored counts equal
+    equal in exact arithmetic to the slot's combination matrix, built
+    from N's class matrices one class at a time; the additive stage equal to M_0; and stored counts equal
     to the recounted ones. A malformed document (a missing key, a value of
     the wrong type, an index outside its matrix) is a ValueError too.
     """
@@ -524,8 +531,19 @@ def _certified_plan(doc: dict) -> FftPlan:
     n = doc["N"]
     if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
-    dec = decompose(n)
-    layout = {(m, *row[1:]) for m in _positive_indices(dec)
+    # Class by class, so that at most one class's matrices are held at a
+    # time: decompose(n) would hold all n/4 of them, O(n^3) memory, before
+    # any check that scales with the document could reject it.
+    exp = exponent_matrix(n)
+    m0 = class_matrix(exp, 0)
+    additive = AdditiveStage(*(
+        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix")
+        for part in ("re", "im")))
+    if (additive.re_m0, additive.im_m0) != (_sparse(m0.re.tolist(), n),
+                                            _sparse(m0.im.tolist(), n)):
+        raise ValueError(f"additive stage is not M_0 for N={n}")
+    positive = _positive_indices(class_indices(n))
+    layout = {(m, *row[1:]) for m in positive
               for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
@@ -538,8 +556,8 @@ def _certified_plan(doc: dict) -> FftPlan:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
     branches = []
-    for m in _positive_indices(dec):
-        bm = branch_matrices(dec, m)
+    for m in positive:
+        bm = _combine(n, m, partial(class_matrix, exp))
         for slot, kind, destination, sign in _LAYOUT[bm.kind]:
             target = getattr(bm, slot)
             b = by_slot.get((m, kind, destination, sign))
@@ -567,13 +585,6 @@ def _certified_plan(doc: dict) -> FftPlan:
             branches.append(MultiplicativeBranch(
                 m=m, constant_kind=kind, constant_value=value, preadd=pre,
                 postadd=post, destination=destination, sign=sign))
-    m0 = dec.matrix(0)
-    additive = AdditiveStage(*(
-        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix")
-        for part in ("re", "im")))
-    if (additive.re_m0, additive.im_m0) != (_sparse(m0.re.tolist(), n),
-                                            _sparse(m0.im.tolist(), n)):
-        raise ValueError(f"additive stage is not M_0 for N={n}")
     counts = _plan_counts(additive, branches)
     for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
                            counts):

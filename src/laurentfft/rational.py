@@ -1,10 +1,14 @@
 """Exact rational matrices: row reduction, rank and rank factorization.
 
-Scalars are ``fractions.Fraction`` (always stored reduced, positive
-denominator), so every rank reported by this module is exact rather than a
-floating-point estimate. Matrices stay small here (N <= 64 in practice) and
-entries start in {-2, ..., 2}, so no special big-number handling is needed
-beyond what ``Fraction`` already provides.
+Scalars are exact and integer-first: an entry is a plain ``int`` unless it
+is non-integral, and then it is a ``fractions.Fraction`` (always reduced,
+positive denominator). Every rank reported by this module is therefore
+exact rather than a floating-point estimate. Entries start in
+{-2, ..., 2} and almost every pivot is +1 or -1, so elimination runs on
+Python ints and only a non-unit pivot divides through ``Fraction``; an
+integral result goes back to ``int``. ``Fraction(1) == 1`` and both hash
+alike, so equality and hashing of matrices do not depend on which of the
+two types holds an integral value.
 """
 
 from __future__ import annotations
@@ -20,18 +24,35 @@ class ZeroMatrixError(ValueError):
     """Raised when a rank factorization is requested for an all-zero matrix."""
 
 
-def _as_fraction(value) -> Fraction:
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _as_exact(value) -> int | Fraction:
     if isinstance(value, Fraction):
-        return value
+        return _exact(value)
     if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _exact(Fraction(value))
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
+def _integral(value) -> int:
+    """value as an int; ValueError unless it is exactly an integer."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{value!r} is not an integer") from None
+    if as_int != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return as_int
+
+
 class RationalMatrix:
-    """Dense row-major matrix of ``Fraction`` entries.
+    """Dense row-major matrix of exact entries: ``int``, or ``Fraction``
+    where an entry is not integral.
 
     Instances are treated as immutable: entries are stored as nested tuples
     and all operations return new matrices. A matrix may have zero rows (the
@@ -41,7 +62,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
-        data = tuple(tuple(_as_fraction(x) for x in row) for row in entries)
+        data = tuple(tuple(_as_exact(x) for x in row) for row in entries)
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -59,12 +80,31 @@ class RationalMatrix:
         self.entries = data
 
     @classmethod
+    def _of_exact(cls, entries: tuple[tuple[int | Fraction, ...], ...],
+                  cols: int) -> "RationalMatrix":
+        """Wrap rows that are already exact, rectangular and cols wide."""
+        out = cls.__new__(cls)
+        out.rows = len(entries)
+        out.cols = cols
+        out.entries = entries
+        return out
+
+    @classmethod
     def from_int_matrix(cls, array) -> "RationalMatrix":
-        """Build from a numpy integer array or nested integer sequences."""
+        """Build from a numpy integer array or nested integer sequences.
+
+        Raises ValueError for any value that is not exactly an integer
+        (1.5 is rejected, 2.0 becomes 2).
+        """
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls([[int(x) for x in row] for row in arr])
+        if arr.shape[1] == 0:
+            raise ValueError("matrix must have at least one column")
+        rows = arr.tolist()
+        if arr.dtype.kind not in "iu":
+            rows = [[_integral(x) for x in row] for row in rows]
+        return cls._of_exact(tuple(map(tuple, rows)), arr.shape[1])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -121,6 +161,12 @@ def rref(matrix: RationalMatrix) -> RrefResult:
     magnitude-based pivoting unnecessary, and determinism keeps regression
     output bit-stable. Zero rows are dropped from the result, so a zero
     matrix reduces to an empty matrix of rank 0.
+
+    A pivot of +1 needs no scaling and -1 only a negation, so integer rows
+    stay ints; any other pivot divides its row through Fraction. Entries
+    stay integer-first throughout: a product with an int row is an int,
+    and only a row update that involved a Fraction is mapped back to int
+    where its result is integral.
     """
     work = [list(row) for row in matrix.entries if any(row)]
     ncols = matrix.cols
@@ -136,23 +182,32 @@ def rref(matrix: RationalMatrix) -> RrefResult:
             continue
         work[pr], work[sel] = work[sel], work[pr]
         pivot = work[pr][pc]
-        if pivot != 1:
-            work[pr] = [x / pivot for x in work[pr]]
+        if pivot == -1:
+            work[pr] = [-x for x in work[pr]]
+        elif pivot != 1:
+            work[pr] = [_exact(Fraction(x, pivot)) if x else 0
+                        for x in work[pr]]
         prow = work[pr]
         support = [c for c in range(pc, ncols) if prow[c] != 0]
+        int_row = all(type(prow[c]) is int for c in support)
         for i in range(len(work)):
             if i == pr:
                 continue
             factor = work[i][pc]
-            if factor:
-                target = work[i]
+            if not factor:
+                continue
+            target = work[i]
+            if int_row and type(factor) is int:
                 for c in support:
                     target[c] -= factor * prow[c]
+            else:
+                for c in support:
+                    target[c] = _exact(target[c] - factor * prow[c])
         pivot_cols.append(pc)
         pr += 1
         if pr == len(work):
             break
-    reduced = RationalMatrix(work[:pr], cols=ncols)
+    reduced = RationalMatrix._of_exact(tuple(map(tuple, work[:pr])), ncols)
     return RrefResult(rref=reduced, rank=pr, pivot_cols=tuple(pivot_cols))
 
 
@@ -172,15 +227,16 @@ def rank_factor(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]
     result = rref(matrix)
     if result.rank == 0:
         raise ZeroMatrixError("zero matrix has no rank factorization")
-    c_entries = [[row[j] for j in result.pivot_cols] for row in matrix.entries]
-    return RationalMatrix(c_entries), result.rref
+    c_entries = tuple(tuple(row[j] for j in result.pivot_cols)
+                      for row in matrix.entries)
+    return RationalMatrix._of_exact(c_entries, result.rank), result.rref
 
 
 def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     """Concatenate rows, ``top`` first."""
     if top.cols != bottom.cols:
         raise ValueError(f"column mismatch: {top.cols} vs {bottom.cols}")
-    return RationalMatrix(top.entries + bottom.entries, cols=top.cols)
+    return RationalMatrix._of_exact(top.entries + bottom.entries, top.cols)
 
 
 def matmul_exact(left: RationalMatrix,

@@ -2,14 +2,16 @@ import copy
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laurentfft import plan as plan_mod
 from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import decompose
-from laurentfft.execute import execute_real
+from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              MultiplicativeBranch, SparseRows,
                              branch_matrices, compile_plan, compile_plan_for,
@@ -124,6 +126,14 @@ def test_branch_constants_strictly_inside_unit_interval():
             assert 0.0 < b.constant_value < 1.0
 
 
+def test_compile_plan_rejects_a_constant_outside_the_unit_interval(
+        monkeypatch):
+    # a real check, not an assert, so it holds under python -O too
+    monkeypatch.setattr(plan_mod, "constant_value", lambda kind, m, n: 1.0)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        compile_plan_for(12)
+
+
 def test_constant_value_rejects_unknown_kind():
     with pytest.raises(ValueError):
         constant_value("tangent", 1, 12)
@@ -163,6 +173,21 @@ def test_three_count_forms_agree():
     for n in SUPPORTED:
         r = complexity_for(n)
         assert r.realized_total == r.stacked_total == r.simplified_total, n
+
+
+@pytest.mark.parametrize("n", range(68, 129, 4))
+def test_plans_past_64_count_exactly_and_certify(tmp_path, n):
+    plan = compile_plan_for(n)
+    r = complexity_for(n)
+    assert (plan.mult_count == r.realized_total == r.stacked_total
+            == r.simplified_total)
+    assert plan.extra_mult_count == 0
+    report = verify_plan(plan, trials=2)
+    assert report.passed and report.counters_match
+    path = tmp_path / "plan.json"
+    save_plan(plan, path)
+    loaded = load_plan(path)
+    assert plan_to_dict(loaded) == plan_to_dict(plan)
 
 
 @pytest.mark.parametrize("n", range(4, 37, 4))
@@ -522,6 +547,24 @@ def test_load_plan_fuzz_rejects_or_stays_exact(data):
     assert (counters.real_mults, counters.real_adds) == \
         (plan.mult_count, plan.add_count)
     assert plan.extra_mult_count == 0
+
+
+def test_load_plan_rejects_a_large_claim_in_bounded_memory():
+    # 239 bytes that claim N=256: the loader holds one class's matrices at
+    # a time, where all 64 classes at once would peak near 70 MB
+    doc = {"format": "laurentfft-plan", "version": 1, "N": 256,
+           "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
+           "additive": {part: {"rows": 256, "cols": 256, "triplets": []}
+                        for part in ("re", "im")},
+           "branches": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            plan_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
 
 
 def test_save_and_load_plan(tmp_path):

@@ -40,6 +40,37 @@ def test_from_int_matrix_roundtrip():
     assert np.array_equal(m.to_int_array(), arr)
 
 
+def test_from_int_matrix_rejects_non_integral_values():
+    with pytest.raises(ValueError):
+        RationalMatrix.from_int_matrix(np.array([[1.5, 2.7]]))
+    with pytest.raises(ValueError):
+        RationalMatrix.from_int_matrix([[1, 0.5]])
+    m = RationalMatrix.from_int_matrix(np.array([[2.0, -1.0]]))
+    assert m.entries == ((2, -1),)
+    assert all(type(x) is int for x in m.entries[0])
+
+
+def test_integral_entries_are_ints_and_the_rest_fractions():
+    def check(mat):
+        for row in mat.entries:
+            for x in row:
+                assert type(x) is int or (type(x) is Fraction
+                                          and x.denominator != 1), x
+
+    rng = random.Random(5)
+    for _ in range(100):
+        m = RationalMatrix.from_int_matrix(np.array(_random_int_matrix(rng)))
+        check(m)
+        result = rref(m)
+        check(result.rref)
+        if result.rank:
+            for factor in rank_factor(m):
+                check(factor)
+    half = rref(RationalMatrix([[2, 1]])).rref.entries
+    assert half == ((1, Fraction(1, 2)),)
+    assert type(half[0][0]) is int and type(half[0][1]) is Fraction
+
+
 def test_to_int_array_rejects_fractions():
     with pytest.raises(ValueError):
         RationalMatrix([["1/2"]]).to_int_array()
