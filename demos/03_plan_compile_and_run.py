@@ -27,7 +27,7 @@ print(f"real input:    max err = {np.max(np.abs(out - naive_dft(v))):.2e}, "
 z = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
 out_z, counters_z = execute_complex(plan, z)
 print(f"complex input: max err = {np.max(np.abs(out_z - naive_dft(z))):.2e}, "
-      f"mults = {counters_z.real_mults} (two real passes)")
+      f"mults = {counters_z.real_mults} (twice the real-input count)")
 
 report = verify_plan(plan, trials=200, seed=99)
 print(f"verification:  {report.trials} trials, max error "

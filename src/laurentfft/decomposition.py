@@ -16,7 +16,7 @@ itself shifted (the asymmetric class, handled specially downstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,35 +112,43 @@ def class_matrix(exp: np.ndarray, m: int) -> ClassMatrix:
     return ClassMatrix(m=m, re=re, im=im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassDecomposition:
-    """All class matrices of one blocklength, in class_indices order."""
+    """The classes of one blocklength, each class matrix built on demand.
+
+    Only the read-only N x N exponent grid is held, O(N^2) memory; all N/4
+    class matrices at once would take O(N^3). A consumer that asks for one
+    class at a time (compile_plan, complexity) holds one at a time.
+    """
 
     n: int
     indices: tuple[int, ...]
-    matrices: tuple[ClassMatrix, ...]
+    exponents: np.ndarray = field(repr=False)
 
     @property
     def genus(self) -> int:
         """Number of classes, n/4."""
         return self.n // 4
 
+    @property
+    def matrices(self) -> tuple[ClassMatrix, ...]:
+        """Every class matrix in class_indices order, built on each access."""
+        return tuple(self.matrix(m) for m in self.indices)
+
     def matrix(self, m: int) -> ClassMatrix:
-        for cm in self.matrices:
-            if cm.m == m:
-                return cm
-        raise ValueError(f"{m} is not a class index for blocklength {self.n}")
+        """M_m; ValueError when m is not a class index."""
+        return class_matrix(self.exponents, m)
 
     def residue_class(self, m: int) -> ResidueClass:
         return residue_class(self.n, m)
 
 
 def decompose(n: int) -> ClassDecomposition:
-    """Decompose blocklength n into its residue classes and class matrices."""
+    """Decompose blocklength n into its residue classes; class matrices are
+    built when asked for."""
     exp = exponent_matrix(n)
-    indices = class_indices(n)
-    matrices = tuple(class_matrix(exp, m) for m in indices)
-    return ClassDecomposition(n=n, indices=indices, matrices=matrices)
+    exp.flags.writeable = False
+    return ClassDecomposition(n=n, indices=class_indices(n), exponents=exp)
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,43 @@
-"""Run compiled plans with instrumented operation counters.
+"""Run compiled plans as numpy gather-and-sum tables, with op counters.
 
-Execution is a fixed straight-line program, read directly off the plan's
-SparseRows with no lowering step: the additive stage forms the class-0
-contribution with signed accumulation only, then every branch preadds its
-input combinations, scales each preadded value once by the branch
-constant, and accumulates the postadd pattern onto the real or imaginary
-output. Counters are tallied as the work is done, under one documented
-convention:
+Each plan is lowered once, on its first execution, into three gather
+tables of source indices, one column per sum with its terms in order
+down the column: the rows of M_0 (the additive stage), the preadd rows of
+every branch, and per output its additive sum followed by every postadd
+term of every branch, in branch order. An execution is
 
-* each branch-constant scaling is one real multiplication, as is any
-  application of a matrix entry outside {-1, 0, +1} (none occur for the
-  supported blocklengths);
-* a preadd or additive row with k nonzero entries costs k - 1 additions
-  (the first term initializes the sum), and every nonzero postadd entry
-  costs one accumulation addition;
-* sign flips and routing by the unit factors 1, -j, -1, j are free.
+    src = [x, -x, 0.0, -0.0]
+    a   = sum(src[additive])                  # column sums
+    p   = sum(src[preadd]) * branch constants
+    out = sum([a, p, -p, 0.0, -0.0][postadd])
 
-The program shape never depends on the input, so measured counts are
-input-independent and equal the plan's static mult_count/add_count.
+A sign flip is a gather from the negated copy. A column shorter than its
+table is padded below with the -0.0 slot: x + -0.0 == x bit for bit, so
+padding adds are exact no-ops. An empty sum reads the 0.0 slot. Every sum
+starts from -0.0, the exact additive identity (numpy's default start,
++0.0, would turn a sum of -0.0 terms into +0.0), and np.add.reduce over
+axis 0 adds the rows of a table in order (for a table of two or more
+columns, which every supported plan's nonempty tables are), so each sum
+accumulates left to right, one term at a time.
+
+Counters are counted off the tables, under one documented convention:
+
+* each branch-constant scaling is one real multiplication;
+* an additive or preadd sum of k terms costs k - 1 additions (the first
+  term starts the sum), and every postadd term costs one addition onto
+  its output;
+* sign flips, routing by the unit factors 1, -j, -1, j and padding adds
+  are free.
+
+Lowering raises ValueError for a plan with a matrix entry other than +1
+or -1, or whose mult_count/add_count differ from the counts of its
+tables. The tables never depend on the input, so measured counts are
+input-independent and equal the plan's static counts.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,30 +72,151 @@ class OpCounters:
         self.real_adds += other.real_adds
 
 
-def _apply(mat: SparseRows, v: list[float],
-           counters: OpCounters) -> list[float]:
-    """mat @ v, counting the real multiplications and additions it takes."""
-    out = [0.0] * mat.rows
-    mults = adds = 0
-    for i, row in enumerate(mat.nonzeros):
-        acc = None
-        for c, x in row:
-            if x == 1:
-                term = v[c]
-            elif x == -1:
-                term = -v[c]
-            else:
-                term = x * v[c]
-                mults += 1
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-                adds += 1
-        if acc is not None:
-            out[i] = acc
-    counters.merge(OpCounters(real_mults=mults, real_adds=adds))
-    return out
+@dataclass(frozen=True, eq=False)
+class _Tables:
+    """A plan lowered to gather tables; the counts are per real vector."""
+
+    additive: np.ndarray  # (width, 2N) into [x, -x, 0.0, -0.0]
+    preadd: np.ndarray  # (width, rank) into the same source
+    postadd: np.ndarray  # (width, 2N) into [a, p, -p, 0.0, -0.0]
+    constants: np.ndarray  # (rank, 1)
+    mults: int
+    adds: int
+
+
+# keyed by plan identity (FftPlan is eq=False); an entry goes with its plan
+_TABLES: weakref.WeakKeyDictionary[FftPlan, _Tables] = \
+    weakref.WeakKeyDictionary()
+
+_SIGNED_ZEROS = np.array([[0.0], [-0.0]])
+
+
+def _signed(x: np.ndarray) -> np.ndarray:
+    """[x, -x, 0.0, -0.0] along axis 0 of an (n, k) x: the source a table
+    gathers from."""
+    n = x.shape[0]
+    src = np.empty((2 * n + 2, x.shape[1]))
+    src[:n] = x
+    np.negative(x, out=src[n:2 * n])
+    src[2 * n:] = _SIGNED_ZEROS
+    return src
+
+
+def _table(sums: int, cols: list[int], terms: list[int],
+           zero: int) -> np.ndarray:
+    """(width, sums) gather table with terms[t] placed in column cols[t].
+
+    Each column keeps its terms in list order and is padded below with
+    zero + 1, the -0.0 slot; an empty column reads zero, the 0.0 slot.
+    """
+    col = np.asarray(cols, dtype=np.intp)
+    counts = np.bincount(col, minlength=sums)
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    depth = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    table = np.full((max(int(counts.max(initial=0)), 1), sums), zero + 1,
+                    dtype=np.intp)
+    table[0, counts == 0] = zero
+    table[depth, col] = np.asarray(terms, dtype=np.intp)[order]
+    return table
+
+
+def _adds(table: np.ndarray, zero: int) -> int:
+    """Additions a table's column sums cost: terms other than padding, less
+    one per column (a sum of k terms costs k - 1; an empty sum reads zero)."""
+    return int(np.count_nonzero(table != zero + 1)) - table.shape[1]
+
+
+def _row_sums(mats: list[SparseRows], n: int, what: str) -> np.ndarray:
+    """The gather table of every row of mats, in order, over [x, -x, ...]."""
+    cols: list[int] = []
+    terms: list[int] = []
+    j = 0
+    for mat in mats:
+        if mat.cols != n:
+            raise ValueError(f"{what} has {mat.cols} columns, not N={n}")
+        for row in mat.nonzeros:
+            for c, x in row:
+                if x == 1:
+                    terms.append(c)
+                elif x == -1:
+                    terms.append(n + c)
+                else:
+                    raise ValueError(f"{what} entry {x} is not +1 or -1")
+            cols += [j] * len(row)
+            j += 1
+    return _table(j, cols, terms, 2 * n)
+
+
+def _lower(plan: FftPlan) -> _Tables:
+    """The plan's gather tables and their counts; ValueError for a shape
+    that does not chain, an entry other than +-1 or a count that differs."""
+    n = plan.n
+    for mat in (plan.additive.re_m0, plan.additive.im_m0):
+        if mat.rows != n:
+            raise ValueError(f"additive stage has {mat.rows} rows, not N={n}")
+    additive = _row_sums([plan.additive.re_m0, plan.additive.im_m0], n,
+                         "additive")
+    preadd = _row_sums([b.preadd for b in plan.branches], n, "preadd")
+    rank = preadd.shape[1]
+    # output o starts from its additive sum a[o], at source index o
+    cols = list(range(2 * n))
+    terms = list(range(2 * n))
+    first = 2 * n  # source index of the current branch's first value in p
+    for b in plan.branches:
+        if (b.postadd.rows, b.postadd.cols) != (n, b.preadd.rows):
+            raise ValueError(f"postadd of branch m={b.m} is "
+                             f"{b.postadd.rows}x{b.postadd.cols}, not "
+                             f"{n}x{b.preadd.rows}")
+        out = 0 if b.destination == REAL_OUT else n
+        for i, row in enumerate(b.postadd.nonzeros, out):
+            for j, x in row:
+                if x == b.sign:
+                    terms.append(first + j)
+                elif x == -b.sign:
+                    terms.append(first + rank + j)
+                else:
+                    raise ValueError(f"postadd entry {x} of branch m={b.m} "
+                                     f"with sign {b.sign} is not +1 or -1")
+                cols.append(i)
+        first += b.preadd.rows
+    postadd = _table(2 * n, cols, terms, 2 * n + 2 * rank)
+    # every postadd term is an add: the additive sum heading each output
+    # column is the one term that costs none
+    adds = (_adds(additive, 2 * n) + _adds(preadd, 2 * n)
+            + _adds(postadd, 2 * n + 2 * rank))
+    if (rank, adds) != (plan.mult_count, plan.add_count):
+        raise ValueError(f"plan (mult_count, add_count) "
+                         f"{(plan.mult_count, plan.add_count)} differs from "
+                         f"the measured (mults, adds) {(rank, adds)} of its "
+                         f"tables")
+    constants = np.array([b.constant_value for b in plan.branches
+                          for _ in range(b.preadd.rows)], dtype=float)
+    return _Tables(additive, preadd, postadd, constants.reshape(rank, 1),
+                   rank, adds)
+
+
+def _lowered(plan: FftPlan) -> _Tables:
+    """The plan's tables, lowered on its first execution."""
+    tables = _TABLES.get(plan)
+    if tables is None:
+        tables = _TABLES[plan] = _lower(plan)
+    return tables
+
+
+def _run(tables: _Tables, x: np.ndarray) -> np.ndarray:
+    """The 2N plan outputs (real parts, then imaginary) for each column of
+    the (N, k) array x."""
+    src = _signed(x)
+    a = _sums(src, tables.additive)
+    p = _sums(src, tables.preadd)
+    p *= tables.constants
+    return _sums(np.concatenate((a, _signed(p))), tables.postadd)
+
+
+def _sums(src: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Every column sum of the table gathered from src, each from -0.0."""
+    return np.add.reduce(np.take(src, table, axis=0), axis=0, initial=-0.0)
 
 
 def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
@@ -91,44 +228,28 @@ def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     vec = vec.astype(float, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a real vector of length {plan.n}")
-    # Python floats: scalar arithmetic on them is much cheaper than on
-    # numpy scalars, and rounds the same
-    vin = vec.tolist()
-    counters = OpCounters()
-    re_out = _apply(plan.additive.re_m0, vin, counters)
-    im_out = _apply(plan.additive.im_m0, vin, counters)
-    for branch in plan.branches:
-        constant = branch.constant_value
-        scaled = [constant * x for x in _apply(branch.preadd, vin, counters)]
-        out = re_out if branch.destination == REAL_OUT else im_out
-        sign, flip = branch.sign, -branch.sign
-        mults, adds = len(scaled), 0
-        for i, row in enumerate(branch.postadd.nonzeros):
-            acc = out[i]
-            for j, x in row:
-                # sign and a +-1 entry are routing; anything else is a mult
-                if x == sign:
-                    acc += scaled[j]
-                elif x == flip:
-                    acc -= scaled[j]
-                else:
-                    acc += sign * x * scaled[j]
-                    mults += 1
-                adds += 1
-            out[i] = acc
-        counters.merge(OpCounters(real_mults=mults, real_adds=adds))
-    return np.array(re_out) + 1j * np.array(im_out), counters
+    tables = _lowered(plan)
+    out = _run(tables, vec[:, None])
+    n = plan.n
+    return (out[:n, 0] + 1j * out[n:, 0],
+            OpCounters(real_mults=tables.mults, real_adds=tables.adds))
 
 
 def execute_complex(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
-    """Apply the plan to a complex vector by linearity (two real passes)."""
+    """Apply the plan to a complex vector by linearity, running the real
+    and imaginary parts as the two columns of one pass; the counters are
+    those of two real vectors."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a vector of length {plan.n}")
-    out_re, c1 = execute_real(plan, vec.real)
-    out_im, c2 = execute_real(plan, vec.imag)
-    c1.merge(c2)
-    return out_re + 1j * out_im, c1
+    tables = _lowered(plan)
+    out = _run(tables, np.stack((vec.real, vec.imag), axis=1))
+    n = plan.n
+    re_part = out[:n, 0] + 1j * out[n:, 0]
+    im_part = out[:n, 1] + 1j * out[n:, 1]
+    return (re_part + 1j * im_part,
+            OpCounters(real_mults=2 * tables.mults,
+                       real_adds=2 * tables.adds))
 
 
 def default_tolerance(n: int) -> float:
@@ -157,10 +278,11 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
     """Run seeded random real inputs through the plan against naive_dft.
 
     Inputs are uniform in [-1, 1] from numpy's default generator, so a
-    (plan, trials, seed) triple is fully reproducible. Failures are
-    reported in the result, never raised. counters_match records whether
-    every trial's measured operation counts equal the plan's static
-    mult_count/add_count.
+    (plan, trials, seed) triple is fully reproducible. An error above the
+    tolerance is reported in the result, never raised. counters_match
+    records whether every trial's measured operation counts equal the
+    plan's static mult_count/add_count; a plan whose counts or entries the
+    executor refuses raises its ValueError instead.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

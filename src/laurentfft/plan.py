@@ -28,15 +28,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import (ClassDecomposition, ClassMatrix, class_indices,
-                            class_matrix, decompose, exponent_matrix)
+from .decomposition import ClassDecomposition, decompose
 from .rational import (RationalMatrix, ZeroMatrixError, _exact, rank,
                        rank_factor, vstack)
 
@@ -93,19 +91,12 @@ class BranchMatrices:
 def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
     if m < 1 or m not in dec.indices:
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
-    return _combine(dec.n, m, dec.matrix)
-
-
-def _combine(n: int, m: int,
-             class_of: Callable[[int], ClassMatrix]) -> BranchMatrices:
-    """The combination matrices of class m > 0 from class_of(m), and
-    class_of(-m) for a symmetric class."""
-    pos = class_of(m)
-    if _class_kind(n, m) == ASYMMETRIC:
+    pos = dec.matrix(m)
+    if _class_kind(dec.n, m) == ASYMMETRIC:
         return BranchMatrices(m=m, kind=ASYMMETRIC,
                               re_sum=pos.re + pos.im, re_diff=None,
                               im_sum=None, im_diff=pos.im - pos.re)
-    neg = class_of(-m)
+    neg = dec.matrix(-m)
     return BranchMatrices(m=m, kind=SYMMETRIC,
                           re_sum=pos.re + neg.re, re_diff=pos.re - neg.re,
                           im_sum=pos.im + neg.im, im_diff=pos.im - neg.im)
@@ -243,7 +234,8 @@ class FftPlan:
     addition in the preadd, postadd, and additive stages under the fixed
     convention of :mod:`laurentfft.execute`; extra_mult_count counts matrix
     entries outside {-1, 0, 1}, which would each cost one further real
-    multiplication (zero for every supported blocklength).
+    multiplication. It is zero for every supported blocklength, and the
+    executor and the loader reject a plan with such an entry.
     """
 
     n: int
@@ -289,7 +281,6 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     (Re+Im) to the real part and (Im-Re) to the imaginary part, both scaled
     by sqrt(2)/2. All-zero combination matrices compile to no branch.
     """
-    m0 = dec.matrix(0)
     branches: list[MultiplicativeBranch] = []
     for f in _factored_slots(dec):
         if f.factors is None:
@@ -304,6 +295,7 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
             preadd=_sparse(pre.entries, pre.cols),
             postadd=_sparse(post.entries, post.cols),
             destination=f.destination, sign=f.sign))
+    m0 = dec.matrix(0)
     additive = AdditiveStage(re_m0=_sparse(m0.re.tolist(), dec.n),
                              im_m0=_sparse(m0.im.tolist(), dec.n))
     return FftPlan(dec.n, additive, tuple(branches),
@@ -508,10 +500,11 @@ def plan_from_dict(doc: dict) -> FftPlan:
 
     Raises ValueError unless the document is, up to branch order, the plan
     compile_plan builds for its N: one branch per nonzero layout slot,
-    each with its slot's constant, shapes that chain and postadd * preadd
-    equal in exact arithmetic to the slot's combination matrix, built
-    from N's class matrices one class at a time; the additive stage equal to M_0; and stored counts equal
-    to the recounted ones. A malformed document (a missing key, a value of
+    each with its slot's constant, every entry +1 or -1, shapes that chain
+    and postadd * preadd equal in exact arithmetic to the slot's
+    combination matrix, built from N's class matrices one class at a time;
+    the additive stage equal to M_0; and stored counts equal to the
+    recounted ones. A malformed document (a missing key, a value of
     the wrong type, an index outside its matrix) is a ValueError too.
     """
     if not isinstance(doc, dict):
@@ -531,18 +524,17 @@ def _certified_plan(doc: dict) -> FftPlan:
     n = doc["N"]
     if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
-    # Class by class, so that at most one class's matrices are held at a
-    # time: decompose(n) would hold all n/4 of them, O(n^3) memory, before
-    # any check that scales with the document could reject it.
-    exp = exponent_matrix(n)
-    m0 = class_matrix(exp, 0)
+    # decompose builds class matrices on demand, so at most one class's
+    # matrices are held at a time, O(n^2) memory, however large n claims.
+    dec = decompose(n)
+    m0 = dec.matrix(0)
     additive = AdditiveStage(*(
         _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix")
         for part in ("re", "im")))
     if (additive.re_m0, additive.im_m0) != (_sparse(m0.re.tolist(), n),
                                             _sparse(m0.im.tolist(), n)):
         raise ValueError(f"additive stage is not M_0 for N={n}")
-    positive = _positive_indices(class_indices(n))
+    positive = _positive_indices(dec.indices)
     layout = {(m, *row[1:]) for m in positive
               for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
@@ -557,7 +549,7 @@ def _certified_plan(doc: dict) -> FftPlan:
         by_slot[key] = b
     branches = []
     for m in positive:
-        bm = _combine(n, m, partial(class_matrix, exp))
+        bm = branch_matrices(dec, m)
         for slot, kind, destination, sign in _LAYOUT[bm.kind]:
             target = getattr(bm, slot)
             b = by_slot.get((m, kind, destination, sign))
@@ -578,6 +570,13 @@ def _certified_plan(doc: dict) -> FftPlan:
             pre = _matrix_from_doc(b["preadd"], (rank, n), f"{where} preadd")
             post = _matrix_from_doc(b["postadd"], (n, rank),
                                     f"{where} postadd")
+            # a preadd row times 2 against a postadd column times 1/2 keeps
+            # the product exact, but every compiled branch entry is +-1
+            odd = [x for mat in (pre, post) for row in mat.nonzeros
+                   for _, x in row if x != 1 and x != -1]
+            if odd:
+                raise ValueError(f"branch {(m, kind, destination)!r} has an "
+                                 f"entry {odd[0]} other than +1 or -1")
             if _dense_product(post, pre) != target.tolist():
                 raise ValueError(f"postadd * preadd of branch "
                                  f"{(m, kind, destination)!r} is not its "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 
@@ -81,3 +82,37 @@ def dense(mat) -> list[list]:
         for c, x in row:
             out[i][c] = x
     return out
+
+
+def term_by_term(plan, v) -> np.ndarray:
+    """A plan applied to a real vector one term at a time, on Python floats.
+
+    Each additive or preadd row sums its +-v[c] terms left to right from
+    the first (an empty row is 0.0); each output then adds every postadd
+    term, constant * preadd value, with the branch sign, branch by branch,
+    and the parts are assembled as re + 1j * im. The executor's gather
+    tables must reproduce this bit for bit.
+    """
+    v = [float(x) for x in v]
+
+    def rows(mat):
+        out = []
+        for row in mat.nonzeros:
+            terms = [v[c] if x == 1 else -v[c] for c, x in row]
+            acc = terms[0] if terms else 0.0
+            for t in terms[1:]:
+                acc += t
+            out.append(acc)
+        return out
+
+    re_out, im_out = rows(plan.additive.re_m0), rows(plan.additive.im_m0)
+    for b in plan.branches:
+        scaled = [b.constant_value * x for x in rows(b.preadd)]
+        out = re_out if b.destination == "real_out" else im_out
+        for i, row in enumerate(b.postadd.nonzeros):
+            for j, x in row:
+                if x == b.sign:
+                    out[i] += scaled[j]
+                else:
+                    out[i] -= scaled[j]
+    return np.array(re_out) + 1j * np.array(im_out)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -424,6 +425,21 @@ def _tamper_branch_not_object(doc):
     doc["branches"][0] = [1, "cosine"]
 
 
+def _tamper_rescaled_factor(doc):
+    # preadd row 0 times 2, postadd column 0 times 1/2: the product stays
+    # exact and extra_mult_count is the honest recount, but no compiled
+    # plan has an entry other than +-1
+    branch = doc["branches"][0]
+    scaled = 0
+    for part, index, factor in (("preadd", 0, 2), ("postadd", 1,
+                                                   Fraction(1, 2))):
+        for triplet in branch[part]["triplets"]:
+            if triplet[index] == 0:
+                triplet[2] = str(Fraction(triplet[2]) * factor)
+                scaled += 1
+    doc["extra_mult_count"] = scaled
+
+
 # case id -> (blocklength, tamper, expected message)
 _TAMPERS = {
     "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
@@ -449,6 +465,8 @@ _TAMPERS = {
     "string_constant": (12, _tamper_string_constant, "does not match"),
     "float_index": (12, _tamper_float_index, "not an integer"),
     "branch_not_object": (12, _tamper_branch_not_object, "malformed"),
+    "rescaled_factor": (12, _tamper_rescaled_factor,
+                        "branch .* entry .* other than \\+1 or -1"),
 }
 
 
@@ -565,6 +583,18 @@ def test_load_plan_rejects_a_large_claim_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 10**6
+
+
+def test_compile_plan_for_holds_one_class_at_a_time():
+    # class matrices are built on demand: all 32 classes at once, as the
+    # eager decomposition held them, peaked near 11 MB
+    tracemalloc.start()
+    try:
+        compile_plan_for(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
 
 
 def test_save_and_load_plan(tmp_path):
