@@ -23,8 +23,8 @@ from .plan import (AdditiveStage, BranchMatrices, ClassRankRow,
                    compile_plan, compile_plan_for, complexity,
                    complexity_for, coupled_samples, load_plan,
                    plan_from_dict, plan_to_dict, save_plan)
-from .rational import (RationalMatrix, RrefResult, ZeroMatrixError,
-                       matmul_exact, rank, rank_factor, rref, vstack)
+from .rational import (RationalMatrix, RrefResult, ZeroMatrixError, rank,
+                       rank_factor, rref, vstack)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "dft_matrix", "divisors", "euler_totient", "execute_complex",
     "execute_real", "exponent_matrix", "factorize", "heideman_bound",
     "heideman_burrus_bound", "indicator", "is_power_of_two", "load_plan",
-    "matmul_exact", "naive_dft", "nlog2n_rounded",
+    "naive_dft", "nlog2n_rounded",
     "plan_from_dict", "plan_to_dict", "rank", "rank_factor",
     "reconstruct_dft", "residue_class", "rref", "save_plan",
     "verify_partition", "verify_plan", "vstack",

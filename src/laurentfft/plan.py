@@ -10,10 +10,20 @@ and becomes the additive stage.
 
 The multiplication count of a compiled plan is the sum of branch ranks.
 One table (_LAYOUT) says which combination matrix becomes which branch,
-and one walk (_factored_slots) factors each matrix once for both
-compile_plan and complexity. compile_plan converts every plan matrix once
-into SparseRows, the exact row form that the executor, the counts
-(_plan_counts), coupled_samples and the JSON codec all read. The module
+and one walk (_factored_slots) gives compile_plan and complexity every
+matrix's rank and exact factors. A unit c mod N permutes the columns
+(i -> c*i mod N) and so maps class m onto class c*m (Rader 1968;
+Winograd 1978, "On computing the discrete Fourier transform"), so the
+positive classes with one g = gcd(m, N/4) form an orbit. The walk factors
+only the first class of each orbit; for every other class it checks,
+entry for entry, that each matrix is +- a representative's with its
+columns permuted, takes that rank, and derives the factors by reducing
+the representative's permuted rank x N preadd rows, which a unique
+reduced row echelon form makes equal to a direct factorization.
+
+compile_plan converts every plan matrix once into SparseRows, the exact
+row form that the executor, the counts (_plan_counts), coupled_samples
+and the JSON codec all read. The module
 also reports the count three ways (per-branch ranks, an independent
 stacked elimination, and the doubled sum over real-part ranks) so their
 agreement can be checked rather than assumed, and can serialize plans to
@@ -28,7 +38,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -36,7 +47,7 @@ import numpy as np
 
 from .decomposition import ClassDecomposition, decompose
 from .rational import (RationalMatrix, ZeroMatrixError, _exact, rank,
-                       rank_factor, vstack)
+                       rank_factor, rref, vstack)
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -106,12 +117,19 @@ def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
     return tuple(m for m in indices if m >= 1)
 
 
+# The row-stacked pairs of complexity's stacked count; an orbit map that
+# sends these pairs onto each other keeps that count.
+_STACKED_PAIRS = (("re_sum", "im_sum"), ("re_diff", "im_diff"))
+
+
 @dataclass(frozen=True, eq=False)
 class _FactoredSlot:
-    """One combination matrix, its layout row and its exact factorization.
+    """One combination matrix as int8, its layout row, rank and factors.
 
-    factors is rank_factor's (postadd, preadd), or None for an all-zero
-    matrix.
+    A slot of an orbit representative was factored directly. Any other
+    slot equals +-source.matrix with its columns read at perm, which the
+    walk checked exactly, so it takes source's rank and derives its
+    factors from source's only when asked.
     """
 
     m: int
@@ -119,31 +137,103 @@ class _FactoredSlot:
     constant_kind: str
     destination: str
     sign: int
-    matrix: RationalMatrix
-    factors: tuple[RationalMatrix, RationalMatrix] | None
+    matrix: np.ndarray
+    rank: int
+    direct: tuple[RationalMatrix, RationalMatrix] | None = None
+    source: _FactoredSlot | None = None
+    perm: np.ndarray | None = None
 
     @property
-    def rank(self) -> int:
-        return 0 if self.factors is None else self.factors[1].rows
+    def factors(self) -> tuple[RationalMatrix, RationalMatrix] | None:
+        """rank_factor's (postadd, preadd) of matrix; None if it is zero.
+
+        For a derived slot: the rows of matrix span source's preadd rows
+        with their columns read at perm, and a reduced row echelon form is
+        unique for its row space, so reducing that rank x N matrix gives
+        the preadd a direct factorization returns; the postadd is matrix's
+        own columns at the pivots.
+        """
+        if self.source is None or self.rank == 0:
+            return self.direct
+        moved = itemgetter(*self.perm.tolist())
+        pre = self.source.factors[1]
+        reduced = rref(RationalMatrix._of_exact(
+            tuple(map(moved, pre.entries)), pre.cols))
+        post = RationalMatrix.from_int_matrix(
+            self.matrix[:, list(reduced.pivot_cols)])
+        return post, reduced.rref
+
+
+def _factored_directly(m: int, layout_row: tuple,
+                       matrix: np.ndarray) -> _FactoredSlot:
+    try:
+        factors = rank_factor(RationalMatrix.from_int_matrix(matrix))
+    except ZeroMatrixError:
+        factors = None
+    return _FactoredSlot(m, *layout_row, matrix=matrix,
+                         rank=0 if factors is None else factors[1].rows,
+                         direct=factors)
+
+
+def _derived_from(n: int, m: int, layout: tuple, matrices: list[np.ndarray],
+                  rep: tuple[_FactoredSlot, ...]
+                  ) -> tuple[_FactoredSlot, ...] | None:
+    """Class m's slots read off its orbit representative rep, or None.
+
+    A unit c mod n with c*m = +-rep's m (mod n/4) maps the class of rep to
+    the class of m. None unless such a c exists, each of m's matrices
+    equals, entry for entry, +- one of rep's with its columns read at
+    c*i mod n, and the stacked pairs map onto each other.
+    """
+    q = n // 4
+    targets = {rep[0].m % q, -rep[0].m % q}
+    c = next((c for c in range(1, n, 2)
+              if c * m % q in targets and math.gcd(c, n) == 1), None)
+    if c is None:
+        return None
+    perm = np.arange(n) * c % n
+    moved = [(f, f.matrix[:, perm]) for f in rep]
+    slots = []
+    for layout_row, a in zip(layout, matrices):
+        source = next((f for f, b in moved if np.array_equal(a, b)
+                       or np.array_equal(a, -b)), None)
+        if source is None:
+            return None
+        slots.append(_FactoredSlot(m, *layout_row, matrix=a, rank=source.rank,
+                                   source=source, perm=perm))
+    of = {f.slot: f.source.slot for f in slots}
+    pairs = {frozenset(p) for p in _STACKED_PAIRS if of.keys() >= set(p)}
+    if {frozenset(map(of.get, p)) for p in pairs} != pairs:
+        return None
+    return tuple(slots)
 
 
 def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
-    """Factor every combination matrix once, class by class in layout order.
+    """Every combination matrix with its rank and factors, class by class
+    in layout order.
 
-    Lazy on purpose: a consumer that drops each class before asking for the
-    next holds at most one class's dense rational matrices at a time.
+    The positive classes of one kind with one g = gcd(m, N/4) form a
+    unit-group orbit. The first class of an orbit is its representative
+    and is factored directly; every later one is checked exactly against
+    it and derived from it, or factored directly if the check fails. Only
+    the representatives' int8 matrices and factors are held across
+    classes. Lazy on purpose: a consumer that drops each class before
+    asking for the next holds at most one other class at a time.
     """
+    reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
     for m in _positive_indices(dec.indices):
         bm = branch_matrices(dec, m)
-        for slot, kind, destination, sign in _LAYOUT[bm.kind]:
-            matrix = RationalMatrix.from_int_matrix(getattr(bm, slot))
-            try:
-                factors = rank_factor(matrix)
-            except ZeroMatrixError:
-                factors = None
-            yield _FactoredSlot(m=m, slot=slot, constant_kind=kind,
-                                destination=destination, sign=sign,
-                                matrix=matrix, factors=factors)
+        layout = _LAYOUT[bm.kind]
+        matrices = [getattr(bm, row[0]).astype(np.int8) for row in layout]
+        orbit = (bm.kind, math.gcd(m, dec.n // 4))
+        del bm  # only the int8 copies stay alive while the consumer runs
+        rep = reps.get(orbit)
+        slots = rep and _derived_from(dec.n, m, layout, matrices, rep)
+        if not slots:
+            slots = tuple(_factored_directly(m, row, a)
+                          for row, a in zip(layout, matrices))
+            reps.setdefault(orbit, slots)
+        yield from slots
 
 
 @dataclass(frozen=True)
@@ -169,7 +259,7 @@ def _sparse(entries: Iterable[Iterable[int | Fraction]],
             cols: int) -> SparseRows:
     """From dense exact rows: ints, and Fractions only where non-integral."""
     return SparseRows(cols, tuple(
-        tuple((c, x) for c, x in enumerate(row) if x) for row in entries))
+        tuple(compress(enumerate(row), row)) for row in entries))
 
 
 def _dense_product(left: SparseRows, right: SparseRows) -> list[list]:
@@ -283,7 +373,7 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     """
     branches: list[MultiplicativeBranch] = []
     for f in _factored_slots(dec):
-        if f.factors is None:
+        if f.rank == 0:
             continue
         post, pre = f.factors
         value = constant_value(f.constant_kind, f.m, dec.n)
@@ -326,16 +416,20 @@ class ClassRankRow:
 class ComplexityReport:
     """Multiplication counts for one blocklength, three ways.
 
-    realized_total sums the per-branch ranks, each read off the same rank
-    factorization compile_plan turns into a branch, so it is what a
-    compiled plan spends and equals plan.mult_count. stacked_total is an
-    independent elimination: it ranks the row-stacked pairs
-    [re_sum; im_sum] and [re_diff; im_diff] per symmetric class, which
-    collapses any rank shared between the real and imaginary families.
-    simplified_total doubles the (re_sum, im_sum) ranks per symmetric
-    class, valid whenever sum and difference ranks agree. All three
-    coincide on every supported blocklength up to 64; the tests check that
-    claim, and check each per-branch rank against sympy.
+    realized_total sums the per-branch ranks, each read off the same walk
+    compile_plan turns into branches (a derived class's ranks are its orbit
+    representative's), so it is what a compiled plan spends and equals
+    plan.mult_count. stacked_total is an independent elimination: it ranks
+    the row-stacked pairs [re_sum; im_sum] and [re_diff; im_diff] of each
+    symmetric orbit representative, which collapses any rank shared
+    between the real and imaginary families; a derived class repeats its
+    representative's count, since the walk checked that its pairs map onto
+    the representative's. simplified_total doubles the (re_sum, im_sum)
+    ranks per symmetric class, valid whenever sum and difference ranks
+    agree. All three coincide on every supported blocklength up to 128
+    and at 256; the tests check that claim, each per-branch rank against
+    sympy up to 36, and every derived factorization against a direct one
+    up to 128.
     """
 
     n: int
@@ -346,12 +440,16 @@ class ComplexityReport:
     nlog2n: int
 
 
-def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot]
+def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
+                 stacked_of: dict[int, int]
                  ) -> tuple[ClassRankRow, int, int, int]:
     """One class's rank row and its realized, stacked and simplified counts.
 
-    A function of its own so that the class's matrices are freed when it
-    returns, before the walk factors the next class.
+    A representative's stacked count is eliminated here and kept in
+    stacked_of; a derived class's is its representative's, since the walk
+    checked that its stacked pairs map onto the representative's. A
+    function of its own so that the class's matrices are freed when it
+    returns, before the walk reaches the next class.
     """
     by_slot = {f.slot: f for f in slots}
     ranks = {slot: f.rank for slot, f in by_slot.items()}
@@ -363,17 +461,22 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot]
     realized = sum(ranks.values())
     if kind == ASYMMETRIC:
         return row, realized, realized, realized
-    mat = {slot: f.matrix for slot, f in by_slot.items()}
-    stacked = (rank(vstack(mat["re_sum"], mat["im_sum"]))
-               + rank(vstack(mat["re_diff"], mat["im_diff"])))
+    source = by_slot["re_sum"].source
+    if source is None:
+        exact = {slot: RationalMatrix.from_int_matrix(f.matrix)
+                 for slot, f in by_slot.items()}
+        stacked_of[m] = sum(rank(vstack(exact[top], exact[bottom]))
+                            for top, bottom in _STACKED_PAIRS)
+    stacked = stacked_of[m if source is None else source.m]
     return row, realized, stacked, 2 * (ranks["re_sum"] + ranks["im_sum"])
 
 
 def complexity(dec: ClassDecomposition) -> ComplexityReport:
     rows: list[ClassRankRow] = []
     totals = [0, 0, 0]
+    stacked_of: dict[int, int] = {}
     for m, group in groupby(_factored_slots(dec), key=lambda f: f.m):
-        row, *counts = _class_ranks(dec.n, m, group)
+        row, *counts = _class_ranks(dec.n, m, group, stacked_of)
         rows.append(row)
         totals = [t + c for t, c in zip(totals, counts)]
     realized, stacked, simplified = totals

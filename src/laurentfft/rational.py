@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -112,20 +113,6 @@ class RationalMatrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def to_float_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries],
-                        dtype=float).reshape(self.rows, self.cols)
-
-    def to_int_array(self) -> np.ndarray:
-        """Convert to an integer array; fails if any entry is non-integral."""
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x.denominator != 1:
-                    raise ValueError(f"entry ({i}, {j}) = {x} is not an integer")
-                out[i, j] = x.numerator
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -227,8 +214,11 @@ def rank_factor(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]
     result = rref(matrix)
     if result.rank == 0:
         raise ZeroMatrixError("zero matrix has no rank factorization")
-    c_entries = tuple(tuple(row[j] for j in result.pivot_cols)
-                      for row in matrix.entries)
+    pick = itemgetter(*result.pivot_cols)
+    if result.rank == 1:  # itemgetter of one index returns the bare entry
+        c_entries = tuple((pick(row),) for row in matrix.entries)
+    else:
+        c_entries = tuple(map(pick, matrix.entries))
     return RationalMatrix._of_exact(c_entries, result.rank), result.rref
 
 
@@ -238,13 +228,3 @@ def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
         raise ValueError(f"column mismatch: {top.cols} vs {bottom.cols}")
     return RationalMatrix._of_exact(top.entries + bottom.entries, top.cols)
 
-
-def matmul_exact(left: RationalMatrix,
-                 right: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product, used to check factorizations."""
-    if left.cols != right.rows:
-        raise ValueError(f"inner dimension mismatch: {left.cols} vs {right.rows}")
-    cols = [right.column(j) for j in range(right.cols)]
-    out = [[sum(a * b for a, b in zip(row, col) if a != 0) for col in cols]
-           for row in left.entries]
-    return RationalMatrix(out, cols=right.cols)

@@ -1,8 +1,10 @@
 """Independent reference implementations the tests check against.
 
-Everything here is deliberately built on different machinery than the
-package (sympy number theory, recursion instead of product iteration) so
-that agreement between the two is evidence, not an echo.
+Almost everything here is deliberately built on different machinery
+than the package (sympy number theory, recursion instead of product
+iteration) so that agreement between the two is evidence, not an echo.
+direct_factors is the exception: it is the package's own direct path,
+against which the orbit-derived factors are checked.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+
+from laurentfft.rational import RationalMatrix, rank_factor
 
 
 def heideman_reference(n: int) -> int:
@@ -72,6 +76,27 @@ def sympy_rref(int_rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
 
 def sympy_rank(int_rows) -> int:
     return sympy.Matrix(int_rows).rank()
+
+
+def exact_product(left, right) -> tuple[tuple, ...]:
+    """Exact product of two matrices given as rows of ints and Fractions,
+    summed term by term; integral entries come back as ints."""
+    out = []
+    for row in left:
+        acc = [Fraction(0)] * len(right[0])
+        for a, right_row in zip(row, right):
+            for j, b in enumerate(right_row):
+                acc[j] += a * b
+        out.append(tuple(int(x) if x.denominator == 1 else x for x in acc))
+    return tuple(out)
+
+
+def direct_factors(slot: np.ndarray):
+    """The package's own rank factorization of one combination matrix,
+    from scratch: the (postadd, preadd) a plan branch would hold if the
+    matrix were factored directly rather than read off its orbit's
+    representative."""
+    return rank_factor(RationalMatrix.from_int_matrix(slot))
 
 
 def dense(mat) -> list[list]:

@@ -20,7 +20,7 @@ from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              coupled_samples, load_plan, plan_from_dict,
                              plan_to_dict, save_plan)
 from laurentfft.rational import RationalMatrix, rank
-from oracles import dense, sympy_rank
+from oracles import dense, direct_factors, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -193,8 +193,9 @@ def test_plans_past_64_count_exactly_and_certify(tmp_path, n):
 
 @pytest.mark.parametrize("n", range(4, 37, 4))
 def test_class_ranks_match_sympy(n):
-    # complexity reads each rank off the factorization compile_plan uses;
-    # sympy recomputes it from the combination matrix with other machinery
+    # complexity reads each rank off the factorization compile_plan uses,
+    # or off its orbit representative's; sympy recomputes it from the
+    # combination matrix with other machinery
     dec = decompose(n)
     for row in complexity(dec).per_class:
         bm = branch_matrices(dec, row.m)
@@ -202,6 +203,69 @@ def test_class_ranks_match_sympy(n):
             mat = getattr(bm, slot)
             expected = None if mat is None else sympy_rank(mat.tolist())
             assert getattr(row, f"rank_{slot}") == expected, (n, row.m, slot)
+
+
+SLOTS = ("re_sum", "re_diff", "im_sum", "im_diff")
+
+
+@pytest.mark.parametrize("n", range(4, 257, 4))
+def test_orbit_classes_are_signed_column_permutations(n):
+    # every positive class m with the same gcd(m, N/4) as the orbit's first
+    # class r: for a unit c with c*m = +-r (mod N/4), each combination
+    # matrix of m is +- one of r's read at columns c*i mod N, and the
+    # stacked pairs (re_sum, im_sum), (re_diff, im_diff) map onto each other
+    dec = decompose(n)
+    q = n // 4
+    first: dict[int, tuple[int, dict]] = {}
+    for m in (m for m in dec.indices if m >= 1):
+        bm = branch_matrices(dec, m)
+        mats = {s: getattr(bm, s) for s in SLOTS if getattr(bm, s) is not None}
+        r, rep = first.setdefault(math.gcd(m, q), (m, mats))
+        if r == m:
+            continue
+        c = next(c for c in range(1, n) if math.gcd(c, n) == 1
+                 and ((c * m - r) % q == 0 or (c * m + r) % q == 0))
+        moved = {s: a[:, np.arange(n) * c % n] for s, a in rep.items()}
+        image = {}
+        for s, a in mats.items():
+            hits = [t for t, b in moved.items()
+                    if np.array_equal(a, b) or np.array_equal(a, -b)]
+            assert hits, (n, m, r, c, s)
+            image[s] = hits[0]
+        pairs = {frozenset(("re_sum", "im_sum")),
+                 frozenset(("re_diff", "im_diff"))}
+        assert {frozenset(map(image.get, p)) for p in pairs} == pairs
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_derived_slots_match_a_direct_factorization(n):
+    # one class per orbit is factored; every other slot's factors come off
+    # its representative and must equal factoring the slot from scratch
+    reps = set()
+    for f in plan_mod._factored_slots(decompose(n)):
+        if f.source is None:
+            reps.add((f.m, f.slot))
+            continue
+        assert (f.source.m, f.source.slot) in reps
+        expected = (None if not f.matrix.any()
+                    else direct_factors(f.matrix))
+        assert f.factors == expected, (n, f.m, f.slot)
+        assert f.rank == (0 if expected is None else expected[1].rows)
+    orbits = {math.gcd(m, n // 4) for m in decompose(n).indices if m >= 1}
+    assert len({m for m, _ in reps}) == len(orbits)
+
+
+def test_complexity_for_256_holds_one_class_and_the_representatives():
+    # the walk keeps each orbit representative's int8 matrices and exact
+    # factors; holding every class's matrices would pass 16 MB
+    tracemalloc.start()
+    try:
+        report = complexity_for(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.realized_total == report.stacked_total == 3636
+    assert peak < 12 * 10**6
 
 
 def test_rank_symmetry_between_sum_and_difference():
