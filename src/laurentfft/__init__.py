@@ -19,10 +19,10 @@ from .execute import (OpCounters, VerificationReport, default_tolerance,
                       execute_complex, execute_real, naive_dft, verify_plan)
 from .plan import (AdditiveStage, BranchMatrices, ClassRankRow,
                    ComplexityReport, CoupledPair, FftPlan,
-                   MultiplicativeBranch, SparseRows, branch_matrices,
-                   compile_plan, compile_plan_for, complexity,
-                   complexity_for, coupled_samples, load_plan,
-                   plan_from_dict, plan_to_dict, save_plan)
+                   MultiplicativeBranch, branch_matrices, compile_plan,
+                   compile_plan_for, complexity, complexity_for,
+                   coupled_samples, load_plan, plan_from_dict, plan_to_dict,
+                   save_plan)
 from .rational import (RationalMatrix, RrefResult, ZeroMatrixError, rank,
                        rank_factor, rref, vstack)
 
@@ -33,7 +33,7 @@ __all__ = [
     "ClassMatrix", "ClassRankRow", "ComplexityReport", "CoupledPair",
     "FftPlan", "MultiplicativeBranch", "NotPowerOfTwoError", "OpCounters",
     "PartitionReport", "RationalMatrix", "ResidueClass", "RrefResult",
-    "SparseRows", "UnsupportedBlocklengthError", "VerificationReport",
+    "UnsupportedBlocklengthError", "VerificationReport",
     "ZeroMatrixError", "bounds_row", "branch_matrices", "class_indices",
     "class_matrix", "compile_plan", "compile_plan_for", "complexity",
     "complexity_for", "coupled_samples", "decompose", "default_tolerance",

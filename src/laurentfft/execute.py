@@ -1,10 +1,11 @@
 """Run compiled plans as numpy gather-and-sum tables, with op counters.
 
-Each plan is lowered once, on its first execution, into three gather
-tables of source indices, one column per sum with its terms in order
-down the column: the rows of M_0 (the additive stage), the preadd rows of
-every branch, and per output its additive sum followed by every postadd
-term of every branch, in branch order. An execution is
+Each plan is lowered once, on its first execution: np.nonzero reads its
+int8 matrices into three gather tables of source indices, one column per
+sum with its terms in order down the column: the rows of M_0 (the
+additive stage), the preadd rows of every branch, and per output its
+additive sum followed by every postadd term of every branch, in branch
+order. An execution is
 
     src = [x, -x, 0.0, -0.0]
     a   = sum(src[additive])                  # column sums
@@ -44,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decomposition import dft_matrix
-from .plan import FftPlan, REAL_OUT, SparseRows
+from .plan import FftPlan, REAL_OUT
 
 _dft_matrix_cached = lru_cache(maxsize=None)(dft_matrix)
 
@@ -102,22 +103,21 @@ def _signed(x: np.ndarray) -> np.ndarray:
     return src
 
 
-def _table(sums: int, cols: list[int], terms: list[int],
+def _table(sums: int, cols: np.ndarray, terms: np.ndarray,
            zero: int) -> np.ndarray:
     """(width, sums) gather table with terms[t] placed in column cols[t].
 
-    Each column keeps its terms in list order and is padded below with
+    Each column keeps its terms in order and is padded below with
     zero + 1, the -0.0 slot; an empty column reads zero, the 0.0 slot.
     """
-    col = np.asarray(cols, dtype=np.intp)
-    counts = np.bincount(col, minlength=sums)
-    order = np.argsort(col, kind="stable")
-    col = col[order]
-    depth = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    counts = np.bincount(cols, minlength=sums)
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    depth = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols]
     table = np.full((max(int(counts.max(initial=0)), 1), sums), zero + 1,
                     dtype=np.intp)
     table[0, counts == 0] = zero
-    table[depth, col] = np.asarray(terms, dtype=np.intp)[order]
+    table[depth, cols] = terms[order]
     return table
 
 
@@ -127,60 +127,54 @@ def _adds(table: np.ndarray, zero: int) -> int:
     return int(np.count_nonzero(table != zero + 1)) - table.shape[1]
 
 
-def _row_sums(mats: list[SparseRows], n: int, what: str) -> np.ndarray:
-    """The gather table of every row of mats, in order, over [x, -x, ...]."""
-    cols: list[int] = []
-    terms: list[int] = []
-    j = 0
-    for mat in mats:
-        if mat.cols != n:
-            raise ValueError(f"{what} has {mat.cols} columns, not N={n}")
-        for row in mat.nonzeros:
-            for c, x in row:
-                if x == 1:
-                    terms.append(c)
-                elif x == -1:
-                    terms.append(n + c)
-                else:
-                    raise ValueError(f"{what} entry {x} is not +1 or -1")
-            cols += [j] * len(row)
-            j += 1
-    return _table(j, cols, terms, 2 * n)
+def _row_sums(mat: np.ndarray, n: int) -> np.ndarray:
+    """The gather table of every row of mat, in order, over [x, -x, ...]."""
+    rows, cols = np.nonzero(mat)
+    return _table(mat.shape[0], rows, cols + n * (mat[rows, cols] < 0), 2 * n)
 
 
 def _lower(plan: FftPlan) -> _Tables:
     """The plan's gather tables and their counts; ValueError for a shape
     that does not chain, an entry other than +-1 or a count that differs."""
     n = plan.n
+    branches = plan.branches
     for mat in (plan.additive.re_m0, plan.additive.im_m0):
-        if mat.rows != n:
-            raise ValueError(f"additive stage has {mat.rows} rows, not N={n}")
-    additive = _row_sums([plan.additive.re_m0, plan.additive.im_m0], n,
-                         "additive")
-    preadd = _row_sums([b.preadd for b in plan.branches], n, "preadd")
-    rank = preadd.shape[1]
-    # output o starts from its additive sum a[o], at source index o
-    cols = list(range(2 * n))
-    terms = list(range(2 * n))
-    first = 2 * n  # source index of the current branch's first value in p
-    for b in plan.branches:
-        if (b.postadd.rows, b.postadd.cols) != (n, b.preadd.rows):
-            raise ValueError(f"postadd of branch m={b.m} is "
-                             f"{b.postadd.rows}x{b.postadd.cols}, not "
-                             f"{n}x{b.preadd.rows}")
-        out = 0 if b.destination == REAL_OUT else n
-        for i, row in enumerate(b.postadd.nonzeros, out):
-            for j, x in row:
-                if x == b.sign:
-                    terms.append(first + j)
-                elif x == -b.sign:
-                    terms.append(first + rank + j)
-                else:
-                    raise ValueError(f"postadd entry {x} of branch m={b.m} "
-                                     f"with sign {b.sign} is not +1 or -1")
-                cols.append(i)
-        first += b.preadd.rows
-    postadd = _table(2 * n, cols, terms, 2 * n + 2 * rank)
+        if mat.shape != (n, n):
+            raise ValueError(f"additive stage is {mat.shape}, not {n}x{n}")
+    for b in branches:
+        if (b.preadd.ndim, b.postadd.shape) != (2, (n, b.rank)) or \
+                b.preadd.shape[1] != n:
+            raise ValueError(f"branch m={b.m} has a {b.preadd.shape} preadd "
+                             f"and a {b.postadd.shape} postadd: the shapes "
+                             f"do not chain for N={n}")
+    # every branch's preadd rows, then every branch's postadd columns
+    m0 = np.concatenate((plan.additive.re_m0, plan.additive.im_m0))
+    pre = np.concatenate([np.empty((0, n), np.int8)]
+                         + [b.preadd for b in branches])
+    post = np.concatenate([np.empty((n, 0), np.int8)]
+                          + [b.postadd for b in branches], axis=1)
+    # compile_plan and the loader build only unit entries; a hand-built
+    # plan may not
+    if any(((a != 0) & (a != 1) & (a != -1)).any() for a in (m0, pre, post)):
+        raise ValueError("a plan matrix has an entry that is not +1 or -1")
+    additive = _row_sums(m0, n)
+    preadd = _row_sums(pre, n)
+    rank = pre.shape[0]
+    # output o starts from its additive sum a[o], at source index o; then
+    # come its postadd terms in branch order, each p[k], or -p[k] where
+    # the entry is minus its branch's sign
+    dest = np.array([0 if b.destination == REAL_OUT else n
+                     for b in branches for _ in range(b.rank)], dtype=np.intp)
+    sign = np.array([b.sign for b in branches for _ in range(b.rank)],
+                    dtype=np.intp)
+    constants = np.array([b.constant_value for b in branches
+                          for _ in range(b.rank)], dtype=float)
+    i, k = np.nonzero(post)
+    heads = np.arange(2 * n)
+    postadd = _table(2 * n, np.concatenate((heads, i + dest[k])),
+                     np.concatenate((heads, 2 * n + k
+                                     + rank * (post[i, k] != sign[k]))),
+                     2 * n + 2 * rank)
     # every postadd term is an add: the additive sum heading each output
     # column is the one term that costs none
     adds = (_adds(additive, 2 * n) + _adds(preadd, 2 * n)
@@ -190,8 +184,6 @@ def _lower(plan: FftPlan) -> _Tables:
                          f"{(plan.mult_count, plan.add_count)} differs from "
                          f"the measured (mults, adds) {(rank, adds)} of its "
                          f"tables")
-    constants = np.array([b.constant_value for b in plan.branches
-                          for _ in range(b.preadd.rows)], dtype=float)
     return _Tables(additive, preadd, postadd, constants.reshape(rank, 1),
                    rank, adds)
 

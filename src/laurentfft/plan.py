@@ -17,19 +17,20 @@ Winograd 1978, "On computing the discrete Fourier transform"), so the
 positive classes with one g = gcd(m, N/4) form an orbit. The walk factors
 only the first class of each orbit; for every other class it checks,
 entry for entry, that each matrix is +- a representative's with its
-columns permuted, takes that rank, and derives the factors by reducing
-the representative's permuted rank x N preadd rows, which a unique
-reduced row echelon form makes equal to a direct factorization.
+columns permuted and takes that rank. Every slot's preadd is its
+reduced row echelon form, and its postadd is its own matrix read at the
+preadd's pivot columns.
 
-compile_plan converts every plan matrix once into SparseRows, the exact
-row form that the executor, the counts (_plan_counts), coupled_samples
-and the JSON codec all read. The module
-also reports the count three ways (per-branch ranks, an independent
-stacked elimination, and the doubled sum over real-part ranks) so their
-agreement can be checked rather than assumed, and can serialize plans to
-JSON and back. The loader certifies a document exactly against the class
-matrices of N, one class at a time, and recounts it, so a plan it accepts
-is the compiled one.
+Every plan matrix is a read-only int8 array with entries in {-1, 0, 1},
+built and checked by one helper (_unit_matrix) for compile_plan and the
+JSON decoder alike. The module also reports the count three ways
+(per-branch ranks, an independent stacked elimination, and the doubled
+sum over real-part ranks) so their agreement can be checked rather than
+assumed, and can serialize plans to JSON and back. The loader certifies
+a document exactly against the class matrices of N, one class at a
+time, checks that every branch is minimal (its preadd in reduced row
+echelon form, its postadd of full column rank) and recounts it, so a
+plan it accepts is the compiled one.
 """
 
 from __future__ import annotations
@@ -37,17 +38,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .decomposition import ClassDecomposition, decompose
-from .rational import (RationalMatrix, ZeroMatrixError, _exact, rank,
-                       rank_factor, rref, vstack)
+from .rational import (RationalMatrix, ZeroMatrixError, rank, rank_factor,
+                       rref, vstack)
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -122,14 +121,27 @@ def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
 _STACKED_PAIRS = (("re_sum", "im_sum"), ("re_diff", "im_diff"))
 
 
+def _unit_matrix(entries, what: str) -> np.ndarray:
+    """entries as a plan matrix: a read-only int8 array. The one place the
+    unit rule of plans lives: ValueError unless every entry is an integer
+    -1, 0 or 1."""
+    a = np.asarray(entries)
+    if a.dtype.kind != "i" or a.size and (a.min() < -1 or a.max() > 1):
+        bad = next((x for x in a.flat if x not in (-1, 0, 1)), a.dtype)
+        raise ValueError(f"{what} has an entry {bad} other than +1 or -1")
+    out = a.astype(np.int8)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _FactoredSlot:
     """One combination matrix as int8, its layout row, rank and factors.
 
-    A slot of an orbit representative was factored directly. Any other
-    slot equals +-source.matrix with its columns read at perm, which the
-    walk checked exactly, so it takes source's rank and derives its
-    factors from source's only when asked.
+    A slot of an orbit representative was factored directly and holds its
+    rank x N preadd in reduced. Any other slot equals +-source.matrix with
+    its columns read at perm, which the walk checked exactly, so it takes
+    source's rank and derives its preadd from source's only when asked.
     """
 
     m: int
@@ -139,40 +151,40 @@ class _FactoredSlot:
     sign: int
     matrix: np.ndarray
     rank: int
-    direct: tuple[RationalMatrix, RationalMatrix] | None = None
+    reduced: np.ndarray | None = None
     source: _FactoredSlot | None = None
     perm: np.ndarray | None = None
 
     @property
-    def factors(self) -> tuple[RationalMatrix, RationalMatrix] | None:
-        """rank_factor's (postadd, preadd) of matrix; None if it is zero.
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(postadd, preadd) as plan matrices; None if matrix is zero.
 
-        For a derived slot: the rows of matrix span source's preadd rows
-        with their columns read at perm, and a reduced row echelon form is
-        unique for its row space, so reducing that rank x N matrix gives
-        the preadd a direct factorization returns; the postadd is matrix's
-        own columns at the pivots.
+        preadd is matrix's reduced row echelon form: for a derived slot,
+        that of source's preadd with its columns read at perm, which spans
+        the same rows, and a reduced form is unique for its row space.
+        postadd is matrix's own columns at the preadd's pivots.
         """
-        if self.source is None or self.rank == 0:
-            return self.direct
-        moved = itemgetter(*self.perm.tolist())
-        pre = self.source.factors[1]
-        reduced = rref(RationalMatrix._of_exact(
-            tuple(map(moved, pre.entries)), pre.cols))
-        post = RationalMatrix.from_int_matrix(
-            self.matrix[:, list(reduced.pivot_cols)])
-        return post, reduced.rref
+        if self.rank == 0:
+            return None
+        what = f"factors of the m={self.m} {self.slot} matrix"
+        pre = self.reduced
+        if self.source is not None:
+            moved = self.source.reduced[:, self.perm]
+            pre = _unit_matrix(
+                rref(RationalMatrix.from_int_matrix(moved)).rref.entries, what)
+        pivots = (pre != 0).argmax(axis=1)
+        return _unit_matrix(self.matrix[:, pivots], what), pre
 
 
 def _factored_directly(m: int, layout_row: tuple,
                        matrix: np.ndarray) -> _FactoredSlot:
     try:
-        factors = rank_factor(RationalMatrix.from_int_matrix(matrix))
+        reduced = rank_factor(RationalMatrix.from_int_matrix(matrix))[1]
     except ZeroMatrixError:
-        factors = None
-    return _FactoredSlot(m, *layout_row, matrix=matrix,
-                         rank=0 if factors is None else factors[1].rows,
-                         direct=factors)
+        return _FactoredSlot(m, *layout_row, matrix=matrix, rank=0)
+    return _FactoredSlot(m, *layout_row, matrix=matrix, rank=reduced.rows,
+                         reduced=_unit_matrix(reduced.entries,
+                                              f"preadd of m={m}"))
 
 
 def _derived_from(n: int, m: int, layout: tuple, matrices: list[np.ndarray],
@@ -216,7 +228,7 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
     unit-group orbit. The first class of an orbit is its representative
     and is factored directly; every later one is checked exactly against
     it and derived from it, or factored directly if the check fails. Only
-    the representatives' int8 matrices and factors are held across
+    the representatives' int8 matrices and preadds are held across
     classes. Lazy on purpose: a consumer that drops each class before
     asking for the next holds at most one other class at a time.
     """
@@ -236,44 +248,6 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
         yield from slots
 
 
-@dataclass(frozen=True)
-class SparseRows:
-    """An exact matrix held row by row; every plan matrix has this form.
-
-    nonzeros[i] lists row i's nonzero entries as (column, value) pairs in
-    increasing column order, and an all-zero row is an empty tuple, so
-    rows is len(nonzeros). A value is an int, or a Fraction only when it
-    is not integral: the unit entries of every supported plan are then
-    compared and applied as plain ints, never through Fraction methods.
-    """
-
-    cols: int
-    nonzeros: tuple[tuple[tuple[int, int | Fraction], ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.nonzeros)
-
-
-def _sparse(entries: Iterable[Iterable[int | Fraction]],
-            cols: int) -> SparseRows:
-    """From dense exact rows: ints, and Fractions only where non-integral."""
-    return SparseRows(cols, tuple(
-        tuple(compress(enumerate(row), row)) for row in entries))
-
-
-def _dense_product(left: SparseRows, right: SparseRows) -> list[list]:
-    """Exact left * right as dense rows; left.cols must equal right.rows."""
-    out = []
-    for row in left.nonzeros:
-        acc = [0] * right.cols
-        for k, a in row:
-            for c, b in right.nonzeros[k]:
-                acc[c] += a * b
-        out.append(acc)
-    return out
-
-
 def constant_value(kind: str, m: int, n: int) -> float:
     if kind == COSINE:
         return math.cos(2.0 * math.pi * m / n)
@@ -290,42 +264,44 @@ class MultiplicativeBranch:
 
     Applying the branch to an input vector v means
     ``sign * constant_value * (postadd @ (preadd @ v))`` accumulated onto
-    the chosen output part. preadd has rank-many rows; postadd rebuilds the
-    source matrix exactly: postadd * preadd = source.
+    the chosen output part. preadd (rank x N) is the reduced row echelon
+    form of the source matrix; postadd (N x rank) rebuilds it exactly:
+    postadd * preadd = source.
     """
 
     m: int
     constant_kind: str
     constant_value: float
-    preadd: SparseRows
-    postadd: SparseRows
+    preadd: np.ndarray
+    postadd: np.ndarray
     destination: str
     sign: int
 
     @property
     def rank(self) -> int:
-        return self.preadd.rows
+        return self.preadd.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class AdditiveStage:
     """Multiplication-free class-0 contribution: Re and Im of M_0."""
 
-    re_m0: SparseRows
-    im_m0: SparseRows
+    re_m0: np.ndarray
+    im_m0: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class FftPlan:
     """Straight-line recipe: additive stage plus scaled branches.
 
+    Every matrix is a read-only int8 array with entries in {-1, 0, 1}.
     mult_count counts one real multiplication per preadded value per branch
     (the branch constant scalings); add_count counts every two-operand real
     addition in the preadd, postadd, and additive stages under the fixed
-    convention of :mod:`laurentfft.execute`; extra_mult_count counts matrix
-    entries outside {-1, 0, 1}, which would each cost one further real
-    multiplication. It is zero for every supported blocklength, and the
-    executor and the loader reject a plan with such an entry.
+    convention of :mod:`laurentfft.execute`. extra_mult_count would count
+    the further multiplications of entries outside {-1, 0, 1}; it stays in
+    the plan format and is 0 for every plan the package builds or loads,
+    since compile_plan, the loader and the executor reject such an entry.
     """
 
     n: int
@@ -337,27 +313,19 @@ class FftPlan:
 
 
 def _plan_counts(additive: AdditiveStage,
-                 branches: list[MultiplicativeBranch]
-                 ) -> tuple[int, int, int]:
-    """(mult_count, add_count, extra_mult_count) of a plan's matrices.
+                 branches: list[MultiplicativeBranch]) -> tuple[int, int]:
+    """(mult_count, add_count) of a plan's matrices.
 
     A row of k nonzeros costs k - 1 additions in the additive and preadd
-    stages (its first term starts the sum) and k in the postadd stage
-    (each term accumulates onto an output); every entry outside
-    {-1, 0, 1} costs one extra multiplication. This is the convention
+    stages (its first term starts the sum), and every postadd entry one
+    (each term accumulates onto an output). This is the convention
     execute.py measures.
     """
-    stages = [(additive.re_m0, 1), (additive.im_m0, 1)]
-    for b in branches:
-        stages += [(b.preadd, 1), (b.postadd, 0)]
-    adds = extra = 0
-    for mat, first_term_free in stages:
-        for row in mat.nonzeros:
-            adds += max(len(row) - first_term_free, 0)
-            for _, x in row:
-                if x != 1 and x != -1:
-                    extra += 1
-    return sum(b.rank for b in branches), adds, extra
+    sums = np.concatenate([additive.re_m0, additive.im_m0,
+                           *(b.preadd for b in branches)])
+    adds = int(np.maximum(np.count_nonzero(sums, axis=1) - 1, 0).sum())
+    adds += sum(int(np.count_nonzero(b.postadd)) for b in branches)
+    return sum(b.rank for b in branches), adds
 
 
 def compile_plan(dec: ClassDecomposition) -> FftPlan:
@@ -382,14 +350,13 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
                              f"N={dec.n} is not strictly between 0 and 1")
         branches.append(MultiplicativeBranch(
             m=f.m, constant_kind=f.constant_kind, constant_value=value,
-            preadd=_sparse(pre.entries, pre.cols),
-            postadd=_sparse(post.entries, post.cols),
-            destination=f.destination, sign=f.sign))
+            preadd=pre, postadd=post, destination=f.destination,
+            sign=f.sign))
     m0 = dec.matrix(0)
-    additive = AdditiveStage(re_m0=_sparse(m0.re.tolist(), dec.n),
-                             im_m0=_sparse(m0.im.tolist(), dec.n))
+    additive = AdditiveStage(re_m0=_unit_matrix(m0.re, "Re(M_0)"),
+                             im_m0=_unit_matrix(m0.im, "Im(M_0)"))
     return FftPlan(dec.n, additive, tuple(branches),
-                   *_plan_counts(additive, branches))
+                   *_plan_counts(additive, branches), extra_mult_count=0)
 
 
 def compile_plan_for(n: int) -> FftPlan:
@@ -514,13 +481,13 @@ def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
     """
     pairs: list[CoupledPair] = []
     for branch in plan.branches:
-        for row in branch.preadd.nonzeros:
-            for (c1, x1), (c2, x2) in zip(row[::2], row[1::2]):
-                sign = 1 if (x1 > 0) == (x2 > 0) else -1
+        for row in branch.preadd:
+            cols = np.flatnonzero(row).tolist()
+            for c1, c2 in zip(cols[::2], cols[1::2]):
                 pairs.append(CoupledPair(first=c1, second=c2,
-                                         relative_sign=sign))
-            if len(row) % 2:
-                pairs.append(CoupledPair(first=row[-1][0], second=None,
+                                         relative_sign=int(row[c1] * row[c2])))
+            if len(cols) % 2:
+                pairs.append(CoupledPair(first=cols[-1], second=None,
                                          relative_sign=None))
     return pairs
 
@@ -529,53 +496,72 @@ PLAN_FORMAT = "laurentfft-plan"
 PLAN_VERSION = 1
 
 
-def _matrix_doc(mat: SparseRows, as_text: bool) -> dict:
-    triplets = [[i, c, str(x) if as_text else x]
-                for i, row in enumerate(mat.nonzeros) for c, x in row]
-    return {"rows": mat.rows, "cols": mat.cols, "triplets": triplets}
+def _matrix_doc(mat: np.ndarray, as_text: bool) -> dict:
+    rows, cols = np.nonzero(mat)
+    values = mat[rows, cols].tolist()
+    if as_text:
+        values = map(str, values)
+    triplets = list(map(list, zip(rows.tolist(), cols.tolist(), values)))
+    return {"rows": mat.shape[0], "cols": mat.shape[1], "triplets": triplets}
 
 
-def _triplet_value(v) -> int | Fraction:
-    """A nonzero triplet value: a JSON int, or a string like "3" or "-1/2"."""
-    if isinstance(v, str):
-        num, slash, den = v.partition("/")
-        x = _exact(Fraction(int(num), int(den))) if slash else int(num)
-    elif type(v) is int:
-        x = v
-    else:
-        raise ValueError(f"triplet value {v!r} is not an int or a string")
-    if x == 0:
+def _matrices_from_docs(docs: list[dict], shapes: list[tuple[int, int]],
+                        whats: list[str], as_text: bool) -> list[np.ndarray]:
+    """The plan matrices of {rows, cols, triplets} documents, decoded in one
+    pass. A triplet is [row, col, value]: integer indices inside its shape,
+    at most one per position, and a nonzero JSON integer value (a string of
+    one when as_text), which _unit_matrix then rejects unless it is +-1."""
+    for doc, shape, what in zip(docs, shapes, whats):
+        if (doc["rows"], doc["cols"]) != shape:
+            raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
+                             f"{shape[0]}x{shape[1]}: the shapes do not chain")
+    if not docs:
+        return []
+    triplets = [t for doc in docs for t in doc["triplets"]]
+    if not set(map(len, triplets)) <= {3}:
+        raise ValueError("a triplet is not a [row, col, value] list")
+    r, c, values = zip(*triplets) if triplets else ((), (), ())
+    if not set(map(type, r + c)) <= {int}:
+        r, c = next(ij for ij in zip(r, c) if set(map(type, ij)) != {int})
+        raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer")
+    if not set(map(type, values)) <= {str if as_text else int}:
+        raise ValueError(f"a triplet value is not "
+                         f"{'a string' if as_text else 'a JSON integer'}")
+    values = np.array(list(map(int, values)), dtype=np.int64)
+    if not values.all():
         raise ValueError("a triplet value is zero")
-    return x
-
-
-def _matrix_from_doc(doc: dict, shape: tuple[int, int],
-                     what: str) -> SparseRows:
-    rows, cols = shape
-    if (doc["rows"], doc["cols"]) != shape:
-        raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
-                         f"{rows}x{cols}")
-    entries: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
-    for r, c, v in doc["triplets"]:
-        if (type(r) is not int or type(c) is not int
-                or not (0 <= r < rows and 0 <= c < cols)):
-            raise ValueError(f"triplet index ({r!r}, {c!r}) is not an "
-                             f"integer or is outside a {rows}x{cols} matrix")
-        if c in entries[r]:
-            raise ValueError(f"triplet index ({r}, {c}) repeats in {what}")
-        entries[r][c] = _triplet_value(v)
-    return SparseRows(cols, tuple(tuple(sorted(row.items()))
-                                  for row in entries))
+    # triplet t belongs to matrix owner[t], which starts at starts[owner[t]]
+    # of one flat buffer holding every matrix row-major
+    owner = np.repeat(np.arange(len(docs)), [len(d["triplets"]) for d in docs])
+    rows, cols = np.array(shapes, dtype=np.int64).T
+    r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
+    outside = (r < 0) | (r >= rows[owner]) | (c < 0) | (c >= cols[owner])
+    if outside.any():
+        t = outside.argmax()
+        raise ValueError(f"triplet index ({r[t]}, {c[t]}) is outside a "
+                         f"{rows[owner[t]]}x{cols[owner[t]]} matrix")
+    ends = np.cumsum(rows * cols).tolist()
+    starts = [0, *ends[:-1]]
+    cells = np.array(starts)[owner] + r * cols[owner] + c
+    repeats = np.flatnonzero(np.bincount(cells) > 1)
+    if repeats.size:
+        t = (cells == repeats[0]).argmax()
+        raise ValueError(f"triplet index ({r[t]}, {c[t]}) repeats in "
+                         f"{whats[owner[t]]}")
+    flat = np.zeros(ends[-1], dtype=np.int64)
+    flat[cells] = values
+    return [_unit_matrix(flat[a:b].reshape(shape), what) for a, b, shape, what
+            in zip(starts, ends, shapes, whats)]
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
     """JSON-ready document for a plan.
 
-    Matrices are sparse {rows, cols, triplets} objects with triplets listed
-    row-major; additive-stage values are JSON integers, branch values are
-    strings in lowest terms ("3", "-1/2"). Constants are stored as floats
-    (JSON round-trips them exactly), so a reloaded plan executes
-    bit-for-bit like the original.
+    Matrices are sparse {rows, cols, triplets} objects with one triplet
+    per nonzero, listed row-major; additive-stage values are the JSON
+    integers 1 and -1, branch values the strings "1" and "-1". Constants
+    are stored as floats (JSON round-trips them exactly), so a reloaded
+    plan executes bit-for-bit like the original.
     """
     return {
         "format": PLAN_FORMAT,
@@ -603,20 +589,31 @@ def plan_from_dict(doc: dict) -> FftPlan:
 
     Raises ValueError unless the document is, up to branch order, the plan
     compile_plan builds for its N: one branch per nonzero layout slot,
-    each with its slot's constant, every entry +1 or -1, shapes that chain
-    and postadd * preadd equal in exact arithmetic to the slot's
+    each with its slot's constant, every entry +1 or -1, shapes that chain,
+    a preadd in reduced row echelon form, a postadd of full column rank
+    and postadd * preadd equal in exact integer arithmetic to the slot's
     combination matrix, built from N's class matrices one class at a time;
     the additive stage equal to M_0; and stored counts equal to the
-    recounted ones. A malformed document (a missing key, a value of
-    the wrong type, an index outside its matrix) is a ValueError too.
+    recounted ones. The reduced row echelon form of a row space is
+    unique, so the middle three make each branch the compiled one. A
+    malformed document (a missing key, a value of the wrong type, an index
+    outside its matrix) is a ValueError too.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
                          f"{type(doc).__name__}")
     try:
         return _certified_plan(doc)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed plan document: {exc!r}") from exc
+
+
+def _is_rref(mat: np.ndarray) -> bool:
+    """Whether mat is in reduced row echelon form without zero rows: the
+    leading columns increase and, read together, form the identity."""
+    leads = (mat != 0).argmax(axis=1)
+    return bool((leads[1:] > leads[:-1]).all()
+                and (mat[:, leads] == np.eye(len(mat), dtype=np.int8)).all())
 
 
 def _certified_plan(doc: dict) -> FftPlan:
@@ -631,15 +628,15 @@ def _certified_plan(doc: dict) -> FftPlan:
     # matrices are held at a time, O(n^2) memory, however large n claims.
     dec = decompose(n)
     m0 = dec.matrix(0)
-    additive = AdditiveStage(*(
-        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix")
-        for part in ("re", "im")))
-    if (additive.re_m0, additive.im_m0) != (_sparse(m0.re.tolist(), n),
-                                            _sparse(m0.im.tolist(), n)):
+    additive = AdditiveStage(*_matrices_from_docs(
+        [doc["additive"][part] for part in ("re", "im")], [(n, n)] * 2,
+        ["additive matrix"] * 2, as_text=False))
+    if not (np.array_equal(additive.re_m0, m0.re)
+            and np.array_equal(additive.im_m0, m0.im)):
         raise ValueError(f"additive stage is not M_0 for N={n}")
     positive = _positive_indices(dec.indices)
-    layout = {(m, *row[1:]) for m in positive
-              for row in _LAYOUT[_class_kind(n, m)]}
+    order = [(m, *row) for m in positive for row in _LAYOUT[_class_kind(n, m)]]
+    layout = {(m, *rest) for m, _, *rest in order}
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
@@ -650,6 +647,24 @@ def _certified_plan(doc: dict) -> FftPlan:
         if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
+    # every branch's preadd and postadd, in layout order, decoded together
+    found = [by_slot[key] for m, _, *rest in order
+             if (key := (m, *rest)) in by_slot]
+    wheres = [f"branch {(b['m'], b['constant_kind'], b['destination'])!r}"
+              for b in found]
+    ranks = [b["preadd"]["rows"] for b in found]
+    for where, rows in zip(wheres, ranks):
+        if type(rows) is not int or not 0 < rows <= n:
+            raise ValueError(f"{where} preadd has {rows!r} rows, not 1 to "
+                             f"N={n}: the shapes do not chain")
+    pres = _matrices_from_docs([b["preadd"] for b in found],
+                               [(r, n) for r in ranks],
+                               [f"{w} preadd" for w in wheres], as_text=True)
+    posts = _matrices_from_docs([b["postadd"] for b in found],
+                                [(n, r) for r in ranks],
+                                [f"{w} postadd" for w in wheres], as_text=True)
+    factors = iter(zip(wheres, pres, posts))
+    # the class matrices are built one class at a time
     branches = []
     for m in positive:
         bm = branch_matrices(dec, m)
@@ -666,34 +681,29 @@ def _certified_plan(doc: dict) -> FftPlan:
                     abs(value - constant_value(kind, m, n)) <= 1e-12):
                 raise ValueError(f"branch constant {value!r} does not match "
                                  f"{kind} for m={m}, N={n}")
-            rank = b["preadd"]["rows"]
-            where = f"branch {(m, kind, destination)!r} shapes do not chain:"
-            if type(rank) is not int or not 0 < rank <= n:
-                raise ValueError(f"{where} preadd has {rank!r} rows, N={n}")
-            pre = _matrix_from_doc(b["preadd"], (rank, n), f"{where} preadd")
-            post = _matrix_from_doc(b["postadd"], (n, rank),
-                                    f"{where} postadd")
-            # a preadd row times 2 against a postadd column times 1/2 keeps
-            # the product exact, but every compiled branch entry is +-1
-            odd = [x for mat in (pre, post) for row in mat.nonzeros
-                   for _, x in row if x != 1 and x != -1]
-            if odd:
-                raise ValueError(f"branch {(m, kind, destination)!r} has an "
-                                 f"entry {odd[0]} other than +1 or -1")
-            if _dense_product(post, pre) != target.tolist():
-                raise ValueError(f"postadd * preadd of branch "
-                                 f"{(m, kind, destination)!r} is not its "
+            where, pre, post = next(factors)
+            if not (np.matmul(post, pre, dtype=np.int64) == target).all():
+                raise ValueError(f"postadd * preadd of {where} is not its "
                                  f"{slot} matrix")
+            # a preadd row repeated, with the postadd terms of the first
+            # copy split between the two, keeps the product exact but
+            # spends a multiplication more than the compiled branch
+            if not _is_rref(pre):
+                raise ValueError(f"{where} preadd is not in reduced row "
+                                 f"echelon form")
+            if rank(RationalMatrix.from_int_matrix(post.T)) != len(pre):
+                raise ValueError(f"{where} postadd does not have full column "
+                                 f"rank {len(pre)}")
             branches.append(MultiplicativeBranch(
                 m=m, constant_kind=kind, constant_value=value, preadd=pre,
                 postadd=post, destination=destination, sign=sign))
     counts = _plan_counts(additive, branches)
     for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
-                           counts):
+                           (*counts, 0)):
         if doc[name] != count:
             raise ValueError(f"{name} {doc[name]!r} is not the recounted "
                              f"{count}")
-    return FftPlan(n, additive, tuple(branches), *counts)
+    return FftPlan(n, additive, tuple(branches), *counts, extra_mult_count=0)
 
 
 def save_plan(plan: FftPlan, path: str | Path) -> None:

@@ -107,13 +107,6 @@ class RationalMatrix:
             rows = [[_integral(x) for x in row] for row in rows]
         return cls._of_exact(tuple(map(tuple, rows)), arr.shape[1])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented

@@ -99,16 +99,6 @@ def direct_factors(slot: np.ndarray):
     return rank_factor(RationalMatrix.from_int_matrix(slot))
 
 
-def dense(mat) -> list[list]:
-    """A plan matrix (laurentfft.plan.SparseRows) as dense rows of its int
-    or Fraction values, zeros filled in."""
-    out = [[0] * mat.cols for _ in range(mat.rows)]
-    for i, row in enumerate(mat.nonzeros):
-        for c, x in row:
-            out[i][c] = x
-    return out
-
-
 def term_by_term(plan, v) -> np.ndarray:
     """A plan applied to a real vector one term at a time, on Python floats.
 
@@ -122,8 +112,8 @@ def term_by_term(plan, v) -> np.ndarray:
 
     def rows(mat):
         out = []
-        for row in mat.nonzeros:
-            terms = [v[c] if x == 1 else -v[c] for c, x in row]
+        for row in mat.tolist():
+            terms = [v[c] if x == 1 else -v[c] for c, x in enumerate(row) if x]
             acc = terms[0] if terms else 0.0
             for t in terms[1:]:
                 acc += t
@@ -134,10 +124,10 @@ def term_by_term(plan, v) -> np.ndarray:
     for b in plan.branches:
         scaled = [b.constant_value * x for x in rows(b.preadd)]
         out = re_out if b.destination == "real_out" else im_out
-        for i, row in enumerate(b.postadd.nonzeros):
-            for j, x in row:
+        for i, row in enumerate(b.postadd.tolist()):
+            for j, x in enumerate(row):
                 if x == b.sign:
                     out[i] += scaled[j]
-                else:
+                elif x:
                     out[i] -= scaled[j]
     return np.array(re_out) + 1j * np.array(im_out)

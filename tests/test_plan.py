@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +13,12 @@ from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import decompose
 from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
-                             MultiplicativeBranch, SparseRows,
-                             branch_matrices, compile_plan, compile_plan_for,
-                             complexity, complexity_for, constant_value,
+                             MultiplicativeBranch, branch_matrices,
+                             compile_plan, compile_plan_for, complexity, complexity_for, constant_value,
                              coupled_samples, load_plan, plan_from_dict,
                              plan_to_dict, save_plan)
 from laurentfft.rational import RationalMatrix, rank
-from oracles import dense, direct_factors, sympy_rank
+from oracles import direct_factors, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -116,7 +114,7 @@ def test_compile_plan_n4_is_additive_only():
     plan = compile_plan_for(4)
     assert plan.branches == ()
     assert plan.mult_count == 0
-    assert np.array_equal(dense(plan.additive.re_m0),
+    assert np.array_equal(plan.additive.re_m0,
                           np.array([[1, 1, 1, 1], [1, 0, -1, 0],
                                     [1, -1, 1, -1], [1, 0, -1, 0]]))
 
@@ -153,7 +151,7 @@ def test_branch_factorizations_are_exact():
         for b in plan.branches:
             source = getattr(branch_matrices(dec, b.m),
                              slot_for[(b.constant_kind, b.destination)])
-            product = np.array(dense(b.postadd)) @ np.array(dense(b.preadd))
+            product = b.postadd.astype(int) @ b.preadd.astype(int)
             assert np.array_equal(product, source), (n, b.m)
 
 
@@ -247,17 +245,20 @@ def test_derived_slots_match_a_direct_factorization(n):
             reps.add((f.m, f.slot))
             continue
         assert (f.source.m, f.source.slot) in reps
-        expected = (None if not f.matrix.any()
-                    else direct_factors(f.matrix))
-        assert f.factors == expected, (n, f.m, f.slot)
-        assert f.rank == (0 if expected is None else expected[1].rows)
+        if not f.matrix.any():
+            assert f.factors is None and f.rank == 0, (n, f.m, f.slot)
+            continue
+        post, pre = direct_factors(f.matrix)
+        assert all(np.array_equal(mine, direct.entries) for mine, direct
+                   in zip(f.factors, (post, pre))), (n, f.m, f.slot)
+        assert f.rank == pre.rows
     orbits = {math.gcd(m, n // 4) for m in decompose(n).indices if m >= 1}
     assert len({m for m, _ in reps}) == len(orbits)
 
 
 def test_complexity_for_256_holds_one_class_and_the_representatives():
-    # the walk keeps each orbit representative's int8 matrices and exact
-    # factors; holding every class's matrices would pass 16 MB
+    # the walk keeps each orbit representative's int8 matrices and
+    # preadds; holding every class's matrices would pass 16 MB
     tracemalloc.start()
     try:
         report = complexity_for(256)
@@ -299,7 +300,7 @@ def test_asymmetric_class_only_when_8_divides_n():
 def test_n12_preadd_rows_match_the_known_reductions():
     plan = compile_plan_for(12)
     rows = {(b.constant_kind, b.destination):
-            [tuple(row) for row in dense(b.preadd)]
+            [tuple(row) for row in b.preadd.tolist()]
             for b in plan.branches}
     assert rows[("cosine", "real_out")] == \
         [(0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)]
@@ -330,11 +331,11 @@ def test_coupled_samples_n4_empty():
 def test_coupled_samples_odd_row_leaves_a_singleton():
     branch = MultiplicativeBranch(
         m=1, constant_kind="cosine", constant_value=0.5,
-        preadd=SparseRows(4, (((0, 1), (2, -1), (3, 1)),)),
-        postadd=SparseRows(1, (((0, 1),), (), (), ())),
+        preadd=np.array([[1, 0, -1, 1]], dtype=np.int8),
+        postadd=np.array([[1], [0], [0], [0]], dtype=np.int8),
         destination="real_out", sign=1)
-    plan = FftPlan(n=4, additive=AdditiveStage(re_m0=SparseRows(4, ((),) * 4),
-                                               im_m0=SparseRows(4, ((),) * 4)),
+    zero = np.zeros((4, 4), dtype=np.int8)
+    plan = FftPlan(n=4, additive=AdditiveStage(re_m0=zero, im_m0=zero),
                    branches=(branch,), mult_count=1, add_count=2,
                    extra_mult_count=0)
     pairs = coupled_samples(plan)
@@ -344,8 +345,8 @@ def test_coupled_samples_odd_row_leaves_a_singleton():
 
 def test_n20_couples_the_condensed_row_pattern():
     plan = compile_plan_for(20)
-    supports = {tuple(c for c, _ in row)
-                for b in plan.branches for row in b.preadd.nonzeros}
+    supports = {tuple(np.flatnonzero(row).tolist())
+                for b in plan.branches for row in b.preadd}
     assert (1, 9, 11, 19) in supports
     assert (3, 7, 13, 17) in supports
 
@@ -358,15 +359,15 @@ def test_plan_dict_roundtrip_preserves_everything():
     assert again.mult_count == plan.mult_count
     assert again.add_count == plan.add_count
     assert again.extra_mult_count == plan.extra_mult_count
-    assert dense(again.additive.re_m0) == dense(plan.additive.re_m0)
-    assert dense(again.additive.im_m0) == dense(plan.additive.im_m0)
+    assert np.array_equal(again.additive.re_m0, plan.additive.re_m0)
+    assert np.array_equal(again.additive.im_m0, plan.additive.im_m0)
     assert len(again.branches) == len(plan.branches)
     for a, b in zip(again.branches, plan.branches):
         assert (a.m, a.constant_kind, a.destination, a.sign) == \
             (b.m, b.constant_kind, b.destination, b.sign)
         assert a.constant_value == b.constant_value
-        assert a.preadd == b.preadd
-        assert a.postadd == b.postadd
+        assert np.array_equal(a.preadd, b.preadd)
+        assert np.array_equal(a.postadd, b.postadd)
 
 
 def test_plan_document_shape():
@@ -375,7 +376,7 @@ def test_plan_document_shape():
     assert doc["N"] == 12 and doc["mult_count"] == 8
     first = doc["branches"][0]["preadd"]
     assert first["rows"] == 1 and first["cols"] == 12
-    # triplets are [row, col, value] with rational values as strings
+    # triplets are [row, col, value] with branch values as strings
     assert first["triplets"][0] == [0, 1, "1"]
     triplets = doc["additive"]["re"]["triplets"]
     assert all(isinstance(v, int) for _, _, v in triplets)
@@ -491,17 +492,48 @@ def _tamper_branch_not_object(doc):
 
 def _tamper_rescaled_factor(doc):
     # preadd row 0 times 2, postadd column 0 times 1/2: the product stays
-    # exact and extra_mult_count is the honest recount, but no compiled
+    # exact and extra_mult_count counts the scaled entries, but no compiled
     # plan has an entry other than +-1
     branch = doc["branches"][0]
-    scaled = 0
-    for part, index, factor in (("preadd", 0, 2), ("postadd", 1,
-                                                   Fraction(1, 2))):
-        for triplet in branch[part]["triplets"]:
-            if triplet[index] == 0:
-                triplet[2] = str(Fraction(triplet[2]) * factor)
-                scaled += 1
-    doc["extra_mult_count"] = scaled
+    row0 = [t for t in branch["preadd"]["triplets"] if t[0] == 0]
+    column0 = [t for t in branch["postadd"]["triplets"] if t[1] == 0]
+    for t in row0:
+        t[2] = str(2 * int(t[2]))
+    for t in column0:
+        t[2] += "/2"
+    doc["extra_mult_count"] = len(row0) + len(column0)
+
+
+def _tamper_redundant_row(doc):
+    # preadd row 0 repeated as a new row, with half of postadd column 0's
+    # terms moved to the new column: exact, honestly counted, one
+    # multiplication more than the compiled branch
+    branch = doc["branches"][0]
+    pre, post = branch["preadd"], branch["postadd"]
+    row0 = [[pre["rows"], c, v] for r, c, v in pre["triplets"] if r == 0]
+    pre["triplets"] += row0
+    column0 = [t for t in post["triplets"] if t[1] == 0]
+    for t in column0[len(column0) // 2:]:
+        t[1] = pre["rows"]
+    post["triplets"].sort()
+    pre["rows"] += 1
+    post["cols"] += 1
+    doc["mult_count"] += 1
+    doc["add_count"] += len(row0) - 1
+
+
+def _tamper_idle_row(doc):
+    # a new preadd row that keeps the preadd reduced but that no postadd
+    # term reads: exact and honestly counted, yet a wasted multiplication
+    branch = doc["branches"][0]
+    pre = branch["preadd"]
+    used = {c for _, c, _ in pre["triplets"]}
+    last_pivot = min(c for r, c, _ in pre["triplets"] if r == pre["rows"] - 1)
+    free = next(c for c in range(last_pivot, doc["N"]) if c not in used)
+    pre["triplets"].append([pre["rows"], free, "1"])
+    pre["rows"] += 1
+    branch["postadd"]["cols"] += 1
+    doc["mult_count"] += 1
 
 
 # case id -> (blocklength, tamper, expected message)
@@ -531,6 +563,9 @@ _TAMPERS = {
     "branch_not_object": (12, _tamper_branch_not_object, "malformed"),
     "rescaled_factor": (12, _tamper_rescaled_factor,
                         "branch .* entry .* other than \\+1 or -1"),
+    "redundant_row": (12, _tamper_redundant_row,
+                      "not in reduced row echelon form"),
+    "idle_row": (12, _tamper_idle_row, "full column rank"),
 }
 
 
@@ -667,16 +702,19 @@ def test_save_and_load_plan(tmp_path):
     save_plan(plan, path)
     loaded = load_plan(path)
     assert loaded.mult_count == plan.mult_count
-    assert [b.preadd for b in loaded.branches] == \
-        [b.preadd for b in plan.branches]
+    assert len(loaded.branches) == len(plan.branches)
+    assert all(np.array_equal(a.preadd, b.preadd)
+               for a, b in zip(loaded.branches, plan.branches))
 
 
 def test_preadd_and_postadd_entries_are_unit_for_supported_lengths():
-    # unit entries are stored as ints, so the executor and the counts never
-    # compare or multiply through Fraction
-    for n in SUPPORTED:
-        for b in compile_plan_for(n).branches:
-            for mat in (b.preadd, b.postadd):
-                for row in dense(mat):
-                    for x in row:
-                        assert type(x) is int and abs(x) <= 1, (n, b.m)
+    # every plan matrix, the additive ones included, is one read-only int8
+    # array of unit entries, which the executor, the counts and the codec
+    # read with numpy
+    for n in range(4, 129, 4):
+        plan = compile_plan_for(n)
+        mats = [plan.additive.re_m0, plan.additive.im_m0]
+        mats += [m for b in plan.branches for m in (b.preadd, b.postadd)]
+        for mat in mats:
+            assert mat.dtype == np.int8 and not mat.flags.writeable, n
+            assert set(np.unique(mat).tolist()) <= {-1, 0, 1}, n
