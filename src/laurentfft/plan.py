@@ -126,7 +126,7 @@ def _unit_matrix(entries, what: str) -> np.ndarray:
     unit rule of plans lives: ValueError unless every entry is an integer
     -1, 0 or 1."""
     a = np.asarray(entries)
-    if a.dtype.kind != "i" or a.size and (a.min() < -1 or a.max() > 1):
+    if a.size and (a.dtype.kind != "i" or a.min() < -1 or a.max() > 1):
         bad = next((x for x in a.flat if x not in (-1, 0, 1)), a.dtype)
         raise ValueError(f"{what} has an entry {bad} other than +1 or -1")
     out = a.astype(np.int8)
@@ -505,53 +505,46 @@ def _matrix_doc(mat: np.ndarray, as_text: bool) -> dict:
     return {"rows": mat.shape[0], "cols": mat.shape[1], "triplets": triplets}
 
 
-def _matrices_from_docs(docs: list[dict], shapes: list[tuple[int, int]],
-                        whats: list[str], as_text: bool) -> list[np.ndarray]:
-    """The plan matrices of {rows, cols, triplets} documents, decoded in one
-    pass. A triplet is [row, col, value]: integer indices inside its shape,
-    at most one per position, and a nonzero JSON integer value (a string of
-    one when as_text), which _unit_matrix then rejects unless it is +-1."""
-    for doc, shape, what in zip(docs, shapes, whats):
-        if (doc["rows"], doc["cols"]) != shape:
-            raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
-                             f"{shape[0]}x{shape[1]}: the shapes do not chain")
-    if not docs:
-        return []
-    triplets = [t for doc in docs for t in doc["triplets"]]
+def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
+                     as_text: bool) -> np.ndarray:
+    """The plan matrix of a {rows, cols, triplets} document. A triplet is
+    [row, col, value]: integer indices inside shape, at most one per
+    position, and a nonzero JSON integer value (a string of one when
+    as_text) that _unit_matrix accepts."""
+    rows, cols = shape
+    if (doc["rows"], doc["cols"]) != shape:
+        raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
+                         f"{rows}x{cols}: the shapes do not chain")
+    triplets = doc["triplets"]
     if not set(map(len, triplets)) <= {3}:
-        raise ValueError("a triplet is not a [row, col, value] list")
+        raise ValueError(f"a triplet of {what} is not a [row, col, value] "
+                         f"list")
     r, c, values = zip(*triplets) if triplets else ((), (), ())
     if not set(map(type, r + c)) <= {int}:
         r, c = next(ij for ij in zip(r, c) if set(map(type, ij)) != {int})
         raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer")
     if not set(map(type, values)) <= {str if as_text else int}:
-        raise ValueError(f"a triplet value is not "
+        raise ValueError(f"a triplet value of {what} is not "
                          f"{'a string' if as_text else 'a JSON integer'}")
-    values = np.array(list(map(int, values)), dtype=np.int64)
-    if not values.all():
-        raise ValueError("a triplet value is zero")
-    # triplet t belongs to matrix owner[t], which starts at starts[owner[t]]
-    # of one flat buffer holding every matrix row-major
-    owner = np.repeat(np.arange(len(docs)), [len(d["triplets"]) for d in docs])
-    rows, cols = np.array(shapes, dtype=np.int64).T
+    values = list(map(int, values))
+    if 0 in values:
+        raise ValueError(f"a triplet value of {what} is zero")
     r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
-    outside = (r < 0) | (r >= rows[owner]) | (c < 0) | (c >= cols[owner])
+    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
     if outside.any():
         t = outside.argmax()
         raise ValueError(f"triplet index ({r[t]}, {c[t]}) is outside a "
-                         f"{rows[owner[t]]}x{cols[owner[t]]} matrix")
-    ends = np.cumsum(rows * cols).tolist()
-    starts = [0, *ends[:-1]]
-    cells = np.array(starts)[owner] + r * cols[owner] + c
-    repeats = np.flatnonzero(np.bincount(cells) > 1)
-    if repeats.size:
-        t = (cells == repeats[0]).argmax()
-        raise ValueError(f"triplet index ({r[t]}, {c[t]}) repeats in "
-                         f"{whats[owner[t]]}")
-    flat = np.zeros(ends[-1], dtype=np.int64)
-    flat[cells] = values
-    return [_unit_matrix(flat[a:b].reshape(shape), what) for a, b, shape, what
-            in zip(starts, ends, shapes, whats)]
+                         f"{rows}x{cols} matrix")
+    mat = np.zeros(shape, dtype=np.int8)
+    mat[r, c] = _unit_matrix(values, what)
+    # every value is nonzero, so a position named twice leaves fewer
+    # nonzeros than triplets
+    if np.count_nonzero(mat) < len(values):
+        cells, counts = np.unique(r * cols + c, return_counts=True)
+        i, j = divmod(int(cells[counts.argmax()]), cols)
+        raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
+    mat.flags.writeable = False
+    return mat
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
@@ -628,15 +621,15 @@ def _certified_plan(doc: dict) -> FftPlan:
     # matrices are held at a time, O(n^2) memory, however large n claims.
     dec = decompose(n)
     m0 = dec.matrix(0)
-    additive = AdditiveStage(*_matrices_from_docs(
-        [doc["additive"][part] for part in ("re", "im")], [(n, n)] * 2,
-        ["additive matrix"] * 2, as_text=False))
+    additive = AdditiveStage(*(
+        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix",
+                         as_text=False) for part in ("re", "im")))
     if not (np.array_equal(additive.re_m0, m0.re)
             and np.array_equal(additive.im_m0, m0.im)):
         raise ValueError(f"additive stage is not M_0 for N={n}")
     positive = _positive_indices(dec.indices)
-    order = [(m, *row) for m in positive for row in _LAYOUT[_class_kind(n, m)]]
-    layout = {(m, *rest) for m, _, *rest in order}
+    layout = {(m, *row[1:]) for m in positive
+              for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
@@ -647,23 +640,6 @@ def _certified_plan(doc: dict) -> FftPlan:
         if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
-    # every branch's preadd and postadd, in layout order, decoded together
-    found = [by_slot[key] for m, _, *rest in order
-             if (key := (m, *rest)) in by_slot]
-    wheres = [f"branch {(b['m'], b['constant_kind'], b['destination'])!r}"
-              for b in found]
-    ranks = [b["preadd"]["rows"] for b in found]
-    for where, rows in zip(wheres, ranks):
-        if type(rows) is not int or not 0 < rows <= n:
-            raise ValueError(f"{where} preadd has {rows!r} rows, not 1 to "
-                             f"N={n}: the shapes do not chain")
-    pres = _matrices_from_docs([b["preadd"] for b in found],
-                               [(r, n) for r in ranks],
-                               [f"{w} preadd" for w in wheres], as_text=True)
-    posts = _matrices_from_docs([b["postadd"] for b in found],
-                                [(n, r) for r in ranks],
-                                [f"{w} postadd" for w in wheres], as_text=True)
-    factors = iter(zip(wheres, pres, posts))
     # the class matrices are built one class at a time
     branches = []
     for m in positive:
@@ -681,7 +657,15 @@ def _certified_plan(doc: dict) -> FftPlan:
                     abs(value - constant_value(kind, m, n)) <= 1e-12):
                 raise ValueError(f"branch constant {value!r} does not match "
                                  f"{kind} for m={m}, N={n}")
-            where, pre, post = next(factors)
+            where = f"branch {(m, kind, destination)!r}"
+            rows = b["preadd"]["rows"]
+            if type(rows) is not int or not 0 < rows <= n:
+                raise ValueError(f"{where} preadd has {rows!r} rows, not 1 "
+                                 f"to N={n}: the shapes do not chain")
+            pre = _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd",
+                                   as_text=True)
+            post = _matrix_from_doc(b["postadd"], (n, rows),
+                                    f"{where} postadd", as_text=True)
             if not (np.matmul(post, pre, dtype=np.int64) == target).all():
                 raise ValueError(f"postadd * preadd of {where} is not its "
                                  f"{slot} matrix")

@@ -14,9 +14,10 @@ from laurentfft.decomposition import decompose
 from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              MultiplicativeBranch, branch_matrices,
-                             compile_plan, compile_plan_for, complexity, complexity_for, constant_value,
-                             coupled_samples, load_plan, plan_from_dict,
-                             plan_to_dict, save_plan)
+                             compile_plan, compile_plan_for, complexity,
+                             complexity_for, constant_value, coupled_samples,
+                             load_plan, plan_from_dict, plan_to_dict,
+                             save_plan)
 from laurentfft.rational import RationalMatrix, rank
 from oracles import direct_factors, sympy_rank
 
@@ -677,6 +678,35 @@ def test_load_plan_rejects_a_large_claim_in_bounded_memory():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
+            plan_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
+
+
+def test_load_plan_decodes_one_branch_at_a_time():
+    # all 126 layout slots of N=256 claim an empty N x N preadd and
+    # postadd, a few hundred bytes each: decoding every branch before the
+    # first product check peaked near 85 MB
+    n = 256
+    dec = decompose(n)
+    m0 = dec.matrix(0)
+    empty = {"rows": n, "cols": n, "triplets": []}
+    doc = {"format": "laurentfft-plan", "version": 1, "N": n,
+           "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
+           "additive": {"re": plan_mod._matrix_doc(m0.re, as_text=False),
+                        "im": plan_mod._matrix_doc(m0.im, as_text=False)},
+           "branches": [{"m": m, "constant_kind": kind,
+                         "constant_value": constant_value(kind, m, n),
+                         "destination": destination, "sign": sign,
+                         "preadd": empty, "postadd": empty}
+                        for m in plan_mod._positive_indices(dec.indices)
+                        for _, kind, destination, sign in
+                        plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="postadd \\* preadd"):
             plan_from_dict(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
