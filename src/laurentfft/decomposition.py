@@ -184,12 +184,14 @@ def verify_partition(n: int) -> PartitionReport:
 def reconstruct_dft(dec: ClassDecomposition) -> np.ndarray:
     """Rebuild the DFT matrix as the sum of M_m * W^m, W = exp(-2j*pi/n).
 
-    Verification oracle only; the result is complex floating point.
+    Verification oracle only; the result is complex floating point. One
+    class matrix is built at a time, so the memory is O(n^2).
     """
     w = np.exp(-2j * np.pi / dec.n)
     out = np.zeros((dec.n, dec.n), dtype=complex)
-    for cm in dec.matrices:
-        out += (cm.re + 1j * cm.im) * w ** cm.m
+    for m in dec.indices:
+        cm = dec.matrix(m)
+        out += (cm.re + 1j * cm.im) * w ** m
     return out
 
 

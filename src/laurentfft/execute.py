@@ -1,32 +1,32 @@
 """Run compiled plans as numpy gather-and-sum tables, with op counters.
 
 Each plan is lowered once, on its first execution: np.nonzero reads its
-int8 matrices into three gather tables of source indices, one column per
-sum with its terms in order down the column: the rows of M_0 (the
-additive stage), the preadd rows of every branch, and per output its
-additive sum followed by every postadd term of every branch, in branch
-order. An execution is
+int8 matrices into two gather tables of source indices, one column per
+sum with its terms in order down the column: the preadd rows of every
+branch, and per output the terms of its row of M_0 (the additive stage)
+followed by every postadd term of every branch, in branch order. An
+execution is
 
-    src = [x, -x, 0.0, -0.0]
-    a   = sum(src[additive])                  # column sums
-    p   = sum(src[preadd]) * branch constants
-    out = sum([a, p, -p, 0.0, -0.0][postadd])
+    src = [x, -x, 0.0, -0.0, p, -p]
+    p   = sum(src[preadd]) * branch constants    # column sums
+    out = sum(src[output])
 
 A sign flip is a gather from the negated copy. A column shorter than its
 table is padded below with the -0.0 slot: x + -0.0 == x bit for bit, so
-padding adds are exact no-ops. An empty sum reads the 0.0 slot. Every sum
-starts from -0.0, the exact additive identity (numpy's default start,
-+0.0, would turn a sum of -0.0 terms into +0.0), and np.add.reduce over
-axis 0 adds the rows of a table in order (for a table of two or more
-columns, which every supported plan's nonempty tables are), so each sum
-accumulates left to right, one term at a time.
+padding adds are exact no-ops. An empty sum reads the 0.0 slot, and an
+output whose row of M_0 is empty starts from it. Every sum starts from
+-0.0, the exact additive identity (numpy's default start, +0.0, would
+turn a sum of -0.0 terms into +0.0), and np.add.reduce over axis 0 adds
+the rows of a table in order (for a table of two or more columns, which
+every supported plan's nonempty tables are), so each sum accumulates
+left to right, one term at a time.
 
 Counters are counted off the tables, under one documented convention:
 
 * each branch-constant scaling is one real multiplication;
-* an additive or preadd sum of k terms costs k - 1 additions (the first
-  term starts the sum), and every postadd term costs one addition onto
-  its output;
+* a preadd or output sum costs one addition per term after its first
+  (an output whose row of M_0 is empty starts from 0.0, so each of its
+  postadd terms costs one);
 * sign flips, routing by the unit factors 1, -j, -1, j and padding adds
   are free.
 
@@ -77,9 +77,8 @@ class OpCounters:
 class _Tables:
     """A plan lowered to gather tables; the counts are per real vector."""
 
-    additive: np.ndarray  # (width, 2N) into [x, -x, 0.0, -0.0]
-    preadd: np.ndarray  # (width, rank) into the same source
-    postadd: np.ndarray  # (width, 2N) into [a, p, -p, 0.0, -0.0]
+    preadd: np.ndarray  # (width, rank) into [x, -x, 0.0, -0.0, p, -p]
+    output: np.ndarray  # (width, 2N) into the same source
     constants: np.ndarray  # (rank, 1)
     mults: int
     adds: int
@@ -92,45 +91,34 @@ _TABLES: weakref.WeakKeyDictionary[FftPlan, _Tables] = \
 _SIGNED_ZEROS = np.array([[0.0], [-0.0]])
 
 
-def _signed(x: np.ndarray) -> np.ndarray:
-    """[x, -x, 0.0, -0.0] along axis 0 of an (n, k) x: the source a table
-    gathers from."""
-    n = x.shape[0]
-    src = np.empty((2 * n + 2, x.shape[1]))
-    src[:n] = x
-    np.negative(x, out=src[n:2 * n])
-    src[2 * n:] = _SIGNED_ZEROS
-    return src
+def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, source index) of every term of the +-1 matrix mat, row by row
+    in column order: x[c] is at c and -x[c] at n + c; an empty row reads
+    the 0.0 slot at 2n."""
+    rows, cols = np.nonzero(mat)
+    empty = np.flatnonzero(~mat.any(axis=1))
+    return (np.concatenate((rows, empty)),
+            np.concatenate((cols + n * (mat[rows, cols] < 0),
+                            np.full(empty.size, 2 * n))))
 
 
 def _table(sums: int, cols: np.ndarray, terms: np.ndarray,
-           zero: int) -> np.ndarray:
-    """(width, sums) gather table with terms[t] placed in column cols[t].
-
-    Each column keeps its terms in order and is padded below with
-    zero + 1, the -0.0 slot; an empty column reads zero, the 0.0 slot.
-    """
+           pad: int) -> np.ndarray:
+    """(width, sums) gather table with terms[t] placed in column cols[t],
+    each column keeping its terms in order and padded below with pad."""
     counts = np.bincount(cols, minlength=sums)
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     depth = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols]
-    table = np.full((max(int(counts.max(initial=0)), 1), sums), zero + 1,
-                    dtype=np.intp)
-    table[0, counts == 0] = zero
+    table = np.full((int(counts.max(initial=0)), sums), pad, dtype=np.intp)
     table[depth, cols] = terms[order]
     return table
 
 
-def _adds(table: np.ndarray, zero: int) -> int:
+def _adds(table: np.ndarray, pad: int) -> int:
     """Additions a table's column sums cost: terms other than padding, less
-    one per column (a sum of k terms costs k - 1; an empty sum reads zero)."""
-    return int(np.count_nonzero(table != zero + 1)) - table.shape[1]
-
-
-def _row_sums(mat: np.ndarray, n: int) -> np.ndarray:
-    """The gather table of every row of mat, in order, over [x, -x, ...]."""
-    rows, cols = np.nonzero(mat)
-    return _table(mat.shape[0], rows, cols + n * (mat[rows, cols] < 0), 2 * n)
+    one per column (a sum of k terms costs k - 1)."""
+    return int(np.count_nonzero(table != pad)) - table.shape[1]
 
 
 def _lower(plan: FftPlan) -> _Tables:
@@ -157,35 +145,30 @@ def _lower(plan: FftPlan) -> _Tables:
     # plan may not
     if any(((a != 0) & (a != 1) & (a != -1)).any() for a in (m0, pre, post)):
         raise ValueError("a plan matrix has an entry that is not +1 or -1")
-    additive = _row_sums(m0, n)
-    preadd = _row_sums(pre, n)
     rank = pre.shape[0]
-    # output o starts from its additive sum a[o], at source index o; then
-    # come its postadd terms in branch order, each p[k], or -p[k] where
-    # the entry is minus its branch's sign
+    pad = 2 * n + 1
+    preadd = _table(rank, *_terms(pre, n), pad)
+    # output o sums the terms of row o of M_0, then its postadd terms in
+    # branch order, each p[k], or -p[k] where the entry is minus its
+    # branch's sign
     dest = np.array([0 if b.destination == REAL_OUT else n
                      for b in branches for _ in range(b.rank)], dtype=np.intp)
     sign = np.array([b.sign for b in branches for _ in range(b.rank)],
                     dtype=np.intp)
     constants = np.array([b.constant_value for b in branches
                           for _ in range(b.rank)], dtype=float)
+    o, m0_terms = _terms(m0, n)
     i, k = np.nonzero(post)
-    heads = np.arange(2 * n)
-    postadd = _table(2 * n, np.concatenate((heads, i + dest[k])),
-                     np.concatenate((heads, 2 * n + k
-                                     + rank * (post[i, k] != sign[k]))),
-                     2 * n + 2 * rank)
-    # every postadd term is an add: the additive sum heading each output
-    # column is the one term that costs none
-    adds = (_adds(additive, 2 * n) + _adds(preadd, 2 * n)
-            + _adds(postadd, 2 * n + 2 * rank))
+    output = _table(2 * n, np.concatenate((o, i + dest[k])),
+                    np.concatenate((m0_terms, pad + 1 + k
+                                    + rank * (post[i, k] != sign[k]))), pad)
+    adds = _adds(preadd, pad) + _adds(output, pad)
     if (rank, adds) != (plan.mult_count, plan.add_count):
         raise ValueError(f"plan (mult_count, add_count) "
                          f"{(plan.mult_count, plan.add_count)} differs from "
                          f"the measured (mults, adds) {(rank, adds)} of its "
                          f"tables")
-    return _Tables(additive, preadd, postadd, constants.reshape(rank, 1),
-                   rank, adds)
+    return _Tables(preadd, output, constants.reshape(rank, 1), rank, adds)
 
 
 def _lowered(plan: FftPlan) -> _Tables:
@@ -199,11 +182,16 @@ def _lowered(plan: FftPlan) -> _Tables:
 def _run(tables: _Tables, x: np.ndarray) -> np.ndarray:
     """The 2N plan outputs (real parts, then imaginary) for each column of
     the (N, k) array x."""
-    src = _signed(x)
-    a = _sums(src, tables.additive)
-    p = _sums(src, tables.preadd)
-    p *= tables.constants
-    return _sums(np.concatenate((a, _signed(p))), tables.postadd)
+    n = x.shape[0]
+    rank = tables.constants.shape[0]
+    src = np.empty((2 * n + 2 + 2 * rank, x.shape[1]))
+    src[:n] = x
+    np.negative(x, out=src[n:2 * n])
+    src[2 * n:2 * n + 2] = _SIGNED_ZEROS
+    p = src[2 * n + 2:2 * n + 2 + rank]
+    np.multiply(_sums(src, tables.preadd), tables.constants, out=p)
+    np.negative(p, out=src[2 * n + 2 + rank:])
+    return _sums(src, tables.output)
 
 
 def _sums(src: np.ndarray, table: np.ndarray) -> np.ndarray:

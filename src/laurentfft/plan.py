@@ -44,6 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .bounds import nlog2n_rounded
 from .decomposition import ClassDecomposition, decompose
 from .rational import (RationalMatrix, ZeroMatrixError, rank, rank_factor,
                        rref, vstack)
@@ -447,10 +448,10 @@ def complexity(dec: ClassDecomposition) -> ComplexityReport:
         rows.append(row)
         totals = [t + c for t, c in zip(totals, counts)]
     realized, stacked, simplified = totals
-    nlog2n = 0 if dec.n < 1 else int(math.floor(dec.n * math.log2(dec.n) + 0.5))
     return ComplexityReport(n=dec.n, per_class=tuple(rows),
                             realized_total=realized, stacked_total=stacked,
-                            simplified_total=simplified, nlog2n=nlog2n)
+                            simplified_total=simplified,
+                            nlog2n=nlog2n_rounded(dec.n))
 
 
 def complexity_for(n: int) -> ComplexityReport:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,19 @@ def test_reconstruction_matches_direct_dft():
         rec = reconstruct_dft(decompose(n))
         err = np.max(np.abs(rec - dft_matrix(n)))
         assert err < 1e-12, (n, err)
+
+
+def test_reconstruction_builds_one_class_at_a_time():
+    # all 64 class matrices of N=256 at once take about 69 MB; one at a
+    # time, the peak is a few N x N arrays
+    tracemalloc.start()
+    try:
+        rec = reconstruct_dft(decompose(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(rec - dft_matrix(256))) < 1e-11
+    assert peak < 16 * 10**6
 
 
 def test_reconstruction_n4_is_exact():

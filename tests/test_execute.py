@@ -53,7 +53,7 @@ def test_execute_real_matches_oracle(n):
         assert counters.real_adds == plan.add_count
 
 
-@pytest.mark.parametrize("n", SUPPORTED)
+@pytest.mark.parametrize("n", range(4, 129, 4))
 def test_execute_real_is_bitwise_the_term_by_term_sum(n):
     plan = compile_plan_for(n)
     rng = np.random.default_rng(2000 + n)
