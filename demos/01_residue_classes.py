@@ -30,6 +30,7 @@ print()
 
 # each grid cell belongs to exactly one class matrix
 dec = decompose(8)
-claimed = sum((cm.re != 0) | (cm.im != 0) for cm in dec.matrices)
+claimed = sum((cm.re != 0) | (cm.im != 0)
+              for cm in map(dec.matrix, dec.indices))
 print("cells claimed by exactly one class matrix:",
       bool(np.all(claimed == 1)))

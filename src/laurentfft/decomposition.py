@@ -130,11 +130,6 @@ class ClassDecomposition:
         """Number of classes, n/4."""
         return self.n // 4
 
-    @property
-    def matrices(self) -> tuple[ClassMatrix, ...]:
-        """Every class matrix in class_indices order, built on each access."""
-        return tuple(self.matrix(m) for m in self.indices)
-
     def matrix(self, m: int) -> ClassMatrix:
         """M_m; ValueError when m is not a class index."""
         return class_matrix(self.exponents, m)

@@ -17,9 +17,11 @@ Winograd 1978, "On computing the discrete Fourier transform"), so the
 positive classes with one g = gcd(m, N/4) form an orbit. The walk factors
 only the first class of each orbit; for every other class it checks,
 entry for entry, that each matrix is +- a representative's with its
-columns permuted and takes that rank. Every slot's preadd is its
-reduced row echelon form, and its postadd is its own matrix read at the
-preadd's pivot columns.
+columns permuted and takes that rank. A representative is eliminated on
+its distinct rows up to sign (_distinct_rows), which span the same rows
+and so give the same reduced form and rank; a combination matrix repeats
+its rows so heavily that these are rank-many of its N. Every slot's preadd is its reduced row echelon form, and
+its postadd is its own matrix read at the preadd's pivot columns.
 
 Every plan matrix is a read-only int8 array with entries in {-1, 0, 1},
 built and checked by one helper (_unit_matrix) for compile_plan and the
@@ -139,10 +141,11 @@ def _unit_matrix(entries, what: str) -> np.ndarray:
 class _FactoredSlot:
     """One combination matrix as int8, its layout row, rank and factors.
 
-    A slot of an orbit representative was factored directly and holds its
-    rank x N preadd in reduced. Any other slot equals +-source.matrix with
-    its columns read at perm, which the walk checked exactly, so it takes
-    source's rank and derives its preadd from source's only when asked.
+    A slot of an orbit representative was factored directly, by reducing
+    its distinct rows up to sign, and holds its rank x N preadd in
+    reduced. Any other slot equals +-source.matrix with its columns read
+    at perm, which the walk checked exactly, so it takes source's rank
+    and derives its preadd from source's only when asked.
     """
 
     m: int
@@ -177,10 +180,27 @@ class _FactoredSlot:
         return _unit_matrix(self.matrix[:, pivots], what), pre
 
 
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """a's nonzero rows, each times the sign of its leading entry, one copy
+    of each, in order of first appearance. Negating, dropping a zero row
+    and dropping a repeat keep the row space, so the result has a's rank
+    and reduced row echelon form. Each combination matrix up to N=128 has
+    exactly rank-many distinct rows up to sign, against N rows in all."""
+    a = a[a.any(axis=1)]
+    lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
+    a = np.ascontiguousarray(a * np.sign(lead)[:, None])
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1])))
+    first = np.unique(rows.ravel(), return_index=True)[1]
+    return a[np.sort(first)]
+
+
 def _factored_directly(m: int, layout_row: tuple,
                        matrix: np.ndarray) -> _FactoredSlot:
+    """matrix's slot with rank and preadd from eliminating its distinct
+    rows up to sign; the postadd is read off matrix when asked."""
     try:
-        reduced = rank_factor(RationalMatrix.from_int_matrix(matrix))[1]
+        reduced = rank_factor(
+            RationalMatrix.from_int_matrix(_distinct_rows(matrix)))[1]
     except ZeroMatrixError:
         return _FactoredSlot(m, *layout_row, matrix=matrix, rank=0)
     return _FactoredSlot(m, *layout_row, matrix=matrix, rank=reduced.rows,
@@ -413,11 +433,12 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
                  ) -> tuple[ClassRankRow, int, int, int]:
     """One class's rank row and its realized, stacked and simplified counts.
 
-    A representative's stacked count is eliminated here and kept in
-    stacked_of; a derived class's is its representative's, since the walk
-    checked that its stacked pairs map onto the representative's. A
-    function of its own so that the class's matrices are freed when it
-    returns, before the walk reaches the next class.
+    A representative's stacked count is eliminated here, on the distinct
+    rows up to sign of each matrix of a pair, and kept in stacked_of; a
+    derived class's is its representative's, since the walk checked that
+    its stacked pairs map onto the representative's. A function of its
+    own so that the class's matrices are freed when it returns, before
+    the walk reaches the next class.
     """
     by_slot = {f.slot: f for f in slots}
     ranks = {slot: f.rank for slot, f in by_slot.items()}
@@ -431,8 +452,8 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
         return row, realized, realized, realized
     source = by_slot["re_sum"].source
     if source is None:
-        exact = {slot: RationalMatrix.from_int_matrix(f.matrix)
-                 for slot, f in by_slot.items()}
+        exact = {slot: RationalMatrix.from_int_matrix(
+                     _distinct_rows(f.matrix)) for slot, f in by_slot.items()}
         stacked_of[m] = sum(rank(vstack(exact[top], exact[bottom]))
                             for top, bottom in _STACKED_PAIRS)
     stacked = stacked_of[m if source is None else source.m]

@@ -131,7 +131,7 @@ def test_decompose_structure():
     assert isinstance(dec, ClassDecomposition)
     assert dec.genus == 4
     assert dec.indices == (-1, 0, 1, 2)
-    assert tuple(cm.m for cm in dec.matrices) == dec.indices
+    assert tuple(dec.matrix(m).m for m in dec.indices) == dec.indices
     assert dec.matrix(2).m == 2
     assert dec.residue_class(1).members == (1, 5, 9, 13)
     with pytest.raises(ValueError):

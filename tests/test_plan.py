@@ -18,7 +18,7 @@ from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              complexity_for, constant_value, coupled_samples,
                              load_plan, plan_from_dict, plan_to_dict,
                              save_plan)
-from laurentfft.rational import RationalMatrix, rank
+from laurentfft.rational import RationalMatrix, rank, rref
 from oracles import direct_factors, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -255,6 +255,46 @@ def test_derived_slots_match_a_direct_factorization(n):
         assert f.rank == pre.rows
     orbits = {math.gcd(m, n // 4) for m in decompose(n).indices if m >= 1}
     assert len({m for m, _ in reps}) == len(orbits)
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_representatives_match_a_full_row_factorization(n):
+    # a representative is reduced on its distinct rows up to sign; its
+    # preadd and rank must be those of reducing all N rows
+    for f in plan_mod._factored_slots(decompose(n)):
+        if f.source is not None:
+            continue
+        if not f.matrix.any():
+            assert f.rank == 0 and f.reduced is None, (n, f.m, f.slot)
+            continue
+        pre = direct_factors(f.matrix)[1]
+        assert np.array_equal(f.reduced, pre.entries), (n, f.m, f.slot)
+        assert f.rank == pre.rows, (n, f.m, f.slot)
+
+
+def _with_repeats(rng, a):
+    """a's rows plus copies, negated copies and zero rows, shuffled."""
+    picks = rng.integers(0, len(a), size=4)
+    extra = [a[picks[:2]], -a[picks[2:]], np.zeros((2, a.shape[1]), a.dtype)]
+    return rng.permutation(np.concatenate([a, *extra]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_rows_keep_the_row_space(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 7, size=2)
+    base = rng.integers(-2, 3, size=(rows, cols), dtype=np.int8)
+    if seed == 0:  # the all-zero matrix
+        base[:] = 0
+    cases = [base, base[:1], _with_repeats(rng, base)]
+    for a in cases:
+        out = plan_mod._distinct_rows(a)
+        assert out.shape[1] == a.shape[1]
+        assert len({row.tobytes() for row in out}) == len(out)
+        assert all(row[np.flatnonzero(row)[0]] > 0 for row in out)
+        got, want = (rref(RationalMatrix.from_int_matrix(x)) for x in (out, a))
+        assert got == want
+        assert rank(RationalMatrix.from_int_matrix(out)) == want.rank
 
 
 def test_complexity_for_256_holds_one_class_and_the_representatives():
