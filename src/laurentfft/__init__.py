@@ -12,9 +12,9 @@ from .bounds import (BoundsRow, NotPowerOfTwoError, bounds_row, divisors,
                      heideman_burrus_bound, is_power_of_two, nlog2n_rounded)
 from .decomposition import (ClassDecomposition, ClassMatrix, PartitionReport,
                             ResidueClass, UnsupportedBlocklengthError,
-                            class_indices, class_matrix, decompose, dft_matrix,
-                            exponent_matrix, indicator, reconstruct_dft,
-                            residue_class, verify_partition)
+                            class_indices, class_matrix, class_tables,
+                            decompose, dft_matrix, exponent_matrix,
+                            reconstruct_dft, residue_class, verify_partition)
 from .execute import (OpCounters, VerificationReport, default_tolerance,
                       execute_complex, execute_real, naive_dft, verify_plan)
 from .plan import (AdditiveStage, BranchMatrices, ClassRankRow,
@@ -35,12 +35,12 @@ __all__ = [
     "PartitionReport", "RationalMatrix", "ResidueClass", "RrefResult",
     "UnsupportedBlocklengthError", "VerificationReport",
     "ZeroMatrixError", "bounds_row", "branch_matrices", "class_indices",
-    "class_matrix", "compile_plan", "compile_plan_for", "complexity",
-    "complexity_for", "coupled_samples", "decompose", "default_tolerance",
-    "dft_matrix", "divisors", "euler_totient", "execute_complex",
-    "execute_real", "exponent_matrix", "factorize", "heideman_bound",
-    "heideman_burrus_bound", "indicator", "is_power_of_two", "load_plan",
-    "naive_dft", "nlog2n_rounded",
+    "class_matrix", "class_tables", "compile_plan", "compile_plan_for",
+    "complexity", "complexity_for", "coupled_samples", "decompose",
+    "default_tolerance", "dft_matrix", "divisors", "euler_totient",
+    "execute_complex", "execute_real", "exponent_matrix", "factorize",
+    "heideman_bound", "heideman_burrus_bound", "is_power_of_two",
+    "load_plan", "naive_dft", "nlog2n_rounded",
     "plan_from_dict", "plan_to_dict", "rank", "rank_factor",
     "reconstruct_dft", "residue_class", "rref", "save_plan",
     "verify_partition", "verify_plan", "vstack",

@@ -6,7 +6,9 @@ x = m (mod N/4). Each class m gets a Gaussian-integer matrix M_m collecting
 every DFT entry whose exponent falls in the class, weighted by one of the
 four unit factors 1, -j, -1, j. Summing M_m * W^m over all classes, with
 W = exp(-2j*pi/N), rebuilds the DFT matrix exactly; the per-class matrices
-are what the plan compiler rank-factors.
+are what the plan compiler rank-factors. An entry of M_m depends on its
+exponent alone, so M_m is a length-N table read at the exponent grid,
+t[E] (a group matrix of Z/N; Winograd 1978), and is built as one gather.
 
 Class indices run m = -(N/4-1)/2 .. +(N/4-1)/2 when N = 4 (mod 8). When
 8 | N that range is not integral; the indices become -(N/8-1) .. +N/8, and
@@ -73,14 +75,9 @@ def residue_class(n: int, m: int) -> ResidueClass:
     return ResidueClass(n=n, m=m, members=members)  # type: ignore[arg-type]
 
 
-def indicator(exp: np.ndarray, l: int) -> np.ndarray:
-    """0/1 matrix marking the grid positions where ``exp`` equals ``l``."""
-    return (exp == l).astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassMatrix:
-    """Real and imaginary integer parts of one class matrix M_m.
+    """Real and imaginary int8 parts of one class matrix M_m.
 
     At every grid position at most one of (re, im) is nonzero, with value
     in {-1, +1}; the union of nonzero positions is exactly where the
@@ -96,20 +93,22 @@ class ClassMatrix:
 _COEFF_SPLIT = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
-def class_matrix(exp: np.ndarray, m: int) -> ClassMatrix:
-    """Build M_m from the exponent grid: sum over the class members l of
-    the indicator of l times the unit coefficient for l's position."""
-    n = exp.shape[0]
+def class_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im): read-only length-n int8 tables with M_m = re[E] + j*im[E],
+    E the exponent grid. Entry x is the unit coefficient of x's position
+    in class m, split into its real and imaginary parts, and 0 off the
+    class; ValueError when m is not a class index."""
     cls = residue_class(n, m)
-    re = np.zeros((n, n), dtype=np.int64)
-    im = np.zeros((n, n), dtype=np.int64)
-    for member, (cr, ci) in zip(cls.members, _COEFF_SPLIT):
-        chi = indicator(exp, member)
-        if cr:
-            re += cr * chi
-        if ci:
-            im += ci * chi
-    return ClassMatrix(m=m, re=re, im=im)
+    tables = np.zeros((2, n), dtype=np.int8)
+    tables[:, list(cls.members)] = np.transpose(_COEFF_SPLIT)
+    tables.flags.writeable = False
+    return tables[0], tables[1]
+
+
+def class_matrix(exp: np.ndarray, m: int) -> ClassMatrix:
+    """M_m as int8 parts: class m's tables read at the exponent grid."""
+    re, im = class_tables(exp.shape[0], m)
+    return ClassMatrix(m=m, re=re[exp], im=im[exp])
 
 
 @dataclass(frozen=True, eq=False)

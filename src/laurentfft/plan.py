@@ -11,17 +11,25 @@ and becomes the additive stage.
 The multiplication count of a compiled plan is the sum of branch ranks.
 One table (_LAYOUT) says which combination matrix becomes which branch,
 and one walk (_factored_slots) gives compile_plan and complexity every
-matrix's rank and exact factors. A unit c mod N permutes the columns
-(i -> c*i mod N) and so maps class m onto class c*m (Rader 1968;
-Winograd 1978, "On computing the discrete Fourier transform"), so the
-positive classes with one g = gcd(m, N/4) form an orbit. The walk factors
-only the first class of each orbit; for every other class it checks,
-entry for entry, that each matrix is +- a representative's with its
-columns permuted and takes that rank. A representative is eliminated on
-its distinct rows up to sign (_distinct_rows), which span the same rows
-and so give the same reduced form and rank; a combination matrix repeats
-its rows so heavily that these are rank-many of its N. Every slot's preadd is its reduced row echelon form, and
-its postadd is its own matrix read at the preadd's pivot columns.
+matrix's rank and exact factors. Each combination matrix is a function
+of the exponent alone: a length-N int8 table t read at the exponent grid
+E[k, i] = k*i mod N, so every matrix is one gather t[E] (_slot_tables).
+A unit c mod N permutes the columns (i -> c*i mod N) and so maps class m
+onto class c*m (Rader 1968; Winograd 1978, "On computing the discrete
+Fourier transform"), so the positive classes with one g = gcd(m, N/4)
+form an orbit. The walk factors only the first class of each orbit. For
+every other class it checks, on the tables in O(N), that each matrix is
++- a representative's with its columns read at c*i; row k = 1 of E holds
+every residue, so the check is exact. Since k*(c*i) = (c*k)*i, reading
+those columns is reading rows c*k: the derived matrix is +- a row
+permutation of the representative's, with its row space, so it takes
+the representative's rank and its preadd, the reduced row echelon form,
+unchanged, and is never built as an N x N matrix. A representative is
+eliminated on its distinct rows up to sign (_distinct_rows), which span
+the same rows and so give the same reduced form and rank; a combination
+matrix repeats its rows so heavily that these are rank-many of its N.
+Every slot's postadd is its matrix at the preadd's pivot columns, read
+off its table as the N x rank gather t[E[:, pivots]].
 
 Every plan matrix is a read-only int8 array with entries in {-1, 0, 1},
 built and checked by one helper (_unit_matrix) for compile_plan and the
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -47,9 +55,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bounds import nlog2n_rounded
-from .decomposition import ClassDecomposition, decompose
+from .decomposition import ClassDecomposition, class_tables, decompose
 from .rational import (RationalMatrix, ZeroMatrixError, rank, rank_factor,
-                       rref, vstack)
+                       vstack)
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -101,18 +109,27 @@ class BranchMatrices:
     im_diff: np.ndarray
 
 
+def _slot_tables(n: int, m: int) -> dict[str, np.ndarray]:
+    """The length-N int8 table of each combination matrix of positive class
+    m, by slot: the matrix is its table read at the exponent grid. The
+    re and im tables of classes m and -m are nonzero on disjoint
+    exponents, so every entry stays in {-1, 0, 1}.
+    """
+    re, im = class_tables(n, m)
+    if _class_kind(n, m) == ASYMMETRIC:
+        return {"re_sum": re + im, "im_diff": im - re}
+    neg_re, neg_im = class_tables(n, -m)
+    return {"re_sum": re + neg_re, "re_diff": re - neg_re,
+            "im_sum": im + neg_im, "im_diff": im - neg_im}
+
+
 def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
     if m < 1 or m not in dec.indices:
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
-    pos = dec.matrix(m)
-    if _class_kind(dec.n, m) == ASYMMETRIC:
-        return BranchMatrices(m=m, kind=ASYMMETRIC,
-                              re_sum=pos.re + pos.im, re_diff=None,
-                              im_sum=None, im_diff=pos.im - pos.re)
-    neg = dec.matrix(-m)
-    return BranchMatrices(m=m, kind=SYMMETRIC,
-                          re_sum=pos.re + neg.re, re_diff=pos.re - neg.re,
-                          im_sum=pos.im + neg.im, im_diff=pos.im - neg.im)
+    tables = _slot_tables(dec.n, m)
+    matrices = {slot: tables[slot][dec.exponents] if slot in tables else None
+                for slot in ("re_sum", "re_diff", "im_sum", "im_diff")}
+    return BranchMatrices(m=m, kind=_class_kind(dec.n, m), **matrices)
 
 
 def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
@@ -139,13 +156,14 @@ def _unit_matrix(entries, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _FactoredSlot:
-    """One combination matrix as int8, its layout row, rank and factors.
+    """One combination matrix as its int8 table, layout row, rank, preadd.
 
-    A slot of an orbit representative was factored directly, by reducing
-    its distinct rows up to sign, and holds its rank x N preadd in
-    reduced. Any other slot equals +-source.matrix with its columns read
-    at perm, which the walk checked exactly, so it takes source's rank
-    and derives its preadd from source's only when asked.
+    The matrix is table read at the exponent grid. A slot of an orbit
+    representative was factored directly, by reducing its distinct rows
+    up to sign, and is yielded with those rows boxed in exact for
+    complexity's stacked count. Any other slot's matrix is +-source's
+    with its rows permuted, which the walk checked exactly, so it shares
+    source's rank and preadd.
     """
 
     m: int
@@ -153,31 +171,26 @@ class _FactoredSlot:
     constant_kind: str
     destination: str
     sign: int
-    matrix: np.ndarray
+    table: np.ndarray
     rank: int
     reduced: np.ndarray | None = None
+    exact: RationalMatrix | None = None
     source: _FactoredSlot | None = None
-    perm: np.ndarray | None = None
 
-    @property
-    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(postadd, preadd) as plan matrices; None if matrix is zero.
+    def factors(self, exponents: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(postadd, preadd) as plan matrices; None if the matrix is zero.
 
-        preadd is matrix's reduced row echelon form: for a derived slot,
-        that of source's preadd with its columns read at perm, which spans
-        the same rows, and a reduced form is unique for its row space.
-        postadd is matrix's own columns at the preadd's pivots.
+        preadd is the matrix's reduced row echelon form and postadd the
+        matrix's columns at the preadd's pivots, read off the table at
+        those columns of the exponent grid, an N x rank gather.
         """
         if self.rank == 0:
             return None
-        what = f"factors of the m={self.m} {self.slot} matrix"
-        pre = self.reduced
-        if self.source is not None:
-            moved = self.source.reduced[:, self.perm]
-            pre = _unit_matrix(
-                rref(RationalMatrix.from_int_matrix(moved)).rref.entries, what)
-        pivots = (pre != 0).argmax(axis=1)
-        return _unit_matrix(self.matrix[:, pivots], what), pre
+        pivots = (self.reduced != 0).argmax(axis=1)
+        return (_unit_matrix(self.table[exponents[:, pivots]],
+                             f"postadd of the m={self.m} {self.slot} matrix"),
+                self.reduced)
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -194,29 +207,33 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[np.sort(first)]
 
 
-def _factored_directly(m: int, layout_row: tuple,
-                       matrix: np.ndarray) -> _FactoredSlot:
-    """matrix's slot with rank and preadd from eliminating its distinct
-    rows up to sign; the postadd is read off matrix when asked."""
+def _factored_directly(exponents: np.ndarray, m: int, layout_row: tuple,
+                       table: np.ndarray) -> _FactoredSlot:
+    """table's slot with rank and preadd from eliminating the distinct rows
+    up to sign of its matrix, which is built for that and dropped."""
+    exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
     try:
-        reduced = rank_factor(
-            RationalMatrix.from_int_matrix(_distinct_rows(matrix)))[1]
+        reduced = rank_factor(exact)[1]
     except ZeroMatrixError:
-        return _FactoredSlot(m, *layout_row, matrix=matrix, rank=0)
-    return _FactoredSlot(m, *layout_row, matrix=matrix, rank=reduced.rows,
+        return _FactoredSlot(m, *layout_row, table=table, rank=0, exact=exact)
+    return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
                          reduced=_unit_matrix(reduced.entries,
-                                              f"preadd of m={m}"))
+                                              f"preadd of m={m}"),
+                         exact=exact)
 
 
-def _derived_from(n: int, m: int, layout: tuple, matrices: list[np.ndarray],
+def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
                   rep: tuple[_FactoredSlot, ...]
                   ) -> tuple[_FactoredSlot, ...] | None:
     """Class m's slots read off its orbit representative rep, or None.
 
     A unit c mod n with c*m = +-rep's m (mod n/4) maps the class of rep to
-    the class of m. None unless such a c exists, each of m's matrices
-    equals, entry for entry, +- one of rep's with its columns read at
-    c*i mod n, and the stacked pairs map onto each other.
+    the class of m. None unless such a c exists, each of m's tables t
+    satisfies t[e] = +-s[c*e mod n] for every e, s one of rep's tables,
+    and the stacked pairs map onto each other. Row k = 1 of the exponent
+    grid holds every residue, so this holds exactly when m's matrix is
+    +- rep's with its columns read at c*i mod n, that is with its rows
+    read at c*k: it has rep's row space, reduced form and rank.
     """
     q = n // 4
     targets = {rep[0].m % q, -rep[0].m % q}
@@ -224,16 +241,15 @@ def _derived_from(n: int, m: int, layout: tuple, matrices: list[np.ndarray],
               if c * m % q in targets and math.gcd(c, n) == 1), None)
     if c is None:
         return None
-    perm = np.arange(n) * c % n
-    moved = [(f, f.matrix[:, perm]) for f in rep]
+    moved = [(f, f.table[np.arange(n) * c % n]) for f in rep]
     slots = []
-    for layout_row, a in zip(layout, matrices):
-        source = next((f for f, b in moved if np.array_equal(a, b)
-                       or np.array_equal(a, -b)), None)
+    for layout_row, t in zip(layout, tables):
+        source = next((f for f, s in moved if np.array_equal(t, s)
+                       or np.array_equal(t, -s)), None)
         if source is None:
             return None
-        slots.append(_FactoredSlot(m, *layout_row, matrix=a, rank=source.rank,
-                                   source=source, perm=perm))
+        slots.append(_FactoredSlot(m, *layout_row, table=t, rank=source.rank,
+                                   reduced=source.reduced, source=source))
     of = {f.slot: f.source.slot for f in slots}
     pairs = {frozenset(p) for p in _STACKED_PAIRS if of.keys() >= set(p)}
     if {frozenset(map(of.get, p)) for p in pairs} != pairs:
@@ -248,24 +264,28 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
     The positive classes of one kind with one g = gcd(m, N/4) form a
     unit-group orbit. The first class of an orbit is its representative
     and is factored directly; every later one is checked exactly against
-    it and derived from it, or factored directly if the check fails. Only
-    the representatives' int8 matrices and preadds are held across
-    classes. Lazy on purpose: a consumer that drops each class before
-    asking for the next holds at most one other class at a time.
+    it on the tables and derived from it, or factored directly if the
+    check fails. Only tables and the representatives' preadds are held
+    across classes, and no derived matrix is ever built. Lazy on purpose:
+    a consumer that drops each class before asking for the next holds at
+    most one other class at a time.
     """
     reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
     for m in _positive_indices(dec.indices):
-        bm = branch_matrices(dec, m)
-        layout = _LAYOUT[bm.kind]
-        matrices = [getattr(bm, row[0]).astype(np.int8) for row in layout]
-        orbit = (bm.kind, math.gcd(m, dec.n // 4))
-        del bm  # only the int8 copies stay alive while the consumer runs
+        kind = _class_kind(dec.n, m)
+        layout = _LAYOUT[kind]
+        by_slot = _slot_tables(dec.n, m)
+        tables = [by_slot[row[0]] for row in layout]
+        orbit = (kind, math.gcd(m, dec.n // 4))
         rep = reps.get(orbit)
-        slots = rep and _derived_from(dec.n, m, layout, matrices, rep)
+        slots = rep and _derived_from(dec.n, m, layout, tables, rep)
         if not slots:
-            slots = tuple(_factored_directly(m, row, a)
-                          for row, a in zip(layout, matrices))
-            reps.setdefault(orbit, slots)
+            slots = tuple(_factored_directly(dec.exponents, m, row, t)
+                          for row, t in zip(layout, tables))
+            # later classes read a representative's tables, ranks and
+            # preadds; its boxed rows serve only its own stacked count
+            reps.setdefault(orbit, tuple(replace(f, exact=None)
+                                         for f in slots))
         yield from slots
 
 
@@ -364,7 +384,7 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     for f in _factored_slots(dec):
         if f.rank == 0:
             continue
-        post, pre = f.factors
+        post, pre = f.factors(dec.exponents)
         value = constant_value(f.constant_kind, f.m, dec.n)
         if not 0.0 < value < 1.0:
             raise ValueError(f"{f.constant_kind} constant {value!r} of m={f.m}, "
@@ -415,9 +435,9 @@ class ComplexityReport:
     the representative's. simplified_total doubles the (re_sum, im_sum)
     ranks per symmetric class, valid whenever sum and difference ranks
     agree. All three coincide on every supported blocklength up to 128
-    and at 256; the tests check that claim, each per-branch rank against
-    sympy up to 36, and every derived factorization against a direct one
-    up to 128.
+    and at 256, 512 and 1024; the tests check that claim, each per-branch
+    rank against sympy up to 36, every derived factorization against a
+    direct one up to 128 and every derived preadd up to 256.
     """
 
     n: int
@@ -433,12 +453,10 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
                  ) -> tuple[ClassRankRow, int, int, int]:
     """One class's rank row and its realized, stacked and simplified counts.
 
-    A representative's stacked count is eliminated here, on the distinct
-    rows up to sign of each matrix of a pair, and kept in stacked_of; a
-    derived class's is its representative's, since the walk checked that
-    its stacked pairs map onto the representative's. A function of its
-    own so that the class's matrices are freed when it returns, before
-    the walk reaches the next class.
+    A directly factored class's stacked count is eliminated here, on the
+    distinct rows its slots boxed for rank_factor, and kept in stacked_of;
+    a derived class's is its representative's, since the walk checked
+    that its stacked pairs map onto the representative's.
     """
     by_slot = {f.slot: f for f in slots}
     ranks = {slot: f.rank for slot, f in by_slot.items()}
@@ -452,9 +470,8 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
         return row, realized, realized, realized
     source = by_slot["re_sum"].source
     if source is None:
-        exact = {slot: RationalMatrix.from_int_matrix(
-                     _distinct_rows(f.matrix)) for slot, f in by_slot.items()}
-        stacked_of[m] = sum(rank(vstack(exact[top], exact[bottom]))
+        stacked_of[m] = sum(rank(vstack(by_slot[top].exact,
+                                        by_slot[bottom].exact))
                             for top, bottom in _STACKED_PAIRS)
     stacked = stacked_of[m if source is None else source.m]
     return row, realized, stacked, 2 * (ranks["re_sum"] + ranks["im_sum"])

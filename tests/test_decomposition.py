@@ -5,10 +5,10 @@ import pytest
 
 from laurentfft.decomposition import (ClassDecomposition,
                                       UnsupportedBlocklengthError,
-                                      class_indices, class_matrix, decompose,
-                                      dft_matrix, exponent_matrix, indicator,
-                                      reconstruct_dft, residue_class,
-                                      verify_partition)
+                                      class_indices, class_matrix,
+                                      class_tables, decompose, dft_matrix,
+                                      exponent_matrix, reconstruct_dft,
+                                      residue_class, verify_partition)
 from laurentfft.rational import RationalMatrix, rref
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -86,11 +86,14 @@ def test_partition_holds_for_all_supported_blocklengths():
         assert report.missing == () and report.duplicated == ()
 
 
-def test_indicator_tiles_the_grid():
-    for n in (8, 12, 20):
-        exp = exponent_matrix(n)
-        total = sum(indicator(exp, l) for l in range(n))
-        assert np.array_equal(total, np.ones((n, n), dtype=np.int64))
+def test_class_tables_tile_the_residues():
+    # every residue of [0, N) carries exactly one unit entry across all
+    # classes' (re, im) tables, so the class matrices t[E] tile the grid
+    for n in (4, 8, 12, 20, 64, 100):
+        tables = [t for m in class_indices(n) for t in class_tables(n, m)]
+        assert all(t.dtype == np.int8 and t.shape == (n,) for t in tables)
+        assert set(np.unique(tables).tolist()) <= {-1, 0, 1}, n
+        assert np.array_equal(np.abs(tables).sum(axis=0), np.ones(n)), n
 
 
 def test_class_matrix_support_and_values():

@@ -240,34 +240,80 @@ def test_orbit_classes_are_signed_column_permutations(n):
 def test_derived_slots_match_a_direct_factorization(n):
     # one class per orbit is factored; every other slot's factors come off
     # its representative and must equal factoring the slot from scratch
+    dec = decompose(n)
     reps = set()
-    for f in plan_mod._factored_slots(decompose(n)):
+    for f in plan_mod._factored_slots(dec):
         if f.source is None:
             reps.add((f.m, f.slot))
             continue
         assert (f.source.m, f.source.slot) in reps
-        if not f.matrix.any():
-            assert f.factors is None and f.rank == 0, (n, f.m, f.slot)
+        matrix = f.table[dec.exponents]
+        factors = f.factors(dec.exponents)
+        if not matrix.any():
+            assert factors is None and f.rank == 0, (n, f.m, f.slot)
             continue
-        post, pre = direct_factors(f.matrix)
+        post, pre = direct_factors(matrix)
         assert all(np.array_equal(mine, direct.entries) for mine, direct
-                   in zip(f.factors, (post, pre))), (n, f.m, f.slot)
+                   in zip(factors, (post, pre))), (n, f.m, f.slot)
         assert f.rank == pre.rows
-    orbits = {math.gcd(m, n // 4) for m in decompose(n).indices if m >= 1}
+    orbits = {math.gcd(m, n // 4) for m in dec.indices if m >= 1}
     assert len({m for m, _ in reps}) == len(orbits)
+
+
+@pytest.mark.parametrize("n", range(4, 257, 4))
+def test_derived_preadds_are_the_representatives(n):
+    # a derived matrix is +- a row permutation of its representative's, so
+    # reducing its own distinct rows gives the representative's preadd
+    dec = decompose(n)
+    for f in plan_mod._factored_slots(dec):
+        if f.source is None:
+            continue
+        exact = RationalMatrix.from_int_matrix(
+            plan_mod._distinct_rows(f.table[dec.exponents]))
+        if f.source.rank == 0:
+            assert exact.rows == f.rank == 0, (n, f.m, f.slot)
+            continue
+        assert f.reduced is f.source.reduced
+        assert np.array_equal(rref(exact).rref.entries, f.source.reduced), \
+            (n, f.m, f.slot)
+
+
+@pytest.mark.parametrize("n", (20, 32, 60, 64, 96))
+def test_derived_from_rejects_a_table_with_one_entry_flipped(n):
+    # the O(N) table check is exact, not vacuous: negating any single
+    # nonzero entry of any derived slot's table breaks the derivation
+    classes: dict[int, list] = {}
+    for f in plan_mod._factored_slots(decompose(n)):
+        classes.setdefault(f.m, []).append(f)
+    derived = [m for m, slots in classes.items() if slots[0].source]
+    assert derived, n
+    for m in derived:
+        rep = tuple(classes[classes[m][0].source.m])
+        layout = plan_mod._LAYOUT[plan_mod._class_kind(n, m)]
+        tables = [f.table for f in classes[m]]
+        assert plan_mod._derived_from(n, m, layout, tables, rep) is not None
+        for j, t in enumerate(tables):
+            for e in np.flatnonzero(t):
+                flipped = t.copy()
+                flipped[e] = -flipped[e]
+                bad = tables[:j] + [flipped] + tables[j + 1:]
+                got = plan_mod._derived_from(n, m, layout, bad, rep)
+                assert got is None, (n, m, j, e)
 
 
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_representatives_match_a_full_row_factorization(n):
     # a representative is reduced on its distinct rows up to sign; its
     # preadd and rank must be those of reducing all N rows
-    for f in plan_mod._factored_slots(decompose(n)):
+    dec = decompose(n)
+    for f in plan_mod._factored_slots(dec):
         if f.source is not None:
             continue
-        if not f.matrix.any():
+        matrix = f.table[dec.exponents]
+        if not matrix.any():
             assert f.rank == 0 and f.reduced is None, (n, f.m, f.slot)
             continue
-        pre = direct_factors(f.matrix)[1]
+        pre = direct_factors(matrix)[1]
         assert np.array_equal(f.reduced, pre.entries), (n, f.m, f.slot)
         assert f.rank == pre.rows, (n, f.m, f.slot)
 
@@ -298,7 +344,7 @@ def test_distinct_rows_keep_the_row_space(seed):
 
 
 def test_complexity_for_256_holds_one_class_and_the_representatives():
-    # the walk keeps each orbit representative's int8 matrices and
+    # the walk keeps each orbit representative's int8 tables and
     # preadds; holding every class's matrices would pass 16 MB
     tracemalloc.start()
     try:
@@ -308,6 +354,27 @@ def test_complexity_for_256_holds_one_class_and_the_representatives():
         tracemalloc.stop()
     assert report.realized_total == report.stacked_total == 3636
     assert peak < 12 * 10**6
+
+
+def test_complexity_for_512_reads_every_matrix_off_a_table():
+    # the walk holds the exponent grid, tables and the representatives'
+    # preadds, and builds an N x N matrix only to factor a representative;
+    # building every class matrix in four N x N passes peaked near 27 MB
+    tracemalloc.start()
+    try:
+        report = complexity_for(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.realized_total == report.stacked_total
+            == report.simplified_total == 14558)
+    assert peak < 12 * 10**6
+
+
+def test_complexity_for_1024_totals_agree():
+    report = complexity_for(1024)
+    assert (report.realized_total == report.stacked_total
+            == report.simplified_total == 58248)
 
 
 def test_rank_symmetry_between_sum_and_difference():
