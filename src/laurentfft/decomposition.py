@@ -40,6 +40,15 @@ def exponent_matrix(n: int) -> np.ndarray:
     return np.outer(idx, idx) % n
 
 
+def _index_range(n: int) -> range:
+    """class_indices(n) as a range, whose membership test is arithmetic."""
+    _check_blocklength(n)
+    if n % 8 == 4:
+        h = (n // 4 - 1) // 2
+        return range(-h, h + 1)
+    return range(-(n // 8 - 1), n // 8 + 1)
+
+
 def class_indices(n: int) -> tuple[int, ...]:
     """Ordered class indices for blocklength n, always n/4 of them.
 
@@ -47,11 +56,7 @@ def class_indices(n: int) -> tuple[int, ...]:
     layout -(n/8-1) .. +n/8 when 8 | n, the top index being the asymmetric
     class.
     """
-    _check_blocklength(n)
-    if n % 8 == 4:
-        h = (n // 4 - 1) // 2
-        return tuple(range(-h, h + 1))
-    return tuple(range(-(n // 8 - 1), n // 8 + 1))
+    return tuple(_index_range(n))
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,16 @@ class ResidueClass:
 
 
 def residue_class(n: int, m: int) -> ResidueClass:
-    if m not in class_indices(n):
+    return ResidueClass(n=n, m=m, members=_members(n, m))
+
+
+def _members(n: int, m: int) -> tuple[int, int, int, int]:
+    """Class m's four exponents in coefficient order; ValueError when m is
+    not a class index."""
+    if m not in _index_range(n):
         raise ValueError(f"{m} is not a class index for blocklength {n}")
     q = n // 4
-    members = tuple((m + k * q) % n for k in range(4))
-    return ResidueClass(n=n, m=m, members=members)  # type: ignore[arg-type]
+    return (m % n, (m + q) % n, (m + 2 * q) % n, (m + 3 * q) % n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +99,9 @@ class ClassMatrix:
     im: np.ndarray
 
 
-# position k in a class carries coefficient (-j)^k: 1, -j, -1, j
-_COEFF_SPLIT = ((1, 0), (0, -1), (-1, 0), (0, 1))
+# position k in a class carries coefficient (-j)^k: 1, -j, -1, j; as
+# columns, row 0 holds the real parts and row 1 the imaginary ones
+_COEFF_SPLIT = np.array(((1, 0, -1, 0), (0, -1, 0, 1)), dtype=np.int8)
 
 
 def class_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +109,8 @@ def class_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     E the exponent grid. Entry x is the unit coefficient of x's position
     in class m, split into its real and imaginary parts, and 0 off the
     class; ValueError when m is not a class index."""
-    cls = residue_class(n, m)
     tables = np.zeros((2, n), dtype=np.int8)
-    tables[:, list(cls.members)] = np.transpose(_COEFF_SPLIT)
+    tables[:, _members(n, m)] = _COEFF_SPLIT
     tables.flags.writeable = False
     return tables[0], tables[1]
 

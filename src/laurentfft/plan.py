@@ -37,10 +37,18 @@ JSON decoder alike. The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
 assumed, and can serialize plans to JSON and back. The loader certifies
-a document exactly against the class matrices of N, one class at a
-time, checks that every branch is minimal (its preadd in reduced row
-echelon form, its postadd of full column rank) and recounts it, so a
-plan it accepts is the compiled one.
+a document exactly against the tables of N, one class at a time along the
+same orbit walk, and recounts it, so a plan it accepts is the compiled
+one. An orbit's first class, and any branch not read off it, is
+certified in full: postadd * preadd equals the slot's matrix t[E], the
+preadd is in reduced row echelon form and the postadd has full column
+rank. The product runs in float64 through BLAS and is still exact: its
+entries are +-1, so every partial sum is an integer of size at most
+N < 2^53. A later class whose tables _derived_from maps onto the
+representative's has each matrix +- a row permutation of a certified
+one; a branch there with the certified preadd is the compiled one iff
+its postadd is t[E[:, pivots]], an O(N * rank) gather, with no product,
+echelon check or rank.
 """
 
 from __future__ import annotations
@@ -163,7 +171,9 @@ class _FactoredSlot:
     up to sign, and is yielded with those rows boxed in exact for
     complexity's stacked count. Any other slot's matrix is +-source's
     with its rows permuted, which the walk checked exactly, so it shares
-    source's rank and preadd.
+    source's rank and preadd. The loader records the slots of each
+    orbit's first class with the preadds it certified, for later classes
+    to be read off.
     """
 
     m: int
@@ -241,20 +251,33 @@ def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
               if c * m % q in targets and math.gcd(c, n) == 1), None)
     if c is None:
         return None
-    moved = [(f, f.table[np.arange(n) * c % n]) for f in rep]
-    slots = []
-    for layout_row, t in zip(layout, tables):
-        source = next((f for f, s in moved if np.array_equal(t, s)
-                       or np.array_equal(t, -s)), None)
-        if source is None:
-            return None
-        slots.append(_FactoredSlot(m, *layout_row, table=t, rank=source.rank,
-                                   reduced=source.reduced, source=source))
+    # hit[i, j]: m's table i is +- rep's table j moved; each of m's tables
+    # takes the first of rep's that it hits
+    moved = np.stack([f.table for f in rep])[:, np.arange(n) * c % n]
+    mine = np.stack(tables)[:, None, :]
+    hit = (mine == moved).all(axis=2) | (mine == -moved).all(axis=2)
+    if not hit.any(axis=1).all():
+        return None
+    slots = [_FactoredSlot(m, *layout_row, table=t, rank=source.rank,
+                           reduced=source.reduced, source=source)
+             for layout_row, t, source
+             in zip(layout, tables, (rep[j] for j in hit.argmax(axis=1)))]
     of = {f.slot: f.source.slot for f in slots}
     pairs = {frozenset(p) for p in _STACKED_PAIRS if of.keys() >= set(p)}
     if {frozenset(map(of.get, p)) for p in pairs} != pairs:
         return None
     return tuple(slots)
+
+
+def _orbit_class(n: int, m: int) -> tuple[tuple[str, int], tuple, list]:
+    """(orbit, layout, tables) of positive class m: the orbit key (kind,
+    gcd(m, N/4)), the class's layout rows and its slot tables in their
+    order."""
+    kind = _class_kind(n, m)
+    layout = _LAYOUT[kind]
+    by_slot = _slot_tables(n, m)
+    return ((kind, math.gcd(m, n // 4)), layout,
+            [by_slot[row[0]] for row in layout])
 
 
 def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
@@ -272,11 +295,7 @@ def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
     """
     reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
     for m in _positive_indices(dec.indices):
-        kind = _class_kind(dec.n, m)
-        layout = _LAYOUT[kind]
-        by_slot = _slot_tables(dec.n, m)
-        tables = [by_slot[row[0]] for row in layout]
-        orbit = (kind, math.gcd(m, dec.n // 4))
+        orbit, layout, tables = _orbit_class(dec.n, m)
         rep = reps.get(orbit)
         slots = rep and _derived_from(dec.n, m, layout, tables, rep)
         if not slots:
@@ -544,6 +563,9 @@ def _matrix_doc(mat: np.ndarray, as_text: bool) -> dict:
     return {"rows": mat.shape[0], "cols": mat.shape[1], "triplets": triplets}
 
 
+_UNIT_TEXT = {"1": 1, "-1": -1}
+
+
 def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
                      as_text: bool) -> np.ndarray:
     """The plan matrix of a {rows, cols, triplets} document. A triplet is
@@ -565,17 +587,23 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
     if not set(map(type, values)) <= {str if as_text else int}:
         raise ValueError(f"a triplet value of {what} is not "
                          f"{'a string' if as_text else 'a JSON integer'}")
-    values = list(map(int, values))
-    if 0 in values:
-        raise ValueError(f"a triplet value of {what} is zero")
+    # a written plan's strings are all "1" or "-1"; int() reads any other
+    if as_text and None not in (units := list(map(_UNIT_TEXT.get, values))):
+        values, unit = units, True
+    else:
+        values = list(map(int, values))
+        if 0 in values:
+            raise ValueError(f"a triplet value of {what} is zero")
+        unit = not values or (min(values) >= -1 and max(values) <= 1)
+    outside = r and (min(r) < 0 or min(c) < 0 or max(r) >= rows
+                     or max(c) >= cols)
     r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
-    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-    if outside.any():
-        t = outside.argmax()
+    if outside:
+        t = ((r < 0) | (r >= rows) | (c < 0) | (c >= cols)).argmax()
         raise ValueError(f"triplet index ({r[t]}, {c[t]}) is outside a "
                          f"{rows}x{cols} matrix")
     mat = np.zeros(shape, dtype=np.int8)
-    mat[r, c] = _unit_matrix(values, what)
+    mat[r, c] = values if unit else _unit_matrix(values, what)
     # every value is nonzero, so a position named twice leaves fewer
     # nonzeros than triplets
     if np.count_nonzero(mat) < len(values):
@@ -623,13 +651,20 @@ def plan_from_dict(doc: dict) -> FftPlan:
     compile_plan builds for its N: one branch per nonzero layout slot,
     each with its slot's constant, every entry +1 or -1, shapes that chain,
     a preadd in reduced row echelon form, a postadd of full column rank
-    and postadd * preadd equal in exact integer arithmetic to the slot's
-    combination matrix, built from N's class matrices one class at a time;
-    the additive stage equal to M_0; and stored counts equal to the
-    recounted ones. The reduced row echelon form of a row space is
-    unique, so the middle three make each branch the compiled one. A
-    malformed document (a missing key, a value of the wrong type, an index
-    outside its matrix) is a ValueError too.
+    and postadd * preadd equal to the slot's combination matrix, read off
+    N's tables one class at a time; the additive stage equal to M_0; and
+    stored counts equal to the recounted ones. The reduced row echelon
+    form of a row space is unique, so the middle three make each branch
+    the compiled one. The product is a float64 matmul, exact because
+    every partial sum is an integer of size at most N < 2^53. A class
+    derived from its orbit representative (_derived_from) needs none of
+    the three for a branch whose preadd is the representative's
+    certified one: its matrix A is +- a row permutation of the
+    representative's, so that preadd is A's reduced form too and the
+    branch is exact iff its postadd is A at the pivot columns, which
+    also has full column rank. A malformed document (a missing key, a
+    value of the wrong type, an index outside its matrix) is a
+    ValueError too.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -646,6 +681,71 @@ def _is_rref(mat: np.ndarray) -> bool:
     leads = (mat != 0).argmax(axis=1)
     return bool((leads[1:] > leads[:-1]).all()
                 and (mat[:, leads] == np.eye(len(mat), dtype=np.int8)).all())
+
+
+def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
+                      exponents: np.ndarray, b: dict | None,
+                      source: _FactoredSlot | None
+                      ) -> MultiplicativeBranch | None:
+    """The branch document b of class m's slot with the given table, or
+    None when the slot is rightly empty; ValueError unless it is the
+    compiled branch.
+
+    source is the certified slot of an orbit representative that this
+    slot's matrix A is +- a row permutation of, or None. A preadd equal
+    to source's is then a reduced row echelon form of A's row space, so
+    A = C * preadd for exactly one C, A's columns at the pivots: the
+    branch is the compiled one iff its postadd is C, an N x rank gather.
+    Any other branch is certified in full: an exact product, the echelon
+    form and the postadd's exact column rank.
+    """
+    slot, kind, destination, sign = layout_row
+    if b is None:
+        # row k = 1 of the exponent grid holds every residue, so the
+        # matrix is nonzero iff its table is
+        if table.any():
+            raise ValueError(f"no branch for the nonzero {slot} matrix of "
+                             f"m={m}, N={n}")
+        return None
+    value = b["constant_value"]
+    if not (isinstance(value, float) and
+            abs(value - constant_value(kind, m, n)) <= 1e-12):
+        raise ValueError(f"branch constant {value!r} does not match {kind} "
+                         f"for m={m}, N={n}")
+    where = f"branch {(m, kind, destination)!r}"
+    rows = b["preadd"]["rows"]
+    if type(rows) is not int or not 0 < rows <= n:
+        raise ValueError(f"{where} preadd has {rows!r} rows, not 1 to N={n}: "
+                         f"the shapes do not chain")
+    pre = _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd",
+                           as_text=True)
+    post = _matrix_from_doc(b["postadd"], (n, rows), f"{where} postadd",
+                            as_text=True)
+    not_exact = ValueError(f"postadd * preadd of {where} is not its {slot} "
+                           f"matrix")
+    if (source is not None and source.reduced is not None
+            and np.array_equal(pre, source.reduced)):
+        pivots = (pre != 0).argmax(axis=1)
+        if not np.array_equal(post, table[exponents[:, pivots]]):
+            raise not_exact
+    else:
+        # every partial sum of the product is an integer of size at most
+        # N < 2^53, so float64 (and BLAS) computes it exactly
+        if not (np.matmul(post, pre, dtype=np.float64)
+                == table[exponents]).all():
+            raise not_exact
+        # a preadd row repeated, with the postadd terms of the first copy
+        # split between the two, keeps the product exact but spends a
+        # multiplication more than the compiled branch
+        if not _is_rref(pre):
+            raise ValueError(f"{where} preadd is not in reduced row echelon "
+                             f"form")
+        if rank(RationalMatrix.from_int_matrix(post.T)) != len(pre):
+            raise ValueError(f"{where} postadd does not have full column "
+                             f"rank {len(pre)}")
+    return MultiplicativeBranch(m=m, constant_kind=kind, constant_value=value,
+                                preadd=pre, postadd=post,
+                                destination=destination, sign=sign)
 
 
 def _certified_plan(doc: dict) -> FftPlan:
@@ -679,47 +779,27 @@ def _certified_plan(doc: dict) -> FftPlan:
         if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
-    # the class matrices are built one class at a time
+    # the walk of _factored_slots: each orbit's first class is certified in
+    # full and later classes are read off it where _derived_from holds
     branches = []
+    reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
     for m in positive:
-        bm = branch_matrices(dec, m)
-        for slot, kind, destination, sign in _LAYOUT[bm.kind]:
-            target = getattr(bm, slot)
-            b = by_slot.get((m, kind, destination, sign))
-            if b is None:
-                if target.any():
-                    raise ValueError(f"no branch for the nonzero {slot} "
-                                     f"matrix of m={m}, N={n}")
-                continue
-            value = b["constant_value"]
-            if not (isinstance(value, float) and
-                    abs(value - constant_value(kind, m, n)) <= 1e-12):
-                raise ValueError(f"branch constant {value!r} does not match "
-                                 f"{kind} for m={m}, N={n}")
-            where = f"branch {(m, kind, destination)!r}"
-            rows = b["preadd"]["rows"]
-            if type(rows) is not int or not 0 < rows <= n:
-                raise ValueError(f"{where} preadd has {rows!r} rows, not 1 "
-                                 f"to N={n}: the shapes do not chain")
-            pre = _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd",
-                                   as_text=True)
-            post = _matrix_from_doc(b["postadd"], (n, rows),
-                                    f"{where} postadd", as_text=True)
-            if not (np.matmul(post, pre, dtype=np.int64) == target).all():
-                raise ValueError(f"postadd * preadd of {where} is not its "
-                                 f"{slot} matrix")
-            # a preadd row repeated, with the postadd terms of the first
-            # copy split between the two, keeps the product exact but
-            # spends a multiplication more than the compiled branch
-            if not _is_rref(pre):
-                raise ValueError(f"{where} preadd is not in reduced row "
-                                 f"echelon form")
-            if rank(RationalMatrix.from_int_matrix(post.T)) != len(pre):
-                raise ValueError(f"{where} postadd does not have full column "
-                                 f"rank {len(pre)}")
-            branches.append(MultiplicativeBranch(
-                m=m, constant_kind=kind, constant_value=value, preadd=pre,
-                postadd=post, destination=destination, sign=sign))
+        orbit, layout, tables = _orbit_class(n, m)
+        rep = reps.get(orbit)
+        derived = rep and _derived_from(n, m, layout, tables, rep)
+        slots = []
+        for i, (layout_row, table) in enumerate(zip(layout, tables)):
+            branch = _certified_branch(
+                n, m, layout_row, table, dec.exponents,
+                by_slot.get((m, *layout_row[1:])),
+                derived[i].source if derived else None)
+            slots.append(_FactoredSlot(
+                m, *layout_row, table=table,
+                rank=branch.rank if branch else 0,
+                reduced=branch.preadd if branch else None))
+            if branch:
+                branches.append(branch)
+        reps.setdefault(orbit, tuple(slots))
     counts = _plan_counts(additive, branches)
     for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
                            (*counts, 0)):

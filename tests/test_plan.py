@@ -175,8 +175,10 @@ def test_three_count_forms_agree():
         assert r.realized_total == r.stacked_total == r.simplified_total, n
 
 
-@pytest.mark.parametrize("n", range(68, 129, 4))
+@pytest.mark.parametrize("n", range(4, 129, 4))
 def test_plans_past_64_count_exactly_and_certify(tmp_path, n):
+    # named for the blocklengths past 64 it was written for; it runs every
+    # supported N up to 128
     plan = compile_plan_for(n)
     r = complexity_for(n)
     assert (plan.mult_count == r.realized_total == r.stacked_total
@@ -686,6 +688,27 @@ def test_load_plan_rejects_a_plan_that_breaks_the_layout(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         load_plan(path)
+
+
+_DOC28 = plan_to_dict(compile_plan_for(28))
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("case", ("preadd_value", "postadd_value",
+                                  "redundant_row", "idle_row"))
+def test_load_plan_rejects_a_tampered_derived_branch(case, m):
+    # N=28 is one orbit with m=1 its representative, so the loader reads
+    # m=2 and 3 off m=1's certified preadds; the tampers edit the first two
+    # branches, so class m's branches go first (branch order is free)
+    assert all(f.source is not None for f in
+               plan_mod._factored_slots(decompose(28)) if f.m == m)
+    doc = copy.deepcopy(_DOC28)
+    doc["branches"].sort(key=lambda b: b["m"] != m)
+    assert plan_to_dict(plan_from_dict(doc)) == _DOC28
+    _, tamper, match = _TAMPERS[case]
+    tamper(doc)
+    with pytest.raises(ValueError, match=match):
+        plan_from_dict(doc)
 
 
 # sha256 of save_plan's output with Python 3.11.7 and numpy 2.4.6; the
