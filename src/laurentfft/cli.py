@@ -3,12 +3,15 @@
 Subcommands: ``classes`` and ``matrices`` inspect the decomposition,
 ``complexity`` and ``bounds`` print count tables, ``table`` reproduces the
 two fixed summary tables, ``plan`` exports a JSON plan, ``verify`` checks a
-plan against the direct DFT, and ``bench`` times plan execution against it.
+compiled plan, or with ``--plan FILE`` a saved one after the certifying
+loader accepts it, against the direct DFT, and ``bench`` times plan
+execution against it.
 
 Exit codes: 0 on success, 1 when a verification run fails its tolerance,
-2 on usage errors or unsupported blocklengths. Numeric output is fixed
-format (integers as integers, errors as 3-significant-digit scientific
-notation) so table output is byte-stable for regression tests.
+2 on usage errors, unsupported blocklengths or a plan file the loader
+rejects. Numeric output is fixed format (integers as integers, errors as
+3-significant-digit scientific notation) so table output is byte-stable
+for regression tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, bounds_row,
                      nlog2n_rounded)
 from .decomposition import class_indices, decompose, residue_class
 from .execute import execute_real, naive_dft, verify_plan
-from .plan import compile_plan_for, complexity_for, save_plan
+from .plan import compile_plan_for, complexity_for, load_plan, save_plan
 from .rational import RationalMatrix, rref
 
 _COEFFS = "(1, -j, -1, j)"
@@ -146,7 +149,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plan = compile_plan_for(args.N)
+    plan = (compile_plan_for(args.N) if args.plan is None
+            else load_plan(args.plan))
     report = verify_plan(plan, trials=args.trials, tolerance=args.tol,
                          seed=args.seed)
     print(f"N={report.n} trials={report.trials} seed={report.seed} "
@@ -229,7 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", help="check a plan against the direct DFT")
-    p.add_argument("N", type=int)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("N", type=int, nargs="?",
+                        help="compile the plan for this blocklength")
+    source.add_argument("--plan", metavar="FILE",
+                        help="load a saved plan through the certifying "
+                             "loader instead")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -36,15 +36,24 @@ built and checked by one helper (_unit_matrix) for compile_plan and the
 JSON decoder alike. The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
-assumed, and can serialize plans to JSON and back. The loader certifies
-a document exactly against the tables of N, one class at a time along the
-same orbit walk, and recounts it, so a plan it accepts is the compiled
-one. An orbit's first class, and any branch not read off it, is
-certified in full: postadd * preadd equals the slot's matrix t[E], the
-preadd is in reduced row echelon form and the postadd has full column
-rank. The product runs in float64 through BLAS and is still exact: its
-entries are +-1, so every partial sum is an integer of size at most
-N < 2^53. A later class whose tables _derived_from maps onto the
+assumed, and can serialize plans to JSON and back. save_plan writes the
+bytes of json.dumps(plan_to_dict(plan), indent=2): it lays out the small
+skeleton as json does and writes each matrix's triplets straight from
+the matrix into one joined %-template, never building them as lists for
+json's per-item indenting encoder. The loader decodes each matrix with
+one np.ravel_multi_index for the bounds, the scatter and the repeat
+check, certifies the document exactly against the tables of N, one class
+at a time along the same orbit walk, and recounts it, so a plan it
+accepts is the compiled one. An orbit's first class, and any branch not
+read off it, is certified in full: postadd * preadd equals the slot's
+matrix A = t[E], the preadd is in reduced row echelon form and the
+postadd has full column rank. The product runs in float64 through BLAS
+and is still exact: its entries are +-1, so every partial sum is an
+integer of size at most N < 2^53. The postadd is then A at the pivot
+columns P, and the exact rank of its r x r block A[P, P] proves its
+column rank whenever that block is nonsingular, which holds for every
+compiled branch up to N = 128; the rank of the whole postadd decides
+only otherwise. A later class whose tables _derived_from maps onto the
 representative's has each matrix +- a row permutation of a certified
 one; a branch there with the certified preadd is the compiled one iff
 its postadd is t[E[:, pivots]], an O(N * rank) gather, with no product,
@@ -554,13 +563,29 @@ PLAN_FORMAT = "laurentfft-plan"
 PLAN_VERSION = 1
 
 
-def _matrix_doc(mat: np.ndarray, as_text: bool) -> dict:
+def _triplet_lists(mat: np.ndarray, as_text: bool) -> list[list]:
     rows, cols = np.nonzero(mat)
     values = mat[rows, cols].tolist()
     if as_text:
         values = map(str, values)
-    triplets = list(map(list, zip(rows.tolist(), cols.tolist(), values)))
-    return {"rows": mat.shape[0], "cols": mat.shape[1], "triplets": triplets}
+    return list(map(list, zip(rows.tolist(), cols.tolist(), values)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Triplets:
+    """A plan matrix's triplets left as the matrix, for _json_text to write
+    as the JSON text of its _triplet_lists."""
+
+    mat: np.ndarray
+    as_text: bool
+
+
+def _matrix_doc(mat: np.ndarray, as_text: bool,
+                triplets=_triplet_lists) -> dict:
+    """mat's {rows, cols, triplets} object, its triplets encoded by
+    triplets(mat, as_text)."""
+    return {"rows": mat.shape[0], "cols": mat.shape[1],
+            "triplets": triplets(mat, as_text)}
 
 
 _UNIT_TEXT = {"1": 1, "-1": -1}
@@ -581,7 +606,7 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
         raise ValueError(f"a triplet of {what} is not a [row, col, value] "
                          f"list")
     r, c, values = zip(*triplets) if triplets else ((), (), ())
-    if not set(map(type, r + c)) <= {int}:
+    if not {*map(type, r), *map(type, c)} <= {int}:
         r, c = next(ij for ij in zip(r, c) if set(map(type, ij)) != {int})
         raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer")
     if not set(map(type, values)) <= {str if as_text else int}:
@@ -595,19 +620,19 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
         if 0 in values:
             raise ValueError(f"a triplet value of {what} is zero")
         unit = not values or (min(values) >= -1 and max(values) <= 1)
-    outside = r and (min(r) < 0 or min(c) < 0 or max(r) >= rows
-                     or max(c) >= cols)
     r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
-    if outside:
+    try:
+        cells = np.ravel_multi_index((r, c), shape)
+    except ValueError:
         t = ((r < 0) | (r >= rows) | (c < 0) | (c >= cols)).argmax()
         raise ValueError(f"triplet index ({r[t]}, {c[t]}) is outside a "
-                         f"{rows}x{cols} matrix")
+                         f"{rows}x{cols} matrix") from None
     mat = np.zeros(shape, dtype=np.int8)
-    mat[r, c] = values if unit else _unit_matrix(values, what)
+    mat.put(cells, values if unit else _unit_matrix(values, what))
     # every value is nonzero, so a position named twice leaves fewer
     # nonzeros than triplets
     if np.count_nonzero(mat) < len(values):
-        cells, counts = np.unique(r * cols + c, return_counts=True)
+        cells, counts = np.unique(cells, return_counts=True)
         i, j = divmod(int(cells[counts.argmax()]), cols)
         raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
     mat.flags.writeable = False
@@ -623,6 +648,12 @@ def plan_to_dict(plan: FftPlan) -> dict:
     are stored as floats (JSON round-trips them exactly), so a reloaded
     plan executes bit-for-bit like the original.
     """
+    return _plan_doc(plan, _triplet_lists)
+
+
+def _plan_doc(plan: FftPlan, triplets) -> dict:
+    """plan_to_dict's document with every matrix's triplets encoded by
+    triplets(mat, as_text)."""
     return {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
@@ -630,16 +661,16 @@ def plan_to_dict(plan: FftPlan) -> dict:
         "mult_count": plan.mult_count,
         "add_count": plan.add_count,
         "extra_mult_count": plan.extra_mult_count,
-        "additive": {"re": _matrix_doc(plan.additive.re_m0, as_text=False),
-                     "im": _matrix_doc(plan.additive.im_m0, as_text=False)},
+        "additive": {"re": _matrix_doc(plan.additive.re_m0, False, triplets),
+                     "im": _matrix_doc(plan.additive.im_m0, False, triplets)},
         "branches": [{
             "m": b.m,
             "constant_kind": b.constant_kind,
             "constant_value": b.constant_value,
             "destination": b.destination,
             "sign": b.sign,
-            "preadd": _matrix_doc(b.preadd, as_text=True),
-            "postadd": _matrix_doc(b.postadd, as_text=True),
+            "preadd": _matrix_doc(b.preadd, True, triplets),
+            "postadd": _matrix_doc(b.postadd, True, triplets),
         } for b in plan.branches],
     }
 
@@ -662,8 +693,11 @@ def plan_from_dict(doc: dict) -> FftPlan:
     certified one: its matrix A is +- a row permutation of the
     representative's, so that preadd is A's reduced form too and the
     branch is exact iff its postadd is A at the pivot columns, which
-    also has full column rank. A malformed document (a missing key, a
-    value of the wrong type, an index outside its matrix) is a
+    also has full column rank. Elsewhere the column rank is proved by the
+    exact rank of the postadd's r x r block at the preadd's pivot rows,
+    A[P, P] once the product holds, and by the rank of the whole postadd
+    only when that block is singular. A malformed document (a missing
+    key, a value of the wrong type, an index outside its matrix) is a
     ValueError too.
     """
     if not isinstance(doc, dict):
@@ -681,6 +715,20 @@ def _is_rref(mat: np.ndarray) -> bool:
     leads = (mat != 0).argmax(axis=1)
     return bool((leads[1:] > leads[:-1]).all()
                 and (mat[:, leads] == np.eye(len(mat), dtype=np.int8)).all())
+
+
+def _full_column_rank(post: np.ndarray, pivots: np.ndarray) -> bool:
+    """Whether the N x r postadd has rank r, exactly.
+
+    Its r x r block at the preadd's pivot rows comes first: a nonsingular
+    r x r minor proves rank r. Once postadd * preadd = A holds with the
+    preadd reduced, the postadd is A at the pivot columns and the block
+    is A[P, P], nonsingular for every compiled branch of N = 4..128; only
+    a singular block falls back to the rank of the whole postadd.
+    """
+    r = post.shape[1]
+    return (rank(RationalMatrix.from_int_matrix(post[pivots])) == r
+            or rank(RationalMatrix.from_int_matrix(post.T)) == r)
 
 
 def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
@@ -723,9 +771,9 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
                             as_text=True)
     not_exact = ValueError(f"postadd * preadd of {where} is not its {slot} "
                            f"matrix")
+    pivots = (pre != 0).argmax(axis=1)
     if (source is not None and source.reduced is not None
             and np.array_equal(pre, source.reduced)):
-        pivots = (pre != 0).argmax(axis=1)
         if not np.array_equal(post, table[exponents[:, pivots]]):
             raise not_exact
     else:
@@ -740,7 +788,7 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
         if not _is_rref(pre):
             raise ValueError(f"{where} preadd is not in reduced row echelon "
                              f"form")
-        if rank(RationalMatrix.from_int_matrix(post.T)) != len(pre):
+        if not _full_column_rank(post, pivots):
             raise ValueError(f"{where} postadd does not have full column "
                              f"rank {len(pre)}")
     return MultiplicativeBranch(m=m, constant_kind=kind, constant_value=value,
@@ -809,8 +857,46 @@ def _certified_plan(doc: dict) -> FftPlan:
     return FftPlan(n, additive, tuple(branches), *counts, extra_mult_count=0)
 
 
+def _triplets_text(triplets: _Triplets, indent: str) -> str:
+    """json.dumps(_triplet_lists(mat, as_text), indent=2) nested at indent,
+    written from the matrix: one %-template per nonzero, joined and filled
+    from the nonzeros' (row, col, value) in one pass. A branch value is
+    the string of a +-1 int, so '"%d"' writes it as json does."""
+    mat = triplets.mat
+    rows, cols = np.nonzero(mat)
+    if not len(rows):
+        return "[]"
+    inner, leaf = indent + "  ", indent + "    "
+    value = '"%d"' if triplets.as_text else "%d"
+    row = f"{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}{value}\n{inner}]"
+    body = ",\n".join([row] * len(rows))
+    fields = np.column_stack((rows, cols, mat[rows, cols])).ravel()
+    return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
+
+
+def _json_text(node, indent: str = "") -> str:
+    """json.dumps(node, indent=2) for a plan document whose triplets may be
+    _Triplets: json's layout for the skeleton, _triplets_text for them."""
+    if isinstance(node, _Triplets):
+        return _triplets_text(node, indent)
+    if not node or not isinstance(node, (dict, list)):
+        return json.dumps(node)
+    inner = indent + "  "
+    if isinstance(node, list):
+        items = [inner + _json_text(item, inner) for item in node]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    items = [f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
+             for key, value in node.items()]
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+
+
 def save_plan(plan: FftPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n",
+    """Write plan as the bytes of json.dumps(plan_to_dict(plan),
+    indent=2) + "\\n", the pinned plan file format, with each matrix's
+    triplets written straight from the matrix into one %-template
+    (_triplets_text) rather than built as lists for json's indenting
+    encoder."""
+    Path(path).write_text(_json_text(_plan_doc(plan, _Triplets)) + "\n",
                           encoding="utf-8")
 
 

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from laurentfft.execute import execute_real
 from laurentfft.plan import compile_plan_for, load_plan
@@ -168,6 +169,31 @@ def test_plan_export_and_reload(run_cli, tmp_path):
         a, _ = execute_real(fresh, v)
         b, _ = execute_real(loaded, v)
         assert np.array_equal(a, b)
+
+
+def test_verify_a_saved_plan(run_cli, tmp_path):
+    path = tmp_path / "p64.json"
+    assert run_cli("plan", "64", "-o", str(path))[0] == 0
+    code, out, _ = run_cli("verify", "--plan", str(path), "--trials", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "N=64 trials=3 seed=0 tolerance=1.00e-09"
+    assert lines[2] == \
+        "mults_per_trial=224 adds_per_trial=2898 counters_match=yes"
+    assert lines[3] == "PASS"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("12", "--plan", "p.json"), "not allowed with argument N"),
+    ((), "one of the arguments N --plan is required")])
+def test_verify_takes_exactly_one_of_n_and_plan(run_cli, argv, message):
+    code, _, err = run_cli("verify", *argv)
+    assert code == 2 and message in err
+
+
+def test_verify_missing_plan_file_is_exit_2(run_cli, tmp_path):
+    code, _, err = run_cli("verify", "--plan", str(tmp_path / "none.json"))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_plan_write_failure_is_exit_2(run_cli, tmp_path):

@@ -646,6 +646,28 @@ def _tamper_idle_row(doc):
     doc["mult_count"] += 1
 
 
+def _tamper_repeated_postadd_triplet(doc):
+    triplets = doc["branches"][0]["postadd"]["triplets"]
+    triplets.insert(1, list(triplets[0]))
+
+
+def _tamper_repeated_additive_triplet(doc):
+    triplets = doc["additive"]["re"]["triplets"]
+    triplets.insert(1, list(triplets[0]))
+
+
+def _tamper_huge_index(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][1] = 2 ** 70
+
+
+def _tamper_huge_negative_index(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][0] = -2 ** 70
+
+
+def _tamper_bool_index(doc):
+    doc["branches"][0]["preadd"]["triplets"][0][1] = True
+
+
 # case id -> (blocklength, tamper, expected message)
 _TAMPERS = {
     "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
@@ -676,6 +698,17 @@ _TAMPERS = {
     "redundant_row": (12, _tamper_redundant_row,
                       "not in reduced row echelon form"),
     "idle_row": (12, _tamper_idle_row, "full column rank"),
+    "repeated_postadd_triplet": (
+        12, _tamper_repeated_postadd_triplet,
+        "triplet index \\(1, 0\\) repeats in branch "
+        "\\(1, 'cosine', 'real_out'\\) postadd"),
+    "repeated_additive_triplet": (12, _tamper_repeated_additive_triplet,
+                                  "repeats in additive matrix"),
+    "huge_index": (12, _tamper_huge_index, "malformed.*OverflowError"),
+    "huge_negative_index": (12, _tamper_huge_negative_index,
+                            "malformed.*OverflowError"),
+    "bool_index": (12, _tamper_bool_index,
+                   "triplet index \\(0, True\\) is not an integer"),
 }
 
 
@@ -688,6 +721,17 @@ def test_load_plan_rejects_a_plan_that_breaks_the_layout(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         load_plan(path)
+
+
+@pytest.mark.parametrize("case", list(_TAMPERS))
+def test_verify_plan_file_exits_2_on_every_tamper(run_cli, tmp_path, case):
+    n, tamper, _ = _TAMPERS[case]
+    doc = json.loads(json.dumps(plan_to_dict(compile_plan_for(n))))
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 _DOC28 = plan_to_dict(compile_plan_for(28))
@@ -725,6 +769,43 @@ def test_saved_plan_bytes_are_pinned(tmp_path, n):
     path = tmp_path / "plan.json"
     save_plan(compile_plan_for(n), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PLAN_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_save_plan_writes_the_json_dumps_bytes(tmp_path, n):
+    plan = compile_plan_for(n)
+    path = tmp_path / "plan.json"
+    save_plan(plan, path)
+    assert path.read_text() == json.dumps(plan_to_dict(plan), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("as_text", (False, True))
+def test_plan_json_text_renders_empty_triplets_as_json_does(as_text):
+    zero = np.zeros((3, 4), dtype=np.int8)
+    doc = {"N": 4, "branches": [], "note": {}, "value": 0.5,
+           "lists": plan_mod._matrix_doc(zero, as_text)}
+    text = plan_mod._json_text({
+        **doc, "arrays": plan_mod._matrix_doc(zero, as_text,
+                                              plan_mod._Triplets)})
+    assert text.count('"triplets": []') == 2
+    assert text == json.dumps({**doc, "arrays": doc["lists"]}, indent=2)
+
+
+def test_full_column_rank_falls_back_when_the_pivot_block_is_singular():
+    post = np.array([[1, 1], [1, 1], [1, -1]], dtype=np.int8)
+    assert plan_mod._full_column_rank(post, np.array([0, 1]))
+    idle = np.array([[1, 1], [1, 1], [-1, -1]], dtype=np.int8)
+    assert not plan_mod._full_column_rank(idle, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_compiled_branches_have_a_nonsingular_pivot_block(n):
+    # the loader's column-rank check ranks this r x r block first, so the
+    # fallback rank of the whole postadd stays off its path
+    for b in compile_plan_for(n).branches:
+        pivots = (b.preadd != 0).argmax(axis=1)
+        assert rank(RationalMatrix.from_int_matrix(b.postadd[pivots])) \
+            == b.rank, (n, b.m, b.constant_kind, b.destination)
 
 
 _DOC12 = plan_to_dict(compile_plan_for(12))
