@@ -1,38 +1,35 @@
-"""Run compiled plans as numpy gather-and-sum tables, with op counters.
+"""Run compiled plans as numpy scatter-adds, with op counters.
 
-Each plan is lowered once, on its first execution: np.nonzero reads its
-int8 matrices into two gather tables of source indices, one column per
-sum with its terms in order down the column: the preadd rows of every
-branch, and per output the terms of its row of M_0 (the additive stage)
-followed by every postadd term of every branch, in branch order. An
-execution is
+Each plan is lowered once, on its first execution, into two flat term
+lists, one (destination, source index) pair per term: the preadd rows of
+every branch, and per output the terms of its row of M_0 (the additive
+stage) followed by every postadd term of every branch, in branch order.
+An execution is
 
-    src = [x, -x, 0.0, -0.0, p, -p]
-    p   = sum(src[preadd]) * branch constants    # column sums
-    out = sum(src[output])
+    src = [x, -x, 0.0, p, -p]
+    p   = sums(preadd terms of src) * branch constants
+    out = sums(output terms of src)
 
-A sign flip is a gather from the negated copy. A column shorter than its
-table is padded below with the -0.0 slot: x + -0.0 == x bit for bit, so
-padding adds are exact no-ops. An empty sum reads the 0.0 slot, and an
-output whose row of M_0 is empty starts from it. Every sum starts from
--0.0, the exact additive identity (numpy's default start, +0.0, would
-turn a sum of -0.0 terms into +0.0), and np.add.reduce over axis 0 adds
-the rows of a table in order (for a table of two or more columns, which
-every supported plan's nonempty tables are), so each sum accumulates
-left to right, one term at a time.
+where each sum buffer starts at -0.0 and np.add.at adds src[terms] into
+it. ufunc.at is unbuffered and applies its terms one at a time in list
+order, and each destination's terms are listed in plan order, so every
+sum is -0.0 + t1 + t2 + ... left to right. -0.0 is the exact additive
+identity (from +0.0 a sum of -0.0 terms would come out +0.0), so the
+outputs are bit for bit those of a term-by-term evaluation. A sign flip
+is a read of the negated copy, and a sum with no term reads the 0.0
+slot: an empty preadd row, or an output whose row of M_0 is empty, which
+then starts from 0.0. No list holds padding.
 
-Counters are counted off the tables, under one documented convention:
+Counters are counted off the lists, under one documented convention:
 
 * each branch-constant scaling is one real multiplication;
-* a preadd or output sum costs one addition per term after its first
-  (an output whose row of M_0 is empty starts from 0.0, so each of its
-  postadd terms costs one);
-* sign flips, routing by the unit factors 1, -j, -1, j and padding adds
-  are free.
+* a sum of t terms costs t - 1 additions (an output whose row of M_0 is
+  empty starts from 0.0, so each of its postadd terms costs one);
+* sign flips and routing by the unit factors 1, -j, -1, j are free.
 
 Lowering raises ValueError for a plan with a matrix entry other than +1
 or -1, or whose mult_count/add_count differ from the counts of its
-tables. The tables never depend on the input, so measured counts are
+lists. The lists never depend on the input, so measured counts are
 input-independent and equal the plan's static counts.
 """
 
@@ -74,56 +71,50 @@ class OpCounters:
 
 
 @dataclass(frozen=True, eq=False)
-class _Tables:
-    """A plan lowered to gather tables; the counts are per real vector."""
+class _Lowered:
+    """A plan lowered to term lists; the counts are per real vector."""
 
-    preadd: np.ndarray  # (width, rank) into [x, -x, 0.0, -0.0, p, -p]
-    output: np.ndarray  # (width, 2N) into the same source
-    constants: np.ndarray  # (rank, 1)
+    pre_dest: np.ndarray  # preadd row of each preadd term
+    pre_src: np.ndarray  # its index into [x, -x, 0.0, p, -p]
+    out_dest: np.ndarray  # output (real parts, then imaginary) of each term
+    out_src: np.ndarray  # its index into the same source
+    constants: np.ndarray  # (rank,)
     mults: int
     adds: int
 
 
 # keyed by plan identity (FftPlan is eq=False); an entry goes with its plan
-_TABLES: weakref.WeakKeyDictionary[FftPlan, _Tables] = \
+_LOWERED: weakref.WeakKeyDictionary[FftPlan, _Lowered] = \
     weakref.WeakKeyDictionary()
 
-_SIGNED_ZEROS = np.array([[0.0], [-0.0]])
+
+def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(row, column, entry) of every nonzero of the n-column matrix mat,
+    row by row in column order; ValueError for an entry other than +-1."""
+    flat = np.flatnonzero(mat != 0)
+    rows, cols = np.divmod(flat, n)
+    entries = mat.ravel()[flat]
+    # compile_plan and the loader build only unit entries; a hand-built
+    # plan may not
+    if ((entries != 1) & (entries != -1)).any():
+        raise ValueError("a plan matrix has an entry that is not +1 or -1")
+    return rows, cols, entries
 
 
-def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _signed(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, source index) of every term of the +-1 matrix mat, row by row
     in column order: x[c] is at c and -x[c] at n + c; an empty row reads
     the 0.0 slot at 2n."""
-    rows, cols = np.nonzero(mat)
-    empty = np.flatnonzero(~mat.any(axis=1))
+    rows, cols, entries = _terms(mat, n)
+    empty = np.flatnonzero(np.bincount(rows, minlength=mat.shape[0]) == 0)
     return (np.concatenate((rows, empty)),
-            np.concatenate((cols + n * (mat[rows, cols] < 0),
+            np.concatenate((cols + n * (entries < 0),
                             np.full(empty.size, 2 * n))))
 
 
-def _table(sums: int, cols: np.ndarray, terms: np.ndarray,
-           pad: int) -> np.ndarray:
-    """(width, sums) gather table with terms[t] placed in column cols[t],
-    each column keeping its terms in order and padded below with pad."""
-    counts = np.bincount(cols, minlength=sums)
-    order = np.argsort(cols, kind="stable")
-    cols = cols[order]
-    depth = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols]
-    table = np.full((int(counts.max(initial=0)), sums), pad, dtype=np.intp)
-    table[depth, cols] = terms[order]
-    return table
-
-
-def _adds(table: np.ndarray, pad: int) -> int:
-    """Additions a table's column sums cost: terms other than padding, less
-    one per column (a sum of k terms costs k - 1)."""
-    return int(np.count_nonzero(table != pad)) - table.shape[1]
-
-
-def _lower(plan: FftPlan) -> _Tables:
-    """The plan's gather tables and their counts; ValueError for a shape
-    that does not chain, an entry other than +-1 or a count that differs."""
+def _lower(plan: FftPlan) -> _Lowered:
+    """The plan's term lists and their counts; ValueError for a shape that
+    does not chain, an entry other than +-1 or a count that differs."""
     n = plan.n
     branches = plan.branches
     for mat in (plan.additive.re_m0, plan.additive.im_m0):
@@ -135,68 +126,70 @@ def _lower(plan: FftPlan) -> _Tables:
             raise ValueError(f"branch m={b.m} has a {b.preadd.shape} preadd "
                              f"and a {b.postadd.shape} postadd: the shapes "
                              f"do not chain for N={n}")
-    # every branch's preadd rows, then every branch's postadd columns
+    # every branch's preadd rows, and every branch's postadd columns as
+    # rows: branch order is the order of p
     m0 = np.concatenate((plan.additive.re_m0, plan.additive.im_m0))
     pre = np.concatenate([np.empty((0, n), np.int8)]
                          + [b.preadd for b in branches])
-    post = np.concatenate([np.empty((n, 0), np.int8)]
-                          + [b.postadd for b in branches], axis=1)
-    # compile_plan and the loader build only unit entries; a hand-built
-    # plan may not
-    if any(((a != 0) & (a != 1) & (a != -1)).any() for a in (m0, pre, post)):
-        raise ValueError("a plan matrix has an entry that is not +1 or -1")
+    post_t = np.concatenate([np.empty((0, n), np.int8)]
+                            + [b.postadd.T for b in branches])
     rank = pre.shape[0]
-    pad = 2 * n + 1
-    preadd = _table(rank, *_terms(pre, n), pad)
-    # output o sums the terms of row o of M_0, then its postadd terms in
-    # branch order, each p[k], or -p[k] where the entry is minus its
-    # branch's sign
-    dest = np.array([0 if b.destination == REAL_OUT else n
-                     for b in branches for _ in range(b.rank)], dtype=np.intp)
-    sign = np.array([b.sign for b in branches for _ in range(b.rank)],
-                    dtype=np.intp)
-    constants = np.array([b.constant_value for b in branches
-                          for _ in range(b.rank)], dtype=float)
-    o, m0_terms = _terms(m0, n)
-    i, k = np.nonzero(post)
-    output = _table(2 * n, np.concatenate((o, i + dest[k])),
-                    np.concatenate((m0_terms, pad + 1 + k
-                                    + rank * (post[i, k] != sign[k]))), pad)
-    adds = _adds(preadd, pad) + _adds(output, pad)
+    ranks = [b.rank for b in branches]
+    dest = np.repeat(np.array([0 if b.destination == REAL_OUT else n
+                               for b in branches], dtype=np.intp), ranks)
+    sign = np.repeat(np.array([b.sign for b in branches], dtype=np.int8),
+                     ranks)
+    constants = np.repeat(np.array([b.constant_value for b in branches],
+                                   dtype=float), ranks)
+    pre_dest, pre_src = _signed(pre, n)
+    # output o sums the terms of row o of M_0, then its postadd terms,
+    # which the column-major walk of the postadd block lists in branch
+    # order: each p[k], or -p[k] where the entry is minus its branch's sign
+    m0_dest, m0_src = _signed(m0, n)
+    k, i, entries = _terms(post_t, n)
+    out_dest = np.concatenate((m0_dest, i + dest[k]))
+    out_src = np.concatenate((m0_src, 2 * n + 1 + k
+                              + rank * (entries != sign[k])))
+    # a sum of t terms costs t - 1 adds; every sum has at least one term
+    adds = pre_src.size - rank + out_src.size - 2 * n
     if (rank, adds) != (plan.mult_count, plan.add_count):
         raise ValueError(f"plan (mult_count, add_count) "
                          f"{(plan.mult_count, plan.add_count)} differs from "
                          f"the measured (mults, adds) {(rank, adds)} of its "
-                         f"tables")
-    return _Tables(preadd, output, constants.reshape(rank, 1), rank, adds)
+                         f"term lists")
+    return _Lowered(pre_dest, pre_src, out_dest, out_src, constants, rank,
+                    adds)
 
 
-def _lowered(plan: FftPlan) -> _Tables:
-    """The plan's tables, lowered on its first execution."""
-    tables = _TABLES.get(plan)
-    if tables is None:
-        tables = _TABLES[plan] = _lower(plan)
-    return tables
+def _lowered(plan: FftPlan) -> _Lowered:
+    """The plan's term lists, lowered on its first execution."""
+    lowered = _LOWERED.get(plan)
+    if lowered is None:
+        lowered = _LOWERED[plan] = _lower(plan)
+    return lowered
 
 
-def _run(tables: _Tables, x: np.ndarray) -> np.ndarray:
-    """The 2N plan outputs (real parts, then imaginary) for each column of
-    the (N, k) array x."""
-    n = x.shape[0]
-    rank = tables.constants.shape[0]
-    src = np.empty((2 * n + 2 + 2 * rank, x.shape[1]))
+def _run(lowered: _Lowered, x: np.ndarray) -> np.ndarray:
+    """The 2N plan outputs (real parts, then imaginary) for the real
+    vector x."""
+    n = x.size
+    rank = lowered.constants.size
+    src = np.empty(2 * n + 1 + 2 * rank)
     src[:n] = x
     np.negative(x, out=src[n:2 * n])
-    src[2 * n:2 * n + 2] = _SIGNED_ZEROS
-    p = src[2 * n + 2:2 * n + 2 + rank]
-    np.multiply(_sums(src, tables.preadd), tables.constants, out=p)
-    np.negative(p, out=src[2 * n + 2 + rank:])
-    return _sums(src, tables.output)
+    src[2 * n] = 0.0
+    p = src[2 * n + 1:2 * n + 1 + rank]
+    np.multiply(_sums(rank, lowered.pre_dest, src[lowered.pre_src]),
+                lowered.constants, out=p)
+    np.negative(p, out=src[2 * n + 1 + rank:])
+    return _sums(2 * n, lowered.out_dest, src[lowered.out_src])
 
 
-def _sums(src: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Every column sum of the table gathered from src, each from -0.0."""
-    return np.add.reduce(np.take(src, table, axis=0), axis=0, initial=-0.0)
+def _sums(size: int, dest: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """size sums, each of its terms in list order, starting from -0.0."""
+    out = np.full(size, -0.0)
+    np.add.at(out, dest, terms)
+    return out
 
 
 def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
@@ -208,28 +201,29 @@ def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     vec = vec.astype(float, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a real vector of length {plan.n}")
-    tables = _lowered(plan)
-    out = _run(tables, vec[:, None])
+    lowered = _lowered(plan)
+    out = _run(lowered, vec)
     n = plan.n
-    return (out[:n, 0] + 1j * out[n:, 0],
-            OpCounters(real_mults=tables.mults, real_adds=tables.adds))
+    return (out[:n] + 1j * out[n:],
+            OpCounters(real_mults=lowered.mults, real_adds=lowered.adds))
 
 
 def execute_complex(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     """Apply the plan to a complex vector by linearity, running the real
-    and imaginary parts as the two columns of one pass; the counters are
-    those of two real vectors."""
+    and imaginary parts as two real passes; the counters are those of two
+    real vectors."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a vector of length {plan.n}")
-    tables = _lowered(plan)
-    out = _run(tables, np.stack((vec.real, vec.imag), axis=1))
+    lowered = _lowered(plan)
+    re_out = _run(lowered, vec.real)
+    im_out = _run(lowered, vec.imag)
     n = plan.n
-    re_part = out[:n, 0] + 1j * out[n:, 0]
-    im_part = out[:n, 1] + 1j * out[n:, 1]
+    re_part = re_out[:n] + 1j * re_out[n:]
+    im_part = im_out[:n] + 1j * im_out[n:]
     return (re_part + 1j * im_part,
-            OpCounters(real_mults=2 * tables.mults,
-                       real_adds=2 * tables.adds))
+            OpCounters(real_mults=2 * lowered.mults,
+                       real_adds=2 * lowered.adds))
 
 
 def default_tolerance(n: int) -> float:

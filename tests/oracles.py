@@ -99,14 +99,15 @@ def direct_factors(slot: np.ndarray):
     return rank_factor(RationalMatrix.from_int_matrix(slot))
 
 
-def term_by_term(plan, v) -> np.ndarray:
-    """A plan applied to a real vector one term at a time, on Python floats.
+def term_by_term_sums(plan, v) -> np.ndarray:
+    """A plan's 2N real sums (real parts, then imaginary) for a real vector,
+    one term at a time, on Python floats.
 
     Each additive or preadd row sums its +-v[c] terms left to right from
     the first (an empty row is 0.0); each output then adds every postadd
-    term, constant * preadd value, with the branch sign, branch by branch,
-    and the parts are assembled as re + 1j * im. The executor's gather
-    tables must reproduce this bit for bit.
+    term, constant * preadd value, with the branch sign, branch by branch.
+    The executor's scatter-adds must reproduce these sums bit for bit,
+    signed zeros included.
     """
     v = [float(x) for x in v]
 
@@ -130,4 +131,12 @@ def term_by_term(plan, v) -> np.ndarray:
                     out[i] += scaled[j]
                 elif x:
                     out[i] -= scaled[j]
-    return np.array(re_out) + 1j * np.array(im_out)
+    return np.array(re_out + im_out)
+
+
+def term_by_term(plan, v) -> np.ndarray:
+    """term_by_term_sums assembled as re + 1j * im, as the executor
+    assembles its outputs."""
+    sums = term_by_term_sums(plan, v)
+    n = plan.n
+    return sums[:n] + 1j * sums[n:]

@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from laurentfft import execute
 from laurentfft.execute import (OpCounters, default_tolerance, execute_complex,
                                 execute_real, naive_dft, verify_plan)
-from laurentfft.plan import compile_plan_for
-from oracles import term_by_term
+from laurentfft.plan import REAL_OUT, compile_plan_for
+from oracles import term_by_term, term_by_term_sums
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -63,6 +68,74 @@ def test_execute_real_is_bitwise_the_term_by_term_sum(n):
               np.zeros(n), -np.zeros(n), impulse):
         out, _ = execute_real(plan, v)
         assert out.tobytes() == term_by_term(plan, v).tobytes()
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_each_sum_is_bitwise_the_term_by_term_sum(n):
+    # the 2N real sums before re + 1j * im is assembled: that assembly turns
+    # many a -0.0 into +0.0, so only here does a sum started from +0.0
+    # (rather than -0.0, the exact additive identity) show
+    plan = compile_plan_for(n)
+    lowered = execute._lower(plan)
+    for v in (-np.zeros(n), np.random.default_rng(3000 + n).uniform(-1, 1, n)):
+        assert execute._run(lowered, v).tobytes() == \
+            term_by_term_sums(plan, v).tobytes()
+
+
+def _in_order(dest: np.ndarray, src: np.ndarray) -> dict[int, list[int]]:
+    """Each destination's source indices, in list order."""
+    terms: dict[int, list[int]] = {}
+    for d, t in zip(dest.tolist(), src.tolist()):
+        terms.setdefault(d, []).append(t)
+    return terms
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_lowered_form_holds_only_the_plan_terms(n):
+    # source [x, -x, 0.0, p, -p]; the terms of every sum in the order
+    # term_by_term adds them, with one 0.0 term per empty row of M_0
+    plan = compile_plan_for(n)
+    lowered = execute._lower(plan)
+    rank = plan.mult_count
+
+    def signed(row):
+        return [c if x == 1 else n + c for c, x in enumerate(row) if x]
+
+    pre = [signed(row) for b in plan.branches for row in b.preadd.tolist()]
+    out = [signed(row) or [2 * n]
+           for mat in (plan.additive.re_m0, plan.additive.im_m0)
+           for row in mat.tolist()]
+    empty_m0 = sum(t == [2 * n] for t in out)
+    offset = 0
+    for b in plan.branches:
+        base = 0 if b.destination == REAL_OUT else n
+        for i, row in enumerate(b.postadd.tolist()):
+            out[base + i] += [2 * n + 1 + offset + j + (x != b.sign) * rank
+                              for j, x in enumerate(row) if x]
+        offset += b.rank
+    assert _in_order(lowered.pre_dest, lowered.pre_src) == dict(enumerate(pre))
+    assert _in_order(lowered.out_dest, lowered.out_src) == dict(enumerate(out))
+    nonzeros = sum(np.count_nonzero(m) for b in plan.branches
+                   for m in (b.preadd, b.postadd))
+    m0_nonzeros = sum(np.count_nonzero(m) for m in
+                      (plan.additive.re_m0, plan.additive.im_m0))
+    assert lowered.pre_src.size + lowered.out_src.size == \
+        nonzeros + m0_nonzeros + empty_m0
+    assert (lowered.mults, lowered.adds) == (rank, plan.add_count)
+
+
+def test_lowered_form_of_the_512_plan_is_small():
+    # the term lists hold about 3 MB at N=512; padded (width, sums) gather
+    # tables of the same plan held 34 MB
+    plan = compile_plan_for(512)
+    tracemalloc.start()
+    try:
+        lowered = execute._lower(plan)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert lowered.mults == plan.mult_count
+    assert held < 8 * 10**6
 
 
 def test_counters_are_input_independent():
@@ -192,6 +265,77 @@ def test_linearity():
     out_u, _ = execute_real(plan, u)
     out_w, _ = execute_real(plan, w)
     assert np.max(np.abs(combined - (alpha * out_u + beta * out_w))) < 1e-9
+
+
+_plan = lru_cache(maxsize=None)(compile_plan_for)
+_PROPERTY = settings(derandomize=True, database=None, max_examples=30,
+                     deadline=None)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _real_vectors(draw, count):
+    n = draw(st.sampled_from(range(4, 129, 4)))
+    return n, [draw(arrays(np.float64, n, elements=_UNIT))
+               for _ in range(count)]
+
+
+@st.composite
+def _complex_vectors(draw, count):
+    n, parts = draw(_real_vectors(2 * count))
+    return n, [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
+
+
+@_PROPERTY
+@given(_real_vectors(2), _UNIT, _UNIT)
+def test_execute_real_is_linear(vectors, alpha, beta):
+    n, (u, w) = vectors
+    plan = _plan(n)
+    combined, _ = execute_real(plan, alpha * u + beta * w)
+    out_u, _ = execute_real(plan, u)
+    out_w, _ = execute_real(plan, w)
+    assert np.max(np.abs(combined - (alpha * out_u + beta * out_w))) \
+        < default_tolerance(n)
+
+
+@_PROPERTY
+@given(_complex_vectors(2), _UNIT, _UNIT, _UNIT, _UNIT)
+def test_execute_complex_is_linear(vectors, a_re, a_im, b_re, b_im):
+    n, (u, w) = vectors
+    plan = _plan(n)
+    alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
+    combined, _ = execute_complex(plan, alpha * u + beta * w)
+    out_u, _ = execute_complex(plan, u)
+    out_w, _ = execute_complex(plan, w)
+    assert np.max(np.abs(combined - (alpha * out_u + beta * out_w))) \
+        < default_tolerance(n)
+
+
+def _shift_factors(n: int, shift: int) -> np.ndarray:
+    """W^(k * shift) for k = 0..n-1, W = exp(-2j*pi/n)."""
+    return np.exp(-2j * np.pi * ((np.arange(n) * shift) % n) / n)
+
+
+@_PROPERTY
+@given(_real_vectors(1), st.integers(-200, 200))
+def test_execute_real_obeys_the_shift_theorem(vectors, shift):
+    n, (v,) = vectors
+    plan = _plan(n)
+    shifted, _ = execute_real(plan, np.roll(v, shift))
+    out, _ = execute_real(plan, v)
+    assert np.max(np.abs(shifted - out * _shift_factors(n, shift))) \
+        < default_tolerance(n)
+
+
+@_PROPERTY
+@given(_complex_vectors(1), st.integers(-200, 200))
+def test_execute_complex_obeys_the_shift_theorem(vectors, shift):
+    n, (v,) = vectors
+    plan = _plan(n)
+    shifted, _ = execute_complex(plan, np.roll(v, shift))
+    out, _ = execute_complex(plan, v)
+    assert np.max(np.abs(shifted - out * _shift_factors(n, shift))) \
+        < default_tolerance(n)
 
 
 def test_parseval_energy_conservation():
