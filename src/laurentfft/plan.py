@@ -9,9 +9,12 @@ share the one constant sqrt(2)/2. Class 0 needs no multiplications at all
 and becomes the additive stage.
 
 The multiplication count of a compiled plan is the sum of branch ranks.
-One table (_LAYOUT) says which combination matrix becomes which branch,
-and one walk (_factored_slots) gives compile_plan and complexity every
-matrix's rank and exact factors. Each combination matrix is a function
+One table (_LAYOUT) says which combination matrix becomes which branch:
+classes m and -m have disjoint supports, so no combination matrix is
+zero and every layout row of every positive class is one branch. One
+walk (_orbit_walk) is the only loop over the positive classes: it gives
+compile_plan and complexity every matrix's rank and exact factors, and
+the loader every slot to certify. Each combination matrix is a function
 of the exponent alone: a length-N int8 table t read at the exponent grid
 E[k, i] = k*i mod N, so every matrix is one gather t[E] (_slot_tables).
 A unit c mod N permutes the columns (i -> c*i mod N) and so maps class m
@@ -37,14 +40,15 @@ JSON decoder alike. The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
 assumed, and can serialize plans to JSON and back. save_plan writes the
-bytes of json.dumps(plan_to_dict(plan), indent=2): it lays out the small
-skeleton as json does and writes each matrix's triplets straight from
-the matrix into one joined %-template, never building them as lists for
-json's per-item indenting encoder. The loader decodes each matrix with
-one np.ravel_multi_index for the bounds, the scatter and the repeat
-check, certifies the document exactly against the tables of N, one class
-at a time along the same orbit walk, and recounts it, so a plan it
-accepts is the compiled one. An orbit's first class, and any branch not
+bytes of json.dumps(plan_to_dict(plan), indent=2): json lays out the
+small skeleton with each matrix's triplets held as an index, and each
+index is replaced by the matrix's triplets, written straight from the
+matrix into one joined %-template, never built as lists for json's
+per-item indenting encoder. The loader decodes each matrix with one
+np.ravel_multi_index for the bounds, the scatter and the repeat check,
+certifies the document exactly against the tables of N, one class at a
+time along the same orbit walk, and recounts it, so a plan it accepts is
+the compiled one. An orbit's first class, and any branch not
 read off it, is certified in full: postadd * preadd equals the slot's
 matrix A = t[E], the preadd is in reduced row echelon form and the
 postadd has full column rank. The product runs in float64 through BLAS
@@ -64,17 +68,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bounds import nlog2n_rounded
 from .decomposition import ClassDecomposition, class_tables, decompose
-from .rational import (RationalMatrix, ZeroMatrixError, rank, rank_factor,
-                       vstack)
+from .rational import RationalMatrix, rank, rank_factor, vstack
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -173,16 +178,15 @@ def _unit_matrix(entries, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _FactoredSlot:
-    """One combination matrix as its int8 table, layout row, rank, preadd.
+    """One combination matrix as its int8 table, layout row and preadd.
 
-    The matrix is table read at the exponent grid. A slot of an orbit
-    representative was factored directly, by reducing its distinct rows
-    up to sign, and is yielded with those rows boxed in exact for
-    complexity's stacked count. Any other slot's matrix is +-source's
-    with its rows permuted, which the walk checked exactly, so it shares
-    source's rank and preadd. The loader records the slots of each
-    orbit's first class with the preadds it certified, for later classes
-    to be read off.
+    The matrix is table read at the exponent grid and its rank is the
+    preadd's row count. A slot of an orbit representative was factored
+    directly, by reducing its distinct rows up to sign, and is yielded
+    with those rows boxed in exact for complexity's stacked count. Any
+    other slot's matrix is +-source's with its rows permuted, which the
+    walk checked exactly, so it shares source's preadd. The loader's
+    slots carry the preadds it certified.
     """
 
     m: int
@@ -191,21 +195,21 @@ class _FactoredSlot:
     destination: str
     sign: int
     table: np.ndarray
-    rank: int
-    reduced: np.ndarray | None = None
+    reduced: np.ndarray
     exact: RationalMatrix | None = None
     source: _FactoredSlot | None = None
 
-    def factors(self, exponents: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray] | None:
-        """(postadd, preadd) as plan matrices; None if the matrix is zero.
+    @property
+    def rank(self) -> int:
+        return len(self.reduced)
+
+    def factors(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(postadd, preadd) as plan matrices.
 
         preadd is the matrix's reduced row echelon form and postadd the
         matrix's columns at the preadd's pivots, read off the table at
         those columns of the exponent grid, an N x rank gather.
         """
-        if self.rank == 0:
-            return None
         pivots = (self.reduced != 0).argmax(axis=1)
         return (_unit_matrix(self.table[exponents[:, pivots]],
                              f"postadd of the m={self.m} {self.slot} matrix"),
@@ -226,16 +230,18 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[np.sort(first)]
 
 
-def _factored_directly(exponents: np.ndarray, m: int, layout_row: tuple,
-                       table: np.ndarray) -> _FactoredSlot:
-    """table's slot with rank and preadd from eliminating the distinct rows
-    up to sign of its matrix, which is built for that and dropped."""
+def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
+                   table: np.ndarray, source: _FactoredSlot | None
+                   ) -> _FactoredSlot:
+    """table's slot: source's preadd when the walk read it off source,
+    else the reduced form of the distinct rows up to sign of its matrix,
+    which is built for that and dropped."""
+    if source is not None:
+        return _FactoredSlot(m, *layout_row, table=table,
+                             reduced=source.reduced, source=source)
     exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
-    try:
-        reduced = rank_factor(exact)[1]
-    except ZeroMatrixError:
-        return _FactoredSlot(m, *layout_row, table=table, rank=0, exact=exact)
-    return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
+    reduced = rank_factor(exact)[1]
+    return _FactoredSlot(m, *layout_row, table=table,
                          reduced=_unit_matrix(reduced.entries,
                                               f"preadd of m={m}"),
                          exact=exact)
@@ -244,7 +250,7 @@ def _factored_directly(exponents: np.ndarray, m: int, layout_row: tuple,
 def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
                   rep: tuple[_FactoredSlot, ...]
                   ) -> tuple[_FactoredSlot, ...] | None:
-    """Class m's slots read off its orbit representative rep, or None.
+    """The slot of rep that each of class m's slots reads off, or None.
 
     A unit c mod n with c*m = +-rep's m (mod n/4) maps the class of rep to
     the class of m. None unless such a c exists, each of m's tables t
@@ -267,54 +273,53 @@ def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
     hit = (mine == moved).all(axis=2) | (mine == -moved).all(axis=2)
     if not hit.any(axis=1).all():
         return None
-    slots = [_FactoredSlot(m, *layout_row, table=t, rank=source.rank,
-                           reduced=source.reduced, source=source)
-             for layout_row, t, source
-             in zip(layout, tables, (rep[j] for j in hit.argmax(axis=1)))]
-    of = {f.slot: f.source.slot for f in slots}
+    sources = tuple(rep[j] for j in hit.argmax(axis=1))
+    of = {row[0]: source.slot for row, source in zip(layout, sources)}
     pairs = {frozenset(p) for p in _STACKED_PAIRS if of.keys() >= set(p)}
     if {frozenset(map(of.get, p)) for p in pairs} != pairs:
         return None
-    return tuple(slots)
+    return sources
 
 
-def _orbit_class(n: int, m: int) -> tuple[tuple[str, int], tuple, list]:
-    """(orbit, layout, tables) of positive class m: the orbit key (kind,
-    gcd(m, N/4)), the class's layout rows and its slot tables in their
-    order."""
-    kind = _class_kind(n, m)
-    layout = _LAYOUT[kind]
-    by_slot = _slot_tables(n, m)
-    return ((kind, math.gcd(m, n // 4)), layout,
-            [by_slot[row[0]] for row in layout])
+def _orbit_walk(dec: ClassDecomposition, step: Callable[..., _FactoredSlot]
+                ) -> Iterator[_FactoredSlot]:
+    """Every combination matrix as step(m, layout_row, table, source),
+    class by class in layout order: the one loop over positive classes.
+
+    The positive classes of one kind with one g = gcd(m, N/4) form a
+    unit-group orbit. The first class of an orbit is its representative;
+    every later one is checked exactly against it on the tables, and
+    source is the representative's slot its matrix is +- a row
+    permutation of, or None if the check fails and for a representative.
+    Only tables and the representatives' preadds are held across classes
+    (a representative's boxed rows serve only its own stacked count), and
+    no derived matrix is ever built. Lazy on purpose: a consumer that
+    drops each class before asking for the next holds at most one other
+    class at a time.
+    """
+    n = dec.n
+    reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
+    for m in _positive_indices(dec.indices):
+        kind = _class_kind(n, m)
+        layout = _LAYOUT[kind]
+        by_slot = _slot_tables(n, m)
+        tables = [by_slot[row[0]] for row in layout]
+        orbit = (kind, math.gcd(m, n // 4))
+        rep = reps.get(orbit)
+        sources = (rep and _derived_from(n, m, layout, tables, rep)
+                   or (None,) * len(layout))
+        slots = tuple(step(m, row, table, source) for row, table, source
+                      in zip(layout, tables, sources))
+        if rep is None:
+            reps[orbit] = tuple(replace(f, exact=None) for f in slots)
+        yield from slots
 
 
 def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
     """Every combination matrix with its rank and factors, class by class
-    in layout order.
-
-    The positive classes of one kind with one g = gcd(m, N/4) form a
-    unit-group orbit. The first class of an orbit is its representative
-    and is factored directly; every later one is checked exactly against
-    it on the tables and derived from it, or factored directly if the
-    check fails. Only tables and the representatives' preadds are held
-    across classes, and no derived matrix is ever built. Lazy on purpose:
-    a consumer that drops each class before asking for the next holds at
-    most one other class at a time.
-    """
-    reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
-    for m in _positive_indices(dec.indices):
-        orbit, layout, tables = _orbit_class(dec.n, m)
-        rep = reps.get(orbit)
-        slots = rep and _derived_from(dec.n, m, layout, tables, rep)
-        if not slots:
-            slots = tuple(_factored_directly(dec.exponents, m, row, t)
-                          for row, t in zip(layout, tables))
-            # later classes read a representative's tables, ranks and
-            # preadds; its boxed rows serve only its own stacked count
-            reps.setdefault(orbit, tuple(replace(f, exact=None)
-                                         for f in slots))
-        yield from slots
+    in layout order: each orbit's representative factored directly and
+    every other class read off it."""
+    return _orbit_walk(dec, partial(_factored_slot, dec.exponents))
 
 
 def constant_value(kind: str, m: int, n: int) -> float:
@@ -406,12 +411,11 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     part, im_sum scaled by cos to the imaginary part, and re_diff scaled by
     sin is subtracted from the imaginary part. The asymmetric class routes
     (Re+Im) to the real part and (Im-Re) to the imaginary part, both scaled
-    by sqrt(2)/2. All-zero combination matrices compile to no branch.
+    by sqrt(2)/2. Classes m and -m have disjoint supports, so no
+    combination matrix is zero and every layout row becomes one branch.
     """
     branches: list[MultiplicativeBranch] = []
     for f in _factored_slots(dec):
-        if f.rank == 0:
-            continue
         post, pre = f.factors(dec.exponents)
         value = constant_value(f.constant_kind, f.m, dec.n)
         if not 0.0 < value < 1.0:
@@ -571,15 +575,6 @@ def _triplet_lists(mat: np.ndarray, as_text: bool) -> list[list]:
     return list(map(list, zip(rows.tolist(), cols.tolist(), values)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Triplets:
-    """A plan matrix's triplets left as the matrix, for _json_text to write
-    as the JSON text of its _triplet_lists."""
-
-    mat: np.ndarray
-    as_text: bool
-
-
 def _matrix_doc(mat: np.ndarray, as_text: bool,
                 triplets=_triplet_lists) -> dict:
     """mat's {rows, cols, triplets} object, its triplets encoded by
@@ -679,12 +674,12 @@ def plan_from_dict(doc: dict) -> FftPlan:
     """Rebuild a plan from its JSON document, certifying it exactly.
 
     Raises ValueError unless the document is, up to branch order, the plan
-    compile_plan builds for its N: one branch per nonzero layout slot,
-    each with its slot's constant, every entry +1 or -1, shapes that chain,
-    a preadd in reduced row echelon form, a postadd of full column rank
-    and postadd * preadd equal to the slot's combination matrix, read off
-    N's tables one class at a time; the additive stage equal to M_0; and
-    stored counts equal to the recounted ones. The reduced row echelon
+    compile_plan builds for its N: one branch per layout slot, each with
+    its slot's constant, every entry +1 or -1, shapes that chain, a preadd
+    in reduced row echelon form, a postadd of full column rank and
+    postadd * preadd equal to the slot's combination matrix, read off N's
+    tables one class at a time along the orbit walk; the additive stage
+    equal to M_0; and stored counts equal to the recounted ones. The reduced row echelon
     form of a row space is unique, so the middle three make each branch
     the compiled one. The product is a float64 matmul, exact because
     every partial sum is an integer of size at most N < 2^53. A class
@@ -733,11 +728,9 @@ def _full_column_rank(post: np.ndarray, pivots: np.ndarray) -> bool:
 
 def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
                       exponents: np.ndarray, b: dict | None,
-                      source: _FactoredSlot | None
-                      ) -> MultiplicativeBranch | None:
-    """The branch document b of class m's slot with the given table, or
-    None when the slot is rightly empty; ValueError unless it is the
-    compiled branch.
+                      source: _FactoredSlot | None) -> MultiplicativeBranch:
+    """The branch document b of class m's slot with the given table;
+    ValueError if b is None or not the compiled branch.
 
     source is the certified slot of an orbit representative that this
     slot's matrix A is +- a row permutation of, or None. A preadd equal
@@ -749,12 +742,7 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
     """
     slot, kind, destination, sign = layout_row
     if b is None:
-        # row k = 1 of the exponent grid holds every residue, so the
-        # matrix is nonzero iff its table is
-        if table.any():
-            raise ValueError(f"no branch for the nonzero {slot} matrix of "
-                             f"m={m}, N={n}")
-        return None
+        raise ValueError(f"no branch for the {slot} matrix of m={m}, N={n}")
     value = b["constant_value"]
     if not (isinstance(value, float) and
             abs(value - constant_value(kind, m, n)) <= 1e-12):
@@ -772,8 +760,7 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
     not_exact = ValueError(f"postadd * preadd of {where} is not its {slot} "
                            f"matrix")
     pivots = (pre != 0).argmax(axis=1)
-    if (source is not None and source.reduced is not None
-            and np.array_equal(pre, source.reduced)):
+    if source is not None and np.array_equal(pre, source.reduced):
         if not np.array_equal(post, table[exponents[:, pivots]]):
             raise not_exact
     else:
@@ -814,8 +801,7 @@ def _certified_plan(doc: dict) -> FftPlan:
     if not (np.array_equal(additive.re_m0, m0.re)
             and np.array_equal(additive.im_m0, m0.im)):
         raise ValueError(f"additive stage is not M_0 for N={n}")
-    positive = _positive_indices(dec.indices)
-    layout = {(m, *row[1:]) for m in positive
+    layout = {(m, *row[1:]) for m in _positive_indices(dec.indices)
               for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
@@ -827,27 +813,20 @@ def _certified_plan(doc: dict) -> FftPlan:
         if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
-    # the walk of _factored_slots: each orbit's first class is certified in
-    # full and later classes are read off it where _derived_from holds
+    # each orbit's first class is certified in full and later classes are
+    # read off it where _derived_from holds
     branches = []
-    reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
-    for m in positive:
-        orbit, layout, tables = _orbit_class(n, m)
-        rep = reps.get(orbit)
-        derived = rep and _derived_from(n, m, layout, tables, rep)
-        slots = []
-        for i, (layout_row, table) in enumerate(zip(layout, tables)):
-            branch = _certified_branch(
-                n, m, layout_row, table, dec.exponents,
-                by_slot.get((m, *layout_row[1:])),
-                derived[i].source if derived else None)
-            slots.append(_FactoredSlot(
-                m, *layout_row, table=table,
-                rank=branch.rank if branch else 0,
-                reduced=branch.preadd if branch else None))
-            if branch:
-                branches.append(branch)
-        reps.setdefault(orbit, tuple(slots))
+
+    def certified(m: int, layout_row: tuple, table: np.ndarray,
+                  source: _FactoredSlot | None) -> _FactoredSlot:
+        branch = _certified_branch(n, m, layout_row, table, dec.exponents,
+                                   by_slot.get((m, *layout_row[1:])), source)
+        branches.append(branch)
+        return _FactoredSlot(m, *layout_row, table=table,
+                             reduced=branch.preadd)
+
+    for _ in _orbit_walk(dec, certified):
+        pass
     counts = _plan_counts(additive, branches)
     for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
                            (*counts, 0)):
@@ -857,47 +836,41 @@ def _certified_plan(doc: dict) -> FftPlan:
     return FftPlan(n, additive, tuple(branches), *counts, extra_mult_count=0)
 
 
-def _triplets_text(triplets: _Triplets, indent: str) -> str:
+def _triplets_text(mat: np.ndarray, as_text: bool, indent: str) -> str:
     """json.dumps(_triplet_lists(mat, as_text), indent=2) nested at indent,
     written from the matrix: one %-template per nonzero, joined and filled
     from the nonzeros' (row, col, value) in one pass. A branch value is
     the string of a +-1 int, so '"%d"' writes it as json does."""
-    mat = triplets.mat
     rows, cols = np.nonzero(mat)
     if not len(rows):
         return "[]"
     inner, leaf = indent + "  ", indent + "    "
-    value = '"%d"' if triplets.as_text else "%d"
+    value = '"%d"' if as_text else "%d"
     row = f"{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}{value}\n{inner}]"
     body = ",\n".join([row] * len(rows))
     fields = np.column_stack((rows, cols, mat[rows, cols])).ravel()
     return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
 
 
-def _json_text(node, indent: str = "") -> str:
-    """json.dumps(node, indent=2) for a plan document whose triplets may be
-    _Triplets: json's layout for the skeleton, _triplets_text for them."""
-    if isinstance(node, _Triplets):
-        return _triplets_text(node, indent)
-    if not node or not isinstance(node, (dict, list)):
-        return json.dumps(node)
-    inner = indent + "  "
-    if isinstance(node, list):
-        items = [inner + _json_text(item, inner) for item in node]
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
-    items = [f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
-             for key, value in node.items()]
-    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-
-
 def save_plan(plan: FftPlan, path: str | Path) -> None:
     """Write plan as the bytes of json.dumps(plan_to_dict(plan),
-    indent=2) + "\\n", the pinned plan file format, with each matrix's
-    triplets written straight from the matrix into one %-template
-    (_triplets_text) rather than built as lists for json's indenting
-    encoder."""
-    Path(path).write_text(_json_text(_plan_doc(plan, _Triplets)) + "\n",
-                          encoding="utf-8")
+    indent=2) + "\\n", the pinned plan file format. json lays out the
+    skeleton with each matrix's triplets held as its index; each index is
+    then replaced by the matrix's triplets, written straight from the
+    matrix into one %-template (_triplets_text) rather than built as lists
+    for json's indenting encoder."""
+    held: list[tuple[np.ndarray, bool]] = []
+
+    def hold(mat: np.ndarray, as_text: bool) -> int:
+        held.append((mat, as_text))
+        return len(held) - 1
+
+    skeleton = json.dumps(_plan_doc(plan, hold), indent=2)
+    text = re.sub(r'^( *)"triplets": (\d+)$',
+                  lambda g: f'{g[1]}"triplets": '
+                            f'{_triplets_text(*held[int(g[2])], g[1])}',
+                  skeleton, flags=re.MULTILINE)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_plan(path: str | Path) -> FftPlan:

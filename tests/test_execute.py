@@ -210,6 +210,20 @@ def test_execute_real_rejects_a_plan_whose_add_count_is_off():
         execute_real(off, np.zeros(12))
 
 
+def test_execute_real_rejects_a_hand_built_plan_whose_shapes_do_not_chain():
+    plan = compile_plan_for(12)
+    additive = dataclasses.replace(plan.additive,
+                                   re_m0=plan.additive.re_m0[:11])
+    with pytest.raises(ValueError, match="additive stage is \\(11, 12\\)"):
+        execute_real(dataclasses.replace(plan, additive=additive),
+                     np.zeros(12))
+    branch = plan.branches[0]
+    short = dataclasses.replace(branch, postadd=branch.postadd[:-1])
+    with pytest.raises(ValueError, match="do not chain for N=12"):
+        execute_real(dataclasses.replace(
+            plan, branches=(short, *plan.branches[1:])), np.zeros(12))
+
+
 def test_execute_real_rejects_a_non_unit_entry():
     # the counts still match: only the entry 2 is wrong
     plan = compile_plan_for(12)

@@ -238,6 +238,19 @@ def test_orbit_classes_are_signed_column_permutations(n):
         assert {frozenset(map(image.get, p)) for p in pairs} == pairs
 
 
+@pytest.mark.parametrize("n", range(4, 257, 4))
+def test_every_layout_slot_compiles_to_one_branch(n):
+    # classes m and -m have disjoint supports, so every combination table
+    # has a +-1 entry: no matrix is zero and no layout slot is left empty
+    dec = decompose(n)
+    layout = [(m, *row[1:]) for m in plan_mod._positive_indices(dec.indices)
+              for row in plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]
+    branches = compile_plan(dec).branches
+    assert [(b.m, b.constant_kind, b.destination, b.sign)
+            for b in branches] == layout
+    assert all(b.rank > 0 for b in branches)
+
+
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_derived_slots_match_a_direct_factorization(n):
     # one class per orbit is factored; every other slot's factors come off
@@ -668,6 +681,18 @@ def _tamper_bool_index(doc):
     doc["branches"][0]["preadd"]["triplets"][0][1] = True
 
 
+def _tamper_set(*path, value):
+    """A tamper that sets the document's value at path to value."""
+    def tamper(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return tamper
+
+
+_PREADD = ("branches", 0, "preadd")
+
 # case id -> (blocklength, tamper, expected message)
 _TAMPERS = {
     "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
@@ -709,6 +734,22 @@ _TAMPERS = {
                             "malformed.*OverflowError"),
     "bool_index": (12, _tamper_bool_index,
                    "triplet index \\(0, True\\) is not an integer"),
+    "string_n": (12, _tamper_set("N", value="12"),
+                 "plan N must be an integer"),
+    "float_n": (12, _tamper_set("N", value=12.0),
+                "plan N must be an integer"),
+    "bool_n": (12, _tamper_set("N", value=True), "plan N must be an integer"),
+    "zero_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value=0),
+                         "do not chain"),
+    "preadd_rows_past_n": (12, _tamper_set(*_PREADD, "rows", value=13),
+                           "do not chain"),
+    "string_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value="1"),
+                           "do not chain"),
+    "short_triplet": (12, _tamper_set(*_PREADD, "triplets", 0, value=[0, 1]),
+                      "not a \\[row, col, value\\] list"),
+    "long_triplet": (12, _tamper_set(*_PREADD, "triplets", 0,
+                                     value=[0, 1, "1", "1"]),
+                     "not a \\[row, col, value\\] list"),
 }
 
 
@@ -729,6 +770,17 @@ def test_verify_plan_file_exits_2_on_every_tamper(run_cli, tmp_path, case):
     doc = json.loads(json.dumps(plan_to_dict(compile_plan_for(n))))
     tamper(doc)
     path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_a_plan_document_that_is_not_an_object_is_rejected(run_cli,
+                                                           tmp_path):
+    doc = [plan_to_dict(compile_plan_for(12))]
+    with pytest.raises(ValueError, match="JSON object, not list"):
+        plan_from_dict(doc)
+    path = tmp_path / "array.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -781,14 +833,16 @@ def test_save_plan_writes_the_json_dumps_bytes(tmp_path, n):
 
 @pytest.mark.parametrize("as_text", (False, True))
 def test_plan_json_text_renders_empty_triplets_as_json_does(as_text):
+    # save_plan splices _triplets_text into json's layout of the rest; an
+    # empty matrix's triplets must come out as json's "[]" at any depth
     zero = np.zeros((3, 4), dtype=np.int8)
-    doc = {"N": 4, "branches": [], "note": {}, "value": 0.5,
-           "lists": plan_mod._matrix_doc(zero, as_text)}
-    text = plan_mod._json_text({
-        **doc, "arrays": plan_mod._matrix_doc(zero, as_text,
-                                              plan_mod._Triplets)})
-    assert text.count('"triplets": []') == 2
-    assert text == json.dumps({**doc, "arrays": doc["lists"]}, indent=2)
+    for indent in ("", "      "):
+        assert plan_mod._triplets_text(zero, as_text, indent) == "[]"
+    for mat in (zero, np.eye(3, 4, dtype=np.int8)):
+        text = plan_mod._triplets_text(mat, as_text, "    ")
+        doc = {"a": {"triplets": plan_mod._triplet_lists(mat, as_text)}}
+        assert json.dumps(doc, indent=2) == \
+            '{\n  "a": {\n    "triplets": ' + text + '\n  }\n}'
 
 
 def test_full_column_rank_falls_back_when_the_pivot_block_is_singular():
