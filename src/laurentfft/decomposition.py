@@ -24,7 +24,8 @@ import numpy as np
 
 
 class UnsupportedBlocklengthError(ValueError):
-    """Raised for blocklengths outside the supported set (N >= 4, 4 | N)."""
+    """Raised for blocklengths outside the supported set (N >= 4, 4 | N),
+    and for a supported N whose N x N exponent grid cannot be allocated."""
 
 
 def _check_blocklength(n: int) -> None:
@@ -34,10 +35,18 @@ def _check_blocklength(n: int) -> None:
 
 
 def exponent_matrix(n: int) -> np.ndarray:
-    """N x N grid of DFT exponents, entry (k, i) = k*i mod N."""
+    """N x N grid of DFT exponents, entry (k, i) = k*i mod N.
+    UnsupportedBlocklengthError when the grid cannot be allocated, so
+    compile, complexity and the plan loader all reject an N too large to
+    hold here."""
     _check_blocklength(n)
-    idx = np.arange(n)
-    return np.outer(idx, idx) % n
+    try:
+        idx = np.arange(n)
+        return np.outer(idx, idx) % n
+    except (MemoryError, ValueError):  # numpy's "too big" is a ValueError
+        raise UnsupportedBlocklengthError(
+            f"blocklength {n} unsupported: its {n} x {n} exponent grid "
+            f"cannot be allocated") from None
 
 
 def _index_range(n: int) -> range:

@@ -34,9 +34,10 @@ matrix repeats its rows so heavily that these are rank-many of its N.
 Every slot's postadd is its matrix at the preadd's pivot columns, read
 off its table as the N x rank gather t[E[:, pivots]].
 
-Every plan matrix is a read-only int8 array with entries in {-1, 0, 1},
-built and checked by one helper (_unit_matrix) for compile_plan and the
-JSON decoder alike. The module also reports the count three ways
+Every plan matrix is a read-only int8 array with entries in {-1, 0, 1}:
+compile_plan builds and checks its own with _unit_matrix, and the JSON
+decoder accepts only the values save_plan writes (_UNIT_BYTES, the file's
+rule). The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
 assumed, and can serialize plans to JSON and back. save_plan writes the
@@ -44,24 +45,24 @@ bytes of json.dumps(plan_to_dict(plan), indent=2): json lays out the
 small skeleton with each matrix's triplets held as an index, and each
 index is replaced by the matrix's triplets, written straight from the
 matrix into one joined %-template, never built as lists for json's
-per-item indenting encoder. The loader decodes each matrix with one
-np.ravel_multi_index for the bounds, the scatter and the repeat check,
-certifies the document exactly against the tables of N, one class at a
-time along the same orbit walk, and recounts it, so a plan it accepts is
-the compiled one. An orbit's first class, and any branch not
-read off it, is certified in full: postadd * preadd equals the slot's
-matrix A = t[E], the preadd is in reduced row echelon form and the
-postadd has full column rank. The product runs in float64 through BLAS
-and is still exact: its entries are +-1, so every partial sum is an
-integer of size at most N < 2^53. The postadd is then A at the pivot
-columns P, and the exact rank of its r x r block A[P, P] proves its
-column rank whenever that block is nonsingular, which holds for every
-compiled branch up to N = 128; the rank of the whole postadd decides
-only otherwise. A later class whose tables _derived_from maps onto the
-representative's has each matrix +- a row permutation of a certified
-one; a branch there with the certified preadd is the compiled one iff
-its postadd is t[E[:, pivots]], an O(N * rank) gather, with no product,
-echelon check or rank.
+per-item indenting encoder. The loader decodes each matrix in one pass
+over its triplets, checking each one's form, bounds, value and repeat
+as it writes it into one bytearray, certifies the document exactly
+against the tables of N, one class at a time along the same orbit walk,
+and recounts it, so a plan it accepts is the compiled one. An orbit's
+first class, and any branch not read off it, is certified in full:
+postadd * preadd equals the slot's matrix A = t[E], the preadd is in
+reduced row echelon form and the postadd has full column rank. The
+product runs in float64 through BLAS and is still exact: its entries
+are +-1, so every partial sum is an integer of size at most N < 2^53.
+The postadd is then A at the pivot columns P, and the exact rank of its
+r x r block A[P, P] proves its column rank whenever that block is
+nonsingular, which holds for every compiled branch up to N = 128; the
+rank of the whole postadd decides only otherwise. A later class whose
+tables _derived_from maps onto the representative's has each matrix +-
+a row permutation of a certified one; a branch there with the certified
+preadd is the compiled one iff its postadd is t[E[:, pivots]], an
+O(N * rank) gather, with no product, echelon check or rank.
 """
 
 from __future__ import annotations
@@ -164,9 +165,10 @@ _STACKED_PAIRS = (("re_sum", "im_sum"), ("re_diff", "im_diff"))
 
 
 def _unit_matrix(entries, what: str) -> np.ndarray:
-    """entries as a plan matrix: a read-only int8 array. The one place the
-    unit rule of plans lives: ValueError unless every entry is an integer
-    -1, 0 or 1."""
+    """entries as a plan matrix: a read-only int8 array. compile_plan's
+    check of the unit rule: ValueError unless every entry is an integer
+    -1, 0 or 1. The loader's decoder keeps the rule of the file instead,
+    in _UNIT_BYTES."""
     a = np.asarray(entries)
     if a.size and (a.dtype.kind != "i" or a.min() < -1 or a.max() > 1):
         bad = next((x for x in a.flat if x not in (-1, 0, 1)), a.dtype)
@@ -583,53 +585,47 @@ def _matrix_doc(mat: np.ndarray, as_text: bool,
             "triplets": triplets(mat, as_text)}
 
 
-_UNIT_TEXT = {"1": 1, "-1": -1}
+# The int8 byte of each triplet value a plan file may hold, by encoding:
+# the JSON integers 1 and -1 in the additive matrices, the strings "1" and
+# "-1" in the branch matrices, exactly as save_plan writes them.
+_UNIT_BYTES = {False: {1: 1, -1: 0xFF}, True: {"1": 1, "-1": 0xFF}}
 
 
 def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
                      as_text: bool) -> np.ndarray:
-    """The plan matrix of a {rows, cols, triplets} document. A triplet is
-    [row, col, value]: integer indices inside shape, at most one per
-    position, and a nonzero JSON integer value (a string of one when
-    as_text) that _unit_matrix accepts."""
+    """The plan matrix of a {rows, cols, triplets} document, decoded in one
+    pass over the triplets. rows and cols are the JSON integers of shape;
+    a triplet is [row, col, value] with integer indices inside shape, at
+    most one per position, and a value spelled as save_plan writes it,
+    which _UNIT_BYTES[as_text] maps to its int8 byte."""
     rows, cols = shape
-    if (doc["rows"], doc["cols"]) != shape:
-        raise ValueError(f"{what} is {doc['rows']!r}x{doc['cols']!r}, not "
+    given = doc["rows"], doc["cols"]
+    if given != shape or {*map(type, given)} != {int}:
+        raise ValueError(f"{what} is {given[0]!r}x{given[1]!r}, not "
                          f"{rows}x{cols}: the shapes do not chain")
-    triplets = doc["triplets"]
-    if not set(map(len, triplets)) <= {3}:
-        raise ValueError(f"a triplet of {what} is not a [row, col, value] "
-                         f"list")
-    r, c, values = zip(*triplets) if triplets else ((), (), ())
-    if not {*map(type, r), *map(type, c)} <= {int}:
-        r, c = next(ij for ij in zip(r, c) if set(map(type, ij)) != {int})
-        raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer")
-    if not set(map(type, values)) <= {str if as_text else int}:
-        raise ValueError(f"a triplet value of {what} is not "
-                         f"{'a string' if as_text else 'a JSON integer'}")
-    # a written plan's strings are all "1" or "-1"; int() reads any other
-    if as_text and None not in (units := list(map(_UNIT_TEXT.get, values))):
-        values, unit = units, True
-    else:
-        values = list(map(int, values))
-        if 0 in values:
-            raise ValueError(f"a triplet value of {what} is zero")
-        unit = not values or (min(values) >= -1 and max(values) <= 1)
-    r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
-    try:
-        cells = np.ravel_multi_index((r, c), shape)
-    except ValueError:
-        t = ((r < 0) | (r >= rows) | (c < 0) | (c >= cols)).argmax()
-        raise ValueError(f"triplet index ({r[t]}, {c[t]}) is outside a "
-                         f"{rows}x{cols} matrix") from None
-    mat = np.zeros(shape, dtype=np.int8)
-    mat.put(cells, values if unit else _unit_matrix(values, what))
-    # every value is nonzero, so a position named twice leaves fewer
-    # nonzeros than triplets
-    if np.count_nonzero(mat) < len(values):
-        cells, counts = np.unique(cells, return_counts=True)
-        i, j = divmod(int(cells[counts.argmax()]), cols)
-        raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
+    units, value_type = _UNIT_BYTES[as_text], str if as_text else int
+    cells = bytearray(rows * cols)
+    for triplet in doc["triplets"]:
+        if len(triplet) != 3:
+            raise ValueError(f"a triplet of {what} is not a [row, col, value] "
+                             f"list")
+        i, j, value = triplet
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"triplet index ({i!r}, {j!r}) is not an integer")
+        if type(value) is not value_type:
+            raise ValueError(f"a triplet value of {what} is not "
+                             f"{'a string' if as_text else 'a JSON integer'}")
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"triplet index ({i}, {j}) is outside a "
+                             f"{rows}x{cols} matrix")
+        if value not in units:
+            raise ValueError(f"{what} has an entry {value} other than +1 or "
+                             f"-1")
+        cell = i * cols + j
+        if cells[cell]:
+            raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
+        cells[cell] = units[value]
+    mat = np.frombuffer(cells, dtype=np.int8).reshape(shape)
     mat.flags.writeable = False
     return mat
 
@@ -674,26 +670,27 @@ def plan_from_dict(doc: dict) -> FftPlan:
     """Rebuild a plan from its JSON document, certifying it exactly.
 
     Raises ValueError unless the document is, up to branch order, the plan
-    compile_plan builds for its N: one branch per layout slot, each with
-    its slot's constant, every entry +1 or -1, shapes that chain, a preadd
-    in reduced row echelon form, a postadd of full column rank and
-    postadd * preadd equal to the slot's combination matrix, read off N's
-    tables one class at a time along the orbit walk; the additive stage
-    equal to M_0; and stored counts equal to the recounted ones. The reduced row echelon
-    form of a row space is unique, so the middle three make each branch
-    the compiled one. The product is a float64 matmul, exact because
-    every partial sum is an integer of size at most N < 2^53. A class
-    derived from its orbit representative (_derived_from) needs none of
-    the three for a branch whose preadd is the representative's
-    certified one: its matrix A is +- a row permutation of the
-    representative's, so that preadd is A's reduced form too and the
-    branch is exact iff its postadd is A at the pivot columns, which
-    also has full column rank. Elsewhere the column rank is proved by the
-    exact rank of the postadd's r x r block at the preadd's pivot rows,
-    A[P, P] once the product holds, and by the rank of the whole postadd
-    only when that block is singular. A malformed document (a missing
-    key, a value of the wrong type, an index outside its matrix) is a
-    ValueError too.
+    compile_plan builds for its N: one branch per layout slot, each with its
+    slot's constant, every entry +1 or -1, shapes that chain, a preadd in
+    reduced row echelon form, a postadd of full column rank and postadd *
+    preadd equal to the slot's combination matrix, read off N's tables one
+    class at a time along the orbit walk; the additive stage equal to M_0; and
+    stored counts equal to the recounted ones. The reduced row echelon form of
+    a row space is unique, so the middle three make each branch the compiled
+    one. The product is a float64 matmul, exact because every partial sum is
+    an integer of size at most N < 2^53. A class derived from its orbit
+    representative (_derived_from) needs none of the three for a branch whose
+    preadd is the representative's certified one: its matrix A is +- a row
+    permutation of the representative's, so that preadd is A's reduced form
+    too and the branch is exact iff its postadd is A at the pivot columns,
+    which also has full column rank. Elsewhere the column rank is proved by
+    the exact rank of the postadd's r x r block at the preadd's pivot rows,
+    A[P, P] once the product holds, and by the rank of the whole postadd only
+    when that block is singular. A malformed document (a missing key, a value
+    of the wrong type, an index outside its matrix) is a ValueError too. Every
+    value is spelled as save_plan writes it: an integer field is a JSON
+    integer, never a float or a bool, and a triplet value is exactly 1 or -1
+    (additive) or "1" or "-1" (branch).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -786,8 +783,9 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
 def _certified_plan(doc: dict) -> FftPlan:
     if doc.get("format") != PLAN_FORMAT:
         raise ValueError(f"not a plan document: format={doc.get('format')!r}")
-    if doc.get("version") != PLAN_VERSION:
-        raise ValueError(f"unsupported plan version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != PLAN_VERSION:
+        raise ValueError(f"unsupported plan version {version!r}")
     n = doc["N"]
     if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
@@ -806,7 +804,7 @@ def _certified_plan(doc: dict) -> FftPlan:
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
-        if key not in layout:
+        if key not in layout or {type(b["m"]), type(b["sign"])} != {int}:
             raise ValueError(f"branch {key!r} is not in the layout for N={n}: "
                              f"m is not a positive class index or the rest "
                              f"is not a layout row of its class")
@@ -830,7 +828,7 @@ def _certified_plan(doc: dict) -> FftPlan:
     counts = _plan_counts(additive, branches)
     for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
                            (*counts, 0)):
-        if doc[name] != count:
+        if type(doc[name]) is not int or doc[name] != count:
             raise ValueError(f"{name} {doc[name]!r} is not the recounted "
                              f"{count}")
     return FftPlan(n, additive, tuple(branches), *counts, extra_mult_count=0)
