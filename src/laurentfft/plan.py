@@ -31,8 +31,10 @@ unchanged, and is never built as an N x N matrix. A representative is
 eliminated on its distinct rows up to sign (_distinct_rows), which span
 the same rows and so give the same reduced form and rank; a combination
 matrix repeats its rows so heavily that these are rank-many of its N.
-Every slot's postadd is its matrix at the preadd's pivot columns, read
-off its table as the N x rank gather t[E[:, pivots]].
+E is symmetric, so every combination matrix A = t[E] is too (A is a group
+matrix of Z/N). Every slot's postadd is A at the preadd's pivot columns
+P, and A[:, P] = A[P, :]^T: it is read off the table as the gather of
+whole grid rows t[E[P]].T (_pivot_columns).
 
 Every plan matrix is a read-only int8 array with entries in {-1, 0, 1}:
 compile_plan builds and checks its own with _unit_matrix, and the JSON
@@ -52,16 +54,19 @@ against the tables of N, one class at a time along the same orbit walk,
 and recounts it, so a plan it accepts is the compiled one. An orbit's
 first class, and any branch not read off it, is certified in full:
 postadd * preadd equals the slot's matrix A = t[E], the preadd is in
-reduced row echelon form and the postadd has full column rank. The
+reduced row echelon form and A has rank r, the preadd's row count. The
 product runs in float64 through BLAS and is still exact: its entries
 are +-1, so every partial sum is an integer of size at most N < 2^53.
-The postadd is then A at the pivot columns P, and the exact rank of its
-r x r block A[P, P] proves its column rank whenever that block is
-nonsingular, which holds for every compiled branch up to N = 128; the
-rank of the whole postadd decides only otherwise. A later class whose
-tables _derived_from maps onto the representative's has each matrix +-
-a row permutation of a certified one; a branch there with the certified
-preadd is the compiled one iff its postadd is t[E[:, pivots]], an
+Minimality is one exact rank of an r x r block, by this lemma: if
+postadd * preadd = A with the preadd reduced, r rows and pivots P, then
+A has rank r iff A[P, P] = postadd[P] is nonsingular. Proof: postadd =
+A[:, P], and rank A = rank postadd. If rank A = r, P are A's pivot
+columns, so A[:, P] has rank r, and by symmetry so do the rows A[P, :]
+= A[P, P] * preadd, so A[P, P] is nonsingular. If rank A < r, A[P, P]
+is a submatrix of A, so it is singular. A later class whose tables
+_derived_from maps onto the representative's has each matrix +- a row
+permutation of a certified one; a branch there with the certified
+preadd is the compiled one iff its postadd is t[E[P]].T, an
 O(N * rank) gather, with no product, echelon check or rank.
 """
 
@@ -209,13 +214,21 @@ class _FactoredSlot:
         """(postadd, preadd) as plan matrices.
 
         preadd is the matrix's reduced row echelon form and postadd the
-        matrix's columns at the preadd's pivots, read off the table at
-        those columns of the exponent grid, an N x rank gather.
+        symmetric matrix's columns at the preadd's pivots, which are its
+        rows there transposed: the table read at those whole rows of the
+        exponent grid (_pivot_columns).
         """
         pivots = (self.reduced != 0).argmax(axis=1)
-        return (_unit_matrix(self.table[exponents[:, pivots]],
+        return (_unit_matrix(_pivot_columns(self.table, exponents, pivots),
                              f"postadd of the m={self.m} {self.slot} matrix"),
                 self.reduced)
+
+
+def _pivot_columns(table: np.ndarray, exponents: np.ndarray,
+                   pivots: np.ndarray) -> np.ndarray:
+    """The N x rank columns of table[exponents] at pivots, gathered as its
+    rows there, transposed: the grid is symmetric, so the two agree."""
+    return table[exponents[pivots]].T
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -255,19 +268,18 @@ def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
     """The slot of rep that each of class m's slots reads off, or None.
 
     A unit c mod n with c*m = +-rep's m (mod n/4) maps the class of rep to
-    the class of m. None unless such a c exists, each of m's tables t
-    satisfies t[e] = +-s[c*e mod n] for every e, s one of rep's tables,
-    and the stacked pairs map onto each other. Row k = 1 of the exponent
-    grid holds every residue, so this holds exactly when m's matrix is
-    +- rep's with its columns read at c*i mod n, that is with its rows
-    read at c*k: it has rep's row space, reduced form and rank.
+    the class of m. One exists: m and rep's m have the same g = gcd(., n/4)
+    and every unit mod n/(4g) lifts to a unit mod n. None unless each of
+    m's tables t satisfies t[e] = +-s[c*e mod n] for every e, s one of
+    rep's tables, and the stacked pairs map onto each other. Row k = 1 of
+    the exponent grid holds every residue, so this holds exactly when m's
+    matrix is +- rep's with its columns read at c*i mod n, that is with
+    its rows read at c*k: it has rep's row space, reduced form and rank.
     """
     q = n // 4
     targets = {rep[0].m % q, -rep[0].m % q}
-    c = next((c for c in range(1, n, 2)
-              if c * m % q in targets and math.gcd(c, n) == 1), None)
-    if c is None:
-        return None
+    c = next(c for c in range(1, n, 2)
+             if c * m % q in targets and math.gcd(c, n) == 1)
     # hit[i, j]: m's table i is +- rep's table j moved; each of m's tables
     # takes the first of rep's that it hits
     moved = np.stack([f.table for f in rep])[:, np.arange(n) * c % n]
@@ -313,7 +325,8 @@ def _orbit_walk(dec: ClassDecomposition, step: Callable[..., _FactoredSlot]
         slots = tuple(step(m, row, table, source) for row, table, source
                       in zip(layout, tables, sources))
         if rep is None:
-            reps[orbit] = tuple(replace(f, exact=None) for f in slots)
+            reps[orbit] = tuple(f if f.exact is None
+                                else replace(f, exact=None) for f in slots)
         yield from slots
 
 
@@ -683,14 +696,14 @@ def plan_from_dict(doc: dict) -> FftPlan:
     preadd is the representative's certified one: its matrix A is +- a row
     permutation of the representative's, so that preadd is A's reduced form
     too and the branch is exact iff its postadd is A at the pivot columns,
-    which also has full column rank. Elsewhere the column rank is proved by
-    the exact rank of the postadd's r x r block at the preadd's pivot rows,
-    A[P, P] once the product holds, and by the rank of the whole postadd only
-    when that block is singular. A malformed document (a missing key, a value
-    of the wrong type, an index outside its matrix) is a ValueError too. Every
-    value is spelled as save_plan writes it: an integer field is a JSON
-    integer, never a float or a bool, and a triplet value is exactly 1 or -1
-    (additive) or "1" or "-1" (branch).
+    which also has full column rank. Elsewhere, once the product holds, the
+    column rank is the exact rank of the r x r block A[P, P] at the
+    preadd's pivots P, by the module's lemma on symmetric A. A malformed
+    document (a missing key, a value of the wrong type, an index outside
+    its matrix) is a ValueError too. Every value is spelled as save_plan
+    writes it: an integer field is a JSON integer, never a float or a
+    bool, and a triplet value is exactly 1 or -1 (additive) or "1" or "-1"
+    (branch).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -699,28 +712,6 @@ def plan_from_dict(doc: dict) -> FftPlan:
         return _certified_plan(doc)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed plan document: {exc!r}") from exc
-
-
-def _is_rref(mat: np.ndarray) -> bool:
-    """Whether mat is in reduced row echelon form without zero rows: the
-    leading columns increase and, read together, form the identity."""
-    leads = (mat != 0).argmax(axis=1)
-    return bool((leads[1:] > leads[:-1]).all()
-                and (mat[:, leads] == np.eye(len(mat), dtype=np.int8)).all())
-
-
-def _full_column_rank(post: np.ndarray, pivots: np.ndarray) -> bool:
-    """Whether the N x r postadd has rank r, exactly.
-
-    Its r x r block at the preadd's pivot rows comes first: a nonsingular
-    r x r minor proves rank r. Once postadd * preadd = A holds with the
-    preadd reduced, the postadd is A at the pivot columns and the block
-    is A[P, P], nonsingular for every compiled branch of N = 4..128; only
-    a singular block falls back to the rank of the whole postadd.
-    """
-    r = post.shape[1]
-    return (rank(RationalMatrix.from_int_matrix(post[pivots])) == r
-            or rank(RationalMatrix.from_int_matrix(post.T)) == r)
 
 
 def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
@@ -735,7 +726,8 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
     A = C * preadd for exactly one C, A's columns at the pivots: the
     branch is the compiled one iff its postadd is C, an N x rank gather.
     Any other branch is certified in full: an exact product, the echelon
-    form and the postadd's exact column rank.
+    form, and the exact rank of the r x r block A[P, P] at the pivots P,
+    which is r iff A has rank r, since A is symmetric (the module's lemma).
     """
     slot, kind, destination, sign = layout_row
     if b is None:
@@ -758,7 +750,7 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
                            f"matrix")
     pivots = (pre != 0).argmax(axis=1)
     if source is not None and np.array_equal(pre, source.reduced):
-        if not np.array_equal(post, table[exponents[:, pivots]]):
+        if not np.array_equal(post, _pivot_columns(table, exponents, pivots)):
             raise not_exact
     else:
         # every partial sum of the product is an integer of size at most
@@ -768,13 +760,16 @@ def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
             raise not_exact
         # a preadd row repeated, with the postadd terms of the first copy
         # split between the two, keeps the product exact but spends a
-        # multiplication more than the compiled branch
-        if not _is_rref(pre):
+        # multiplication more than the compiled branch; reduced means the
+        # leading columns increase and, read together, form the identity
+        if not ((pivots[1:] > pivots[:-1]).all()
+                and (pre[:, pivots] == np.eye(rows, dtype=np.int8)).all()):
             raise ValueError(f"{where} preadd is not in reduced row echelon "
                              f"form")
-        if not _full_column_rank(post, pivots):
+        # post[pivots] = A[P, P], nonsingular iff A has rank r
+        if rank(RationalMatrix.from_int_matrix(post[pivots])) != rows:
             raise ValueError(f"{where} postadd does not have full column "
-                             f"rank {len(pre)}")
+                             f"rank {rows}")
     return MultiplicativeBranch(m=m, constant_kind=kind, constant_value=value,
                                 preadd=pre, postadd=post,
                                 destination=destination, sign=sign)

@@ -886,17 +886,71 @@ def test_plan_json_text_renders_empty_triplets_as_json_does(as_text):
             '{\n  "a": {\n    "triplets": ' + text + '\n  }\n}'
 
 
-def test_full_column_rank_falls_back_when_the_pivot_block_is_singular():
-    post = np.array([[1, 1], [1, 1], [1, -1]], dtype=np.int8)
-    assert plan_mod._full_column_rank(post, np.array([0, 1]))
-    idle = np.array([[1, 1], [1, 1], [-1, -1]], dtype=np.int8)
-    assert not plan_mod._full_column_rank(idle, np.array([0, 1]))
+@st.composite
+def _symmetric_matrices(draw):
+    size = draw(st.integers(1, 8))
+    upper = {(i, j): draw(st.integers(-3, 3))
+             for i in range(size) for j in range(i, size)}
+    return np.array([[upper[min(i, j), max(i, j)] for j in range(size)]
+                     for i in range(size)], dtype=np.int64)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_symmetric_matrices())
+def test_a_symmetric_matrix_has_the_rank_of_its_pivot_block(a):
+    # the loader's minimality lemma: for symmetric A with pivot columns P,
+    # rank A[P, P] = rank A
+    pivots = list(rref(RationalMatrix.from_int_matrix(a)).pivot_cols)
+    assert sympy_rank(a[np.ix_(pivots, pivots)].tolist()) \
+        == sympy_rank(a.tolist())
+
+
+def test_the_pivot_block_lemma_needs_symmetry():
+    # rank 1, pivot column 1, yet A[P, P] = [[0]] is singular
+    a = np.array([[0, 1], [0, 0]])
+    pivots = list(rref(RationalMatrix.from_int_matrix(a)).pivot_cols)
+    assert pivots == [1]
+    assert sympy_rank(a[np.ix_(pivots, pivots)].tolist()) == 0
+    assert sympy_rank(a.tolist()) == 1
+
+
+def test_an_idle_row_is_rejected_by_one_exact_rank(monkeypatch):
+    # the tampered branch is the first the walk certifies, and its pivot
+    # block is the only matrix the loader ranks
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(plan_mod, "rank", counted)
+    doc = plan_to_dict(compile_plan_for(12))
+    _, tamper, match = _TAMPERS["idle_row"]
+    tamper(doc)
+    with pytest.raises(ValueError, match=match):
+        plan_from_dict(doc)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 257, 4))
+def test_compiled_postadds_are_the_slot_matrix_at_the_pivot_columns(n):
+    # compile_plan gathers postadds as grid rows, transposed; the slot
+    # matrix t[E] read at its columns must give the same array
+    dec = decompose(n)
+    for b in compile_plan(dec).branches:
+        layout = plan_mod._LAYOUT[plan_mod._class_kind(n, b.m)]
+        slot = next(row[0] for row in layout
+                    if row[1:] == (b.constant_kind, b.destination, b.sign))
+        a = plan_mod._slot_tables(n, b.m)[slot][dec.exponents]
+        pivots = (b.preadd != 0).argmax(axis=1)
+        assert np.array_equal(b.postadd, a[:, pivots]), (n, b.m, slot)
+        assert b.postadd.flags.f_contiguous, (n, b.m, slot)
 
 
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_compiled_branches_have_a_nonsingular_pivot_block(n):
-    # the loader's column-rank check ranks this r x r block first, so the
-    # fallback rank of the whole postadd stays off its path
+    # a compiled branch is minimal, so by the pivot-block lemma its r x r
+    # block A[P, P], the one matrix the loader ranks, is nonsingular
     for b in compile_plan_for(n).branches:
         pivots = (b.preadd != 0).argmax(axis=1)
         assert rank(RationalMatrix.from_int_matrix(b.postadd[pivots])) \
