@@ -23,9 +23,8 @@ import time
 
 import numpy as np
 
-from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, bounds_row,
-                     heideman_bound, heideman_burrus_bound, is_power_of_two,
-                     nlog2n_rounded)
+from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, BoundsRow,
+                     bounds_row, heideman_burrus_bound, nlog2n_rounded)
 from .decomposition import class_indices, decompose, residue_class
 from .execute import execute_real, naive_dft, verify_plan
 from .plan import compile_plan_for, complexity_for, load_plan, save_plan
@@ -60,18 +59,13 @@ def cmd_classes(args) -> int:
     return 0
 
 
-def _print_int_matrix(mat) -> None:
-    width = max(len(str(int(x))) for row in mat for x in row)
-    for row in mat:
-        print("  " + " ".join(str(int(x)).rjust(width) for x in row))
-
-
-def _print_rational_matrix(mat: RationalMatrix) -> None:
-    if mat.rows == 0:
+def _print_matrix(rows) -> None:
+    """Print rows (ints or Fractions) right-aligned to one column width."""
+    if not rows:
         print("  (no rows)")
         return
-    width = max(len(str(x)) for row in mat.entries for x in row)
-    for row in mat.entries:
+    width = max(len(str(x)) for row in rows for x in row)
+    for row in rows:
         print("  " + " ".join(str(x).rjust(width) for x in row))
 
 
@@ -83,16 +77,17 @@ def cmd_matrices(args) -> int:
         for name, mat in (("re", cm.re), ("im", cm.im)):
             reduced = rref(RationalMatrix.from_int_matrix(mat))
             print(f"M[{m}] {name} rank={reduced.rank}")
-            _print_int_matrix(mat)
+            _print_matrix(mat.tolist())
             print(f"M[{m}] {name} rref:")
-            _print_rational_matrix(reduced.rref)
+            _print_matrix(reduced.rref.entries)
     return 0
 
 
-def _mu_r_cell(n: int) -> str:
-    if n >= 2 and is_power_of_two(n):
-        return str(heideman_burrus_bound(n))
-    return "-"
+def _mu_r_cell(row: BoundsRow) -> str:
+    """The Heideman-Burrus bound of a bounds row, or "-" where it is not
+    defined (N not a power of two)."""
+    mu_r = row.heideman_burrus_mu
+    return "-" if mu_r is None else str(mu_r)
 
 
 def cmd_complexity(args) -> int:
@@ -100,9 +95,10 @@ def cmd_complexity(args) -> int:
     rows = []
     for n in ns:
         report = complexity_for(n)
+        bounds = bounds_row(n)
         rows.append(f"{n:>4}{report.nlog2n:>8}{report.realized_total:>8}"
-                    f"{report.stacked_total:>9}{heideman_bound(n):>8}"
-                    f"{_mu_r_cell(n):>8}")
+                    f"{report.stacked_total:>9}{bounds.heideman_mu:>8}"
+                    f"{_mu_r_cell(bounds):>8}")
     print(f"{'N':>4}{'nlog2n':>8}{'mults':>8}{'stacked':>9}"
           f"{'mu_DFT':>8}{'mu_r':>8}")
     for row in rows:
@@ -115,8 +111,8 @@ def cmd_bounds(args) -> int:
     rows = []
     for n in ns:
         row = bounds_row(n)
-        cell = "-" if row.heideman_burrus_mu is None else str(row.heideman_burrus_mu)
-        rows.append(f"{n:>4}{row.nlog2n_rounded:>8}{row.heideman_mu:>8}{cell:>8}")
+        rows.append(f"{n:>4}{row.nlog2n_rounded:>8}{row.heideman_mu:>8}"
+                    f"{_mu_r_cell(row):>8}")
     print(f"{'N':>4}{'nlog2n':>8}{'mu_DFT':>8}{'mu_r':>8}")
     for row in rows:
         print(row)
@@ -167,6 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
     n = args.N
     plan = compile_plan_for(n)
     rng = np.random.default_rng(args.seed)

@@ -210,20 +210,15 @@ def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
 
 def execute_complex(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     """Apply the plan to a complex vector by linearity, running the real
-    and imaginary parts as two real passes; the counters are those of two
-    real vectors."""
+    and imaginary parts through execute_real; the counters are those of
+    the two real vectors."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a vector of length {plan.n}")
-    lowered = _lowered(plan)
-    re_out = _run(lowered, vec.real)
-    im_out = _run(lowered, vec.imag)
-    n = plan.n
-    re_part = re_out[:n] + 1j * re_out[n:]
-    im_part = im_out[:n] + 1j * im_out[n:]
-    return (re_part + 1j * im_part,
-            OpCounters(real_mults=2 * lowered.mults,
-                       real_adds=2 * lowered.adds))
+    re_part, counters = execute_real(plan, vec.real)
+    im_part, im_counters = execute_real(plan, vec.imag)
+    counters.merge(im_counters)
+    return re_part + 1j * im_part, counters
 
 
 def default_tolerance(n: int) -> float:

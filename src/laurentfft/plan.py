@@ -42,12 +42,14 @@ decoder accepts only the values save_plan writes (_UNIT_BYTES, the file's
 rule). The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
-assumed, and can serialize plans to JSON and back. save_plan writes the
-bytes of json.dumps(plan_to_dict(plan), indent=2): json lays out the
-small skeleton with each matrix's triplets held as an index, and each
-index is replaced by the matrix's triplets, written straight from the
-matrix into one joined %-template, never built as lists for json's
-per-item indenting encoder. The loader decodes each matrix in one pass
+assumed, and can serialize plans to JSON and back. One encoder
+(_plan_text) renders a plan as the bytes of json.dumps(document,
+indent=2): json lays out the small skeleton with each matrix's triplets
+held as an index, and each index is replaced by the matrix's triplets,
+written straight from the matrix into one joined %-template, never
+built as lists for json's per-item indenting encoder. save_plan writes
+that text and plan_to_dict is json.loads of it, so the file and the
+document cannot disagree. The loader decodes each matrix in one pass
 over its triplets, checking each one's form, bounds, value and repeat
 as it writes it into one bytearray, certifies the document exactly
 against the tables of N, one class at a time along the same orbit walk,
@@ -582,22 +584,6 @@ PLAN_FORMAT = "laurentfft-plan"
 PLAN_VERSION = 1
 
 
-def _triplet_lists(mat: np.ndarray, as_text: bool) -> list[list]:
-    rows, cols = np.nonzero(mat)
-    values = mat[rows, cols].tolist()
-    if as_text:
-        values = map(str, values)
-    return list(map(list, zip(rows.tolist(), cols.tolist(), values)))
-
-
-def _matrix_doc(mat: np.ndarray, as_text: bool,
-                triplets=_triplet_lists) -> dict:
-    """mat's {rows, cols, triplets} object, its triplets encoded by
-    triplets(mat, as_text)."""
-    return {"rows": mat.shape[0], "cols": mat.shape[1],
-            "triplets": triplets(mat, as_text)}
-
-
 # The int8 byte of each triplet value a plan file may hold, by encoding:
 # the JSON integers 1 and -1 in the additive matrices, the strings "1" and
 # "-1" in the branch matrices, exactly as save_plan writes them.
@@ -644,7 +630,8 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
-    """JSON-ready document for a plan.
+    """JSON-ready document for a plan: json.loads of the text save_plan
+    writes (_plan_text).
 
     Matrices are sparse {rows, cols, triplets} objects with one triplet
     per nonzero, listed row-major; additive-stage values are the JSON
@@ -652,31 +639,7 @@ def plan_to_dict(plan: FftPlan) -> dict:
     are stored as floats (JSON round-trips them exactly), so a reloaded
     plan executes bit-for-bit like the original.
     """
-    return _plan_doc(plan, _triplet_lists)
-
-
-def _plan_doc(plan: FftPlan, triplets) -> dict:
-    """plan_to_dict's document with every matrix's triplets encoded by
-    triplets(mat, as_text)."""
-    return {
-        "format": PLAN_FORMAT,
-        "version": PLAN_VERSION,
-        "N": plan.n,
-        "mult_count": plan.mult_count,
-        "add_count": plan.add_count,
-        "extra_mult_count": plan.extra_mult_count,
-        "additive": {"re": _matrix_doc(plan.additive.re_m0, False, triplets),
-                     "im": _matrix_doc(plan.additive.im_m0, False, triplets)},
-        "branches": [{
-            "m": b.m,
-            "constant_kind": b.constant_kind,
-            "constant_value": b.constant_value,
-            "destination": b.destination,
-            "sign": b.sign,
-            "preadd": _matrix_doc(b.preadd, True, triplets),
-            "postadd": _matrix_doc(b.postadd, True, triplets),
-        } for b in plan.branches],
-    }
+    return json.loads(_plan_text(plan))
 
 
 def plan_from_dict(doc: dict) -> FftPlan:
@@ -830,10 +793,11 @@ def _certified_plan(doc: dict) -> FftPlan:
 
 
 def _triplets_text(mat: np.ndarray, as_text: bool, indent: str) -> str:
-    """json.dumps(_triplet_lists(mat, as_text), indent=2) nested at indent,
-    written from the matrix: one %-template per nonzero, joined and filled
-    from the nonzeros' (row, col, value) in one pass. A branch value is
-    the string of a +-1 int, so '"%d"' writes it as json does."""
+    """The [row, col, value] list of mat's nonzeros, row-major, as
+    json.dumps(..., indent=2) writes it nested at indent, written from
+    the matrix: one %-template per nonzero, joined and filled from the
+    nonzeros' (row, col, value) in one pass. A value is the +-1 int, or
+    with as_text its string, which '"%d"' writes as json does."""
     rows, cols = np.nonzero(mat)
     if not len(rows):
         return "[]"
@@ -845,25 +809,50 @@ def _triplets_text(mat: np.ndarray, as_text: bool, indent: str) -> str:
     return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
 
 
-def save_plan(plan: FftPlan, path: str | Path) -> None:
-    """Write plan as the bytes of json.dumps(plan_to_dict(plan),
-    indent=2) + "\\n", the pinned plan file format. json lays out the
-    skeleton with each matrix's triplets held as its index; each index is
-    then replaced by the matrix's triplets, written straight from the
-    matrix into one %-template (_triplets_text) rather than built as lists
-    for json's indenting encoder."""
+def _plan_text(plan: FftPlan) -> str:
+    """The plan file's text, the one encoder of a plan: json.dumps of the
+    plan document with indent=2. json lays out the skeleton with each
+    matrix's triplets held as its index; each index is then replaced by
+    the matrix's triplets, written straight from the matrix into one
+    %-template (_triplets_text) rather than built as lists for json's
+    indenting encoder."""
     held: list[tuple[np.ndarray, bool]] = []
 
-    def hold(mat: np.ndarray, as_text: bool) -> int:
+    def matrix(mat: np.ndarray, as_text: bool) -> dict:
         held.append((mat, as_text))
-        return len(held) - 1
+        return {"rows": mat.shape[0], "cols": mat.shape[1],
+                "triplets": len(held) - 1}
 
-    skeleton = json.dumps(_plan_doc(plan, hold), indent=2)
-    text = re.sub(r'^( *)"triplets": (\d+)$',
+    skeleton = json.dumps({
+        "format": PLAN_FORMAT,
+        "version": PLAN_VERSION,
+        "N": plan.n,
+        "mult_count": plan.mult_count,
+        "add_count": plan.add_count,
+        "extra_mult_count": plan.extra_mult_count,
+        "additive": {"re": matrix(plan.additive.re_m0, False),
+                     "im": matrix(plan.additive.im_m0, False)},
+        "branches": [{
+            "m": b.m,
+            "constant_kind": b.constant_kind,
+            "constant_value": b.constant_value,
+            "destination": b.destination,
+            "sign": b.sign,
+            "preadd": matrix(b.preadd, True),
+            "postadd": matrix(b.postadd, True),
+        } for b in plan.branches],
+    }, indent=2)
+    return re.sub(r'^( *)"triplets": (\d+)$',
                   lambda g: f'{g[1]}"triplets": '
                             f'{_triplets_text(*held[int(g[2])], g[1])}',
                   skeleton, flags=re.MULTILINE)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def save_plan(plan: FftPlan, path: str | Path) -> None:
+    """Write plan as its file text (_plan_text) + "\\n", the bytes of
+    json.dumps(plan_to_dict(plan), indent=2) + "\\n": the pinned plan
+    file format."""
+    Path(path).write_text(_plan_text(plan) + "\n", encoding="utf-8")
 
 
 def load_plan(path: str | Path) -> FftPlan:

@@ -214,6 +214,13 @@ def test_bench_output_shape(run_cli):
         "plan_real_mults=8 naive_real_mults=576 mult_ratio=0.0139"
 
 
+@pytest.mark.parametrize("reps", ("0", "-3"))
+def test_bench_rejects_a_rep_count_below_one_before_any_output(run_cli, reps):
+    code, out, err = run_cli("bench", "12", "--reps", reps)
+    assert (code, out) == (2, "")
+    assert err == "error: reps must be >= 1\n"
+
+
 def test_bench_unsupported_length(run_cli):
     code, _, _ = run_cli("bench", "10")
     assert code == 2

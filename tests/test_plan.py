@@ -263,10 +263,8 @@ def test_derived_slots_match_a_direct_factorization(n):
             continue
         assert (f.source.m, f.source.slot) in reps
         matrix = f.table[dec.exponents]
+        assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         factors = f.factors(dec.exponents)
-        if not matrix.any():
-            assert factors is None and f.rank == 0, (n, f.m, f.slot)
-            continue
         post, pre = direct_factors(matrix)
         assert all(np.array_equal(mine, direct.entries) for mine, direct
                    in zip(factors, (post, pre))), (n, f.m, f.slot)
@@ -285,9 +283,7 @@ def test_derived_preadds_are_the_representatives(n):
             continue
         exact = RationalMatrix.from_int_matrix(
             plan_mod._distinct_rows(f.table[dec.exponents]))
-        if f.source.rank == 0:
-            assert exact.rows == f.rank == 0, (n, f.m, f.slot)
-            continue
+        assert exact.rows > 0 and f.rank > 0, (n, f.m, f.slot)
         assert f.reduced is f.source.reduced
         assert np.array_equal(rref(exact).rref.entries, f.source.reduced), \
             (n, f.m, f.slot)
@@ -325,9 +321,7 @@ def test_representatives_match_a_full_row_factorization(n):
         if f.source is not None:
             continue
         matrix = f.table[dec.exponents]
-        if not matrix.any():
-            assert f.rank == 0 and f.reduced is None, (n, f.m, f.slot)
-            continue
+        assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         pre = direct_factors(matrix)[1]
         assert np.array_equal(f.reduced, pre.entries), (n, f.m, f.slot)
         assert f.rank == pre.rows, (n, f.m, f.slot)
@@ -491,6 +485,34 @@ def test_plan_dict_roundtrip_preserves_everything():
         assert a.constant_value == b.constant_value
         assert np.array_equal(a.preadd, b.preadd)
         assert np.array_equal(a.postadd, b.postadd)
+
+
+def _matrix_doc(mat, as_text):
+    """mat's {rows, cols, triplets} plan-file object, built from np.nonzero
+    apart from the package's encoder: [row, col, value] row-major, the value
+    the int +-1, or its string with as_text."""
+    rows, cols = np.nonzero(mat)
+    values = mat[rows, cols].tolist()
+    return {"rows": mat.shape[0], "cols": mat.shape[1],
+            "triplets": [[i, j, str(v) if as_text else v] for i, j, v
+                         in zip(rows.tolist(), cols.tolist(), values)]}
+
+
+@pytest.mark.parametrize("n", SUPPORTED)
+def test_plan_to_dict_holds_every_nonzero_of_every_matrix(n):
+    plan = compile_plan_for(n)
+    assert plan_to_dict(plan) == {
+        "format": "laurentfft-plan", "version": 1, "N": n,
+        "mult_count": plan.mult_count, "add_count": plan.add_count,
+        "extra_mult_count": 0,
+        "additive": {"re": _matrix_doc(plan.additive.re_m0, False),
+                     "im": _matrix_doc(plan.additive.im_m0, False)},
+        "branches": [{"m": b.m, "constant_kind": b.constant_kind,
+                      "constant_value": b.constant_value,
+                      "destination": b.destination, "sign": b.sign,
+                      "preadd": _matrix_doc(b.preadd, True),
+                      "postadd": _matrix_doc(b.postadd, True)}
+                     for b in plan.branches]}
 
 
 def test_plan_document_shape():
@@ -881,7 +903,7 @@ def test_plan_json_text_renders_empty_triplets_as_json_does(as_text):
         assert plan_mod._triplets_text(zero, as_text, indent) == "[]"
     for mat in (zero, np.eye(3, 4, dtype=np.int8)):
         text = plan_mod._triplets_text(mat, as_text, "    ")
-        doc = {"a": {"triplets": plan_mod._triplet_lists(mat, as_text)}}
+        doc = {"a": {"triplets": _matrix_doc(mat, as_text)["triplets"]}}
         assert json.dumps(doc, indent=2) == \
             '{\n  "a": {\n    "triplets": ' + text + '\n  }\n}'
 
@@ -1085,8 +1107,8 @@ def test_load_plan_decodes_one_branch_at_a_time():
     empty = {"rows": n, "cols": n, "triplets": []}
     doc = {"format": "laurentfft-plan", "version": 1, "N": n,
            "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
-           "additive": {"re": plan_mod._matrix_doc(m0.re, as_text=False),
-                        "im": plan_mod._matrix_doc(m0.im, as_text=False)},
+           "additive": {"re": _matrix_doc(m0.re, as_text=False),
+                        "im": _matrix_doc(m0.im, as_text=False)},
            "branches": [{"m": m, "constant_kind": kind,
                          "constant_value": constant_value(kind, m, n),
                          "destination": destination, "sign": sign,
