@@ -36,29 +36,40 @@ matrix of Z/N). Every slot's postadd is A at the preadd's pivot columns
 P, and A[:, P] = A[P, :]^T: it is read off the table as the gather of
 whole grid rows t[E[P]].T (_pivot_columns).
 
+One builder turns a slot and its preadd into a branch
+(_FactoredSlot.branch: the postadd gathered by _pivot_columns, the
+constant from constant_value) and one builds the additive stage from M_0
+(_additive_stage); compile_plan and the loader both build through them.
+
 Every plan matrix is a read-only int8 array with entries in {-1, 0, 1}:
-compile_plan builds and checks its own with _unit_matrix, and the JSON
+compile_plan and the builder check theirs with _unit_matrix, and the JSON
 decoder accepts only the values save_plan writes (_UNIT_BYTES, the file's
 rule). The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
-assumed, and can serialize plans to JSON and back. One encoder
+assumed, and can serialize plans to JSON and back. A plan file (version
+2) holds only what N does not fix: the two counts and, per branch, its
+layout row and its preadd. Everything else is forced: a branch's
+postadd is its matrix at the preadd's pivot columns, its constant is
+its kind's value at m and N, and the additive stage is M_0. One encoder
 (_plan_text) renders a plan as the bytes of json.dumps(document,
-indent=2): json lays out the small skeleton with each matrix's triplets
-held as an index, and each index is replaced by the matrix's triplets,
+indent=2): json lays out the small skeleton with each preadd's triplets
+held as an index, and each index is replaced by the preadd's triplets,
 written straight from the matrix into one joined %-template, never
 built as lists for json's per-item indenting encoder. save_plan writes
 that text and plan_to_dict is json.loads of it, so the file and the
-document cannot disagree. The loader decodes each matrix in one pass
+document cannot disagree. The loader decodes each preadd in one pass
 over its triplets, checking each one's form, bounds, value and repeat
-as it writes it into one bytearray, certifies the document exactly
-against the tables of N, one class at a time along the same orbit walk,
-and recounts it, so a plan it accepts is the compiled one. An orbit's
-first class, and any branch not read off it, is certified in full:
-postadd * preadd equals the slot's matrix A = t[E], the preadd is in
-reduced row echelon form and A has rank r, the preadd's row count. The
-product runs in float64 through BLAS and is still exact: its entries
-are +-1, so every partial sum is an integer of size at most N < 2^53.
+as it writes it into one bytearray, rebuilds every branch and the
+additive stage with the builder, certifies the preadds exactly against
+the tables of N, one class at a time along the same orbit walk, and
+recounts the plan, so a plan it accepts is the compiled one, constants
+included. An orbit's first class, and any branch whose preadd is not
+the one read off it, is certified in full: postadd * preadd equals the
+slot's matrix A = t[E], the preadd is in reduced row echelon form and A
+has rank r, the preadd's row count. The product runs in float64 through
+BLAS and is still exact: its entries are +-1, so every partial sum is an
+integer of size at most N < 2^53.
 Minimality is one exact rank of an r x r block, by this lemma: if
 postadd * preadd = A with the preadd reduced, r rows and pivots P, then
 A has rank r iff A[P, P] = postadd[P] is nonsingular. Proof: postadd =
@@ -66,10 +77,11 @@ A[:, P], and rank A = rank postadd. If rank A = r, P are A's pivot
 columns, so A[:, P] has rank r, and by symmetry so do the rows A[P, :]
 = A[P, P] * preadd, so A[P, P] is nonsingular. If rank A < r, A[P, P]
 is a submatrix of A, so it is singular. A later class whose tables
-_derived_from maps onto the representative's has each matrix +- a row
-permutation of a certified one; a branch there with the certified
-preadd is the compiled one iff its postadd is t[E[P]].T, an
-O(N * rank) gather, with no product, echelon check or rank.
+_derived_from maps onto the representative's has each matrix A +- a
+row permutation of a certified one, so the certified preadd is A's
+reduced form too, and A = A[:, P] * preadd: a branch there with that
+preadd is the compiled one as built, with no product, echelon check or
+rank.
 """
 
 from __future__ import annotations
@@ -172,9 +184,11 @@ _STACKED_PAIRS = (("re_sum", "im_sum"), ("re_diff", "im_diff"))
 
 
 def _unit_matrix(entries, what: str) -> np.ndarray:
-    """entries as a plan matrix: a read-only int8 array. compile_plan's
-    check of the unit rule: ValueError unless every entry is an integer
-    -1, 0 or 1. The loader's decoder keeps the rule of the file instead,
+    """entries as a plan matrix: a read-only int8 array. The unit rule of
+    every matrix the package builds (compile_plan's preadds, and the
+    postadds and additive stage that compile_plan and the loader build
+    alike): ValueError unless every entry is an integer -1, 0 or 1. The
+    decoder keeps the rule of the file for the preadds it reads instead,
     in _UNIT_BYTES."""
     a = np.asarray(entries)
     if a.size and (a.dtype.kind != "i" or a.min() < -1 or a.max() > 1):
@@ -195,7 +209,8 @@ class _FactoredSlot:
     with those rows boxed in exact for complexity's stacked count. Any
     other slot's matrix is +-source's with its rows permuted, which the
     walk checked exactly, so it shares source's preadd. The loader's
-    slots carry the preadds it certified.
+    slots carry the preadds it decoded, each certified before the walk
+    reads a later class off it.
     """
 
     m: int
@@ -212,18 +227,28 @@ class _FactoredSlot:
     def rank(self) -> int:
         return len(self.reduced)
 
-    def factors(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(postadd, preadd) as plan matrices.
+    def branch(self, exponents: np.ndarray) -> MultiplicativeBranch:
+        """The slot's branch, as compile_plan and the loader build it.
 
-        preadd is the matrix's reduced row echelon form and postadd the
-        symmetric matrix's columns at the preadd's pivots, which are its
-        rows there transposed: the table read at those whole rows of the
-        exponent grid (_pivot_columns).
+        Its preadd is the slot's reduced form, its postadd the symmetric
+        matrix's columns at the preadd's pivots, which are its rows there
+        transposed: the table read at those whole rows of the exponent
+        grid (_pivot_columns). Its constant is constant_value's, which
+        must lie strictly between 0 and 1.
         """
+        n = len(self.table)
+        value = constant_value(self.constant_kind, self.m, n)
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{self.constant_kind} constant {value!r} of "
+                             f"m={self.m}, N={n} is not strictly between 0 "
+                             f"and 1")
         pivots = (self.reduced != 0).argmax(axis=1)
-        return (_unit_matrix(_pivot_columns(self.table, exponents, pivots),
-                             f"postadd of the m={self.m} {self.slot} matrix"),
-                self.reduced)
+        post = _unit_matrix(_pivot_columns(self.table, exponents, pivots),
+                            f"postadd of the m={self.m} {self.slot} matrix")
+        return MultiplicativeBranch(
+            m=self.m, constant_kind=self.constant_kind, constant_value=value,
+            preadd=self.reduced, postadd=post, destination=self.destination,
+            sign=self.sign)
 
 
 def _pivot_columns(table: np.ndarray, exponents: np.ndarray,
@@ -389,10 +414,9 @@ class FftPlan:
     mult_count counts one real multiplication per preadded value per branch
     (the branch constant scalings); add_count counts every two-operand real
     addition in the preadd, postadd, and additive stages under the fixed
-    convention of :mod:`laurentfft.execute`. extra_mult_count would count
-    the further multiplications of entries outside {-1, 0, 1}; it stays in
-    the plan format and is 0 for every plan the package builds or loads,
-    since compile_plan, the loader and the executor reject such an entry.
+    convention of :mod:`laurentfft.execute`. No entry outside {-1, 0, 1}
+    costs a further multiplication: compile_plan, the loader and the
+    executor reject such an entry.
     """
 
     n: int
@@ -400,7 +424,14 @@ class FftPlan:
     branches: tuple[MultiplicativeBranch, ...]
     mult_count: int
     add_count: int
-    extra_mult_count: int
+
+
+def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
+    """The additive stage of dec's plan: Re and Im of M_0 as plan
+    matrices."""
+    m0 = dec.matrix(0)
+    return AdditiveStage(re_m0=_unit_matrix(m0.re, "Re(M_0)"),
+                         im_m0=_unit_matrix(m0.im, "Im(M_0)"))
 
 
 def _plan_counts(additive: AdditiveStage,
@@ -431,22 +462,10 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     by sqrt(2)/2. Classes m and -m have disjoint supports, so no
     combination matrix is zero and every layout row becomes one branch.
     """
-    branches: list[MultiplicativeBranch] = []
-    for f in _factored_slots(dec):
-        post, pre = f.factors(dec.exponents)
-        value = constant_value(f.constant_kind, f.m, dec.n)
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{f.constant_kind} constant {value!r} of m={f.m}, "
-                             f"N={dec.n} is not strictly between 0 and 1")
-        branches.append(MultiplicativeBranch(
-            m=f.m, constant_kind=f.constant_kind, constant_value=value,
-            preadd=pre, postadd=post, destination=f.destination,
-            sign=f.sign))
-    m0 = dec.matrix(0)
-    additive = AdditiveStage(re_m0=_unit_matrix(m0.re, "Re(M_0)"),
-                             im_m0=_unit_matrix(m0.im, "Im(M_0)"))
+    branches = [f.branch(dec.exponents) for f in _factored_slots(dec)]
+    additive = _additive_stage(dec)
     return FftPlan(dec.n, additive, tuple(branches),
-                   *_plan_counts(additive, branches), extra_mult_count=0)
+                   *_plan_counts(additive, branches))
 
 
 def compile_plan_for(n: int) -> FftPlan:
@@ -581,28 +600,26 @@ def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
 
 
 PLAN_FORMAT = "laurentfft-plan"
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
-# The int8 byte of each triplet value a plan file may hold, by encoding:
-# the JSON integers 1 and -1 in the additive matrices, the strings "1" and
-# "-1" in the branch matrices, exactly as save_plan writes them.
-_UNIT_BYTES = {False: {1: 1, -1: 0xFF}, True: {"1": 1, "-1": 0xFF}}
+# The int8 byte of each triplet value a plan file may hold: the strings
+# "1" and "-1", exactly as save_plan writes them.
+_UNIT_BYTES = {"1": 1, "-1": 0xFF}
 
 
-def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
-                     as_text: bool) -> np.ndarray:
+def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str
+                     ) -> np.ndarray:
     """The plan matrix of a {rows, cols, triplets} document, decoded in one
     pass over the triplets. rows and cols are the JSON integers of shape;
     a triplet is [row, col, value] with integer indices inside shape, at
     most one per position, and a value spelled as save_plan writes it,
-    which _UNIT_BYTES[as_text] maps to its int8 byte."""
+    which _UNIT_BYTES maps to its int8 byte."""
     rows, cols = shape
     given = doc["rows"], doc["cols"]
     if given != shape or {*map(type, given)} != {int}:
         raise ValueError(f"{what} is {given[0]!r}x{given[1]!r}, not "
                          f"{rows}x{cols}: the shapes do not chain")
-    units, value_type = _UNIT_BYTES[as_text], str if as_text else int
     cells = bytearray(rows * cols)
     for triplet in doc["triplets"]:
         if len(triplet) != 3:
@@ -611,19 +628,18 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str,
         i, j, value = triplet
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"triplet index ({i!r}, {j!r}) is not an integer")
-        if type(value) is not value_type:
-            raise ValueError(f"a triplet value of {what} is not "
-                             f"{'a string' if as_text else 'a JSON integer'}")
+        if type(value) is not str:
+            raise ValueError(f"a triplet value of {what} is not a string")
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"triplet index ({i}, {j}) is outside a "
                              f"{rows}x{cols} matrix")
-        if value not in units:
+        if value not in _UNIT_BYTES:
             raise ValueError(f"{what} has an entry {value} other than +1 or "
                              f"-1")
         cell = i * cols + j
         if cells[cell]:
             raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
-        cells[cell] = units[value]
+        cells[cell] = _UNIT_BYTES[value]
     mat = np.frombuffer(cells, dtype=np.int8).reshape(shape)
     mat.flags.writeable = False
     return mat
@@ -633,11 +649,15 @@ def plan_to_dict(plan: FftPlan) -> dict:
     """JSON-ready document for a plan: json.loads of the text save_plan
     writes (_plan_text).
 
-    Matrices are sparse {rows, cols, triplets} objects with one triplet
-    per nonzero, listed row-major; additive-stage values are the JSON
-    integers 1 and -1, branch values the strings "1" and "-1". Constants
-    are stored as floats (JSON round-trips them exactly), so a reloaded
-    plan executes bit-for-bit like the original.
+    The document (plan format version 2) holds the two counts and, per
+    branch, its layout row (m, constant_kind, destination, sign) and its
+    preadd as a sparse {rows, cols, triplets} object with one triplet per
+    nonzero, listed row-major, each value the string "1" or "-1". That is
+    all N does not fix: the loader rebuilds every postadd, constant and
+    the additive stage from N and the preadds with compile_plan's own
+    builder, so a reloaded plan executes bit-for-bit like the compiled
+    one. A hand-built plan's document records only its preadds and
+    counts; its postadds, constants and additive stage are not saved.
     """
     return json.loads(_plan_text(plan))
 
@@ -646,27 +666,29 @@ def plan_from_dict(doc: dict) -> FftPlan:
     """Rebuild a plan from its JSON document, certifying it exactly.
 
     Raises ValueError unless the document is, up to branch order, the plan
-    compile_plan builds for its N: one branch per layout slot, each with its
-    slot's constant, every entry +1 or -1, shapes that chain, a preadd in
-    reduced row echelon form, a postadd of full column rank and postadd *
-    preadd equal to the slot's combination matrix, read off N's tables one
-    class at a time along the orbit walk; the additive stage equal to M_0; and
-    stored counts equal to the recounted ones. The reduced row echelon form of
-    a row space is unique, so the middle three make each branch the compiled
-    one. The product is a float64 matmul, exact because every partial sum is
-    an integer of size at most N < 2^53. A class derived from its orbit
-    representative (_derived_from) needs none of the three for a branch whose
-    preadd is the representative's certified one: its matrix A is +- a row
-    permutation of the representative's, so that preadd is A's reduced form
-    too and the branch is exact iff its postadd is A at the pivot columns,
-    which also has full column rank. Elsewhere, once the product holds, the
-    column rank is the exact rank of the r x r block A[P, P] at the
-    preadd's pivots P, by the module's lemma on symmetric A. A malformed
-    document (a missing key, a value of the wrong type, an index outside
-    its matrix) is a ValueError too. Every value is spelled as save_plan
-    writes it: an integer field is a JSON integer, never a float or a
-    bool, and a triplet value is exactly 1 or -1 (additive) or "1" or "-1"
-    (branch).
+    compile_plan builds for its N: one branch per layout slot, each with a
+    preadd of N columns and 1 to N rows, every entry +1 or -1, and stored
+    counts equal to the recounted ones. Each branch is built from its
+    preadd by compile_plan's builder (_FactoredSlot.branch), which gathers
+    the postadd as the slot's matrix A at the preadd's pivot columns P and
+    takes the constant from constant_value; the additive stage is M_0
+    (_additive_stage). A branch is then the compiled one iff postadd *
+    preadd equals A, read off N's tables one class at a time along the
+    orbit walk, the preadd is in reduced row echelon form and the postadd
+    has full column rank, since the reduced row echelon form of a row
+    space is unique. The product is a float64 matmul, exact because every
+    partial sum is an integer of size at most N < 2^53; once it holds,
+    the column rank is the exact rank of the r x r block A[P, P], by the
+    module's lemma on symmetric A. A class derived from its orbit
+    representative (_derived_from) needs none of the three for a branch
+    whose preadd is the representative's certified one: its matrix A is
+    +- a row permutation of the representative's, so that preadd is A's
+    reduced form too. A malformed document (a missing key, a value of the
+    wrong type, an index outside its matrix) is a ValueError too, and so
+    is a document of plan version 1, which held the rebuilt parts as
+    well. Every value is spelled as save_plan writes it: an integer field
+    is a JSON integer, never a float or a bool, and a triplet value is
+    exactly "1" or "-1".
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -677,65 +699,47 @@ def plan_from_dict(doc: dict) -> FftPlan:
         raise ValueError(f"malformed plan document: {exc!r}") from exc
 
 
-def _certified_branch(n: int, m: int, layout_row: tuple, table: np.ndarray,
-                      exponents: np.ndarray, b: dict | None,
-                      source: _FactoredSlot | None) -> MultiplicativeBranch:
-    """The branch document b of class m's slot with the given table;
-    ValueError if b is None or not the compiled branch.
-
-    source is the certified slot of an orbit representative that this
-    slot's matrix A is +- a row permutation of, or None. A preadd equal
-    to source's is then a reduced row echelon form of A's row space, so
-    A = C * preadd for exactly one C, A's columns at the pivots: the
-    branch is the compiled one iff its postadd is C, an N x rank gather.
-    Any other branch is certified in full: an exact product, the echelon
-    form, and the exact rank of the r x r block A[P, P] at the pivots P,
-    which is r iff A has rank r, since A is symmetric (the module's lemma).
-    """
-    slot, kind, destination, sign = layout_row
+def _decoded_preadd(n: int, m: int, layout_row: tuple, b: dict | None
+                    ) -> np.ndarray:
+    """The preadd of branch document b, on class m's slot of layout_row;
+    ValueError if b is None or the preadd does not decode to N columns and
+    1 to N rows."""
+    slot, kind, destination, _ = layout_row
     if b is None:
         raise ValueError(f"no branch for the {slot} matrix of m={m}, N={n}")
-    value = b["constant_value"]
-    if not (isinstance(value, float) and
-            abs(value - constant_value(kind, m, n)) <= 1e-12):
-        raise ValueError(f"branch constant {value!r} does not match {kind} "
-                         f"for m={m}, N={n}")
     where = f"branch {(m, kind, destination)!r}"
     rows = b["preadd"]["rows"]
     if type(rows) is not int or not 0 < rows <= n:
         raise ValueError(f"{where} preadd has {rows!r} rows, not 1 to N={n}: "
                          f"the shapes do not chain")
-    pre = _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd",
-                           as_text=True)
-    post = _matrix_from_doc(b["postadd"], (n, rows), f"{where} postadd",
-                            as_text=True)
-    not_exact = ValueError(f"postadd * preadd of {where} is not its {slot} "
-                           f"matrix")
+    return _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd")
+
+
+def _certify(branch: MultiplicativeBranch, a: np.ndarray, slot: str) -> None:
+    """ValueError unless branch, built from a decoded preadd, is the
+    compiled branch of its slot's matrix a: postadd * preadd equals a, the
+    preadd is in reduced row echelon form, and a has rank r, which holds
+    iff the r x r block a[P, P] at the pivots P is nonsingular, since a is
+    symmetric (the module's lemma)."""
+    pre, post, rows = branch.preadd, branch.postadd, branch.rank
+    where = f"branch {(branch.m, branch.constant_kind, branch.destination)!r}"
+    # every partial sum of the product is an integer of size at most
+    # N < 2^53, so float64 (and BLAS) computes it exactly
+    if not (np.matmul(post, pre, dtype=np.float64) == a).all():
+        raise ValueError(f"postadd * preadd of {where} is not its {slot} "
+                         f"matrix")
+    # a preadd row split in two at a column where a repeats its pivot's
+    # column, the split-off row listed first, keeps the product exact but
+    # spends a multiplication more than the compiled branch; reduced means
+    # the leading columns increase and, read together, form the identity
     pivots = (pre != 0).argmax(axis=1)
-    if source is not None and np.array_equal(pre, source.reduced):
-        if not np.array_equal(post, _pivot_columns(table, exponents, pivots)):
-            raise not_exact
-    else:
-        # every partial sum of the product is an integer of size at most
-        # N < 2^53, so float64 (and BLAS) computes it exactly
-        if not (np.matmul(post, pre, dtype=np.float64)
-                == table[exponents]).all():
-            raise not_exact
-        # a preadd row repeated, with the postadd terms of the first copy
-        # split between the two, keeps the product exact but spends a
-        # multiplication more than the compiled branch; reduced means the
-        # leading columns increase and, read together, form the identity
-        if not ((pivots[1:] > pivots[:-1]).all()
-                and (pre[:, pivots] == np.eye(rows, dtype=np.int8)).all()):
-            raise ValueError(f"{where} preadd is not in reduced row echelon "
-                             f"form")
-        # post[pivots] = A[P, P], nonsingular iff A has rank r
-        if rank(RationalMatrix.from_int_matrix(post[pivots])) != rows:
-            raise ValueError(f"{where} postadd does not have full column "
-                             f"rank {rows}")
-    return MultiplicativeBranch(m=m, constant_kind=kind, constant_value=value,
-                                preadd=pre, postadd=post,
-                                destination=destination, sign=sign)
+    if not ((pivots[1:] > pivots[:-1]).all()
+            and (pre[:, pivots] == np.eye(rows, dtype=np.int8)).all()):
+        raise ValueError(f"{where} preadd is not in reduced row echelon form")
+    # post[pivots] = a[P, P], nonsingular iff a has rank r
+    if rank(RationalMatrix.from_int_matrix(post[pivots])) != rows:
+        raise ValueError(f"{where} postadd does not have full column rank "
+                         f"{rows}")
 
 
 def _certified_plan(doc: dict) -> FftPlan:
@@ -750,13 +754,6 @@ def _certified_plan(doc: dict) -> FftPlan:
     # decompose builds class matrices on demand, so at most one class's
     # matrices are held at a time, O(n^2) memory, however large n claims.
     dec = decompose(n)
-    m0 = dec.matrix(0)
-    additive = AdditiveStage(*(
-        _matrix_from_doc(doc["additive"][part], (n, n), "additive matrix",
-                         as_text=False) for part in ("re", "im")))
-    if not (np.array_equal(additive.re_m0, m0.re)
-            and np.array_equal(additive.im_m0, m0.im)):
-        raise ValueError(f"additive stage is not M_0 for N={n}")
     layout = {(m, *row[1:]) for m in _positive_indices(dec.indices)
               for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
@@ -769,41 +766,41 @@ def _certified_plan(doc: dict) -> FftPlan:
         if key in by_slot:
             raise ValueError(f"duplicate branch {key!r}")
         by_slot[key] = b
-    # each orbit's first class is certified in full and later classes are
-    # read off it where _derived_from holds
-    branches = []
+    # each orbit's first class is certified in full; a later class's
+    # branch needs no check if its preadd is the one read off that class
+    branches: list[MultiplicativeBranch] = []
 
     def certified(m: int, layout_row: tuple, table: np.ndarray,
                   source: _FactoredSlot | None) -> _FactoredSlot:
-        branch = _certified_branch(n, m, layout_row, table, dec.exponents,
-                                   by_slot.get((m, *layout_row[1:])), source)
-        branches.append(branch)
-        return _FactoredSlot(m, *layout_row, table=table,
-                             reduced=branch.preadd)
+        f = _FactoredSlot(m, *layout_row, table=table, reduced=_decoded_preadd(
+            n, m, layout_row, by_slot.get((m, *layout_row[1:]))))
+        branches.append(f.branch(dec.exponents))
+        if source is None or not np.array_equal(f.reduced, source.reduced):
+            _certify(branches[-1], table[dec.exponents], f.slot)
+        return f
 
     for _ in _orbit_walk(dec, certified):
         pass
+    additive = _additive_stage(dec)
     counts = _plan_counts(additive, branches)
-    for name, count in zip(("mult_count", "add_count", "extra_mult_count"),
-                           (*counts, 0)):
+    for name, count in zip(("mult_count", "add_count"), counts):
         if type(doc[name]) is not int or doc[name] != count:
             raise ValueError(f"{name} {doc[name]!r} is not the recounted "
                              f"{count}")
-    return FftPlan(n, additive, tuple(branches), *counts, extra_mult_count=0)
+    return FftPlan(n, additive, tuple(branches), *counts)
 
 
-def _triplets_text(mat: np.ndarray, as_text: bool, indent: str) -> str:
+def _triplets_text(mat: np.ndarray, indent: str) -> str:
     """The [row, col, value] list of mat's nonzeros, row-major, as
     json.dumps(..., indent=2) writes it nested at indent, written from
     the matrix: one %-template per nonzero, joined and filled from the
-    nonzeros' (row, col, value) in one pass. A value is the +-1 int, or
-    with as_text its string, which '"%d"' writes as json does."""
+    nonzeros' (row, col, value) in one pass. A value is the string of its
+    +-1, which '"%d"' writes as json does."""
     rows, cols = np.nonzero(mat)
     if not len(rows):
         return "[]"
     inner, leaf = indent + "  ", indent + "    "
-    value = '"%d"' if as_text else "%d"
-    row = f"{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}{value}\n{inner}]"
+    row = f'{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}"%d"\n{inner}]'
     body = ",\n".join([row] * len(rows))
     fields = np.column_stack((rows, cols, mat[rows, cols])).ravel()
     return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
@@ -812,39 +809,29 @@ def _triplets_text(mat: np.ndarray, as_text: bool, indent: str) -> str:
 def _plan_text(plan: FftPlan) -> str:
     """The plan file's text, the one encoder of a plan: json.dumps of the
     plan document with indent=2. json lays out the skeleton with each
-    matrix's triplets held as its index; each index is then replaced by
-    the matrix's triplets, written straight from the matrix into one
-    %-template (_triplets_text) rather than built as lists for json's
-    indenting encoder."""
-    held: list[tuple[np.ndarray, bool]] = []
-
-    def matrix(mat: np.ndarray, as_text: bool) -> dict:
-        held.append((mat, as_text))
-        return {"rows": mat.shape[0], "cols": mat.shape[1],
-                "triplets": len(held) - 1}
-
+    preadd's triplets held as its branch's index; each index is then
+    replaced by the preadd's triplets, written straight from the matrix
+    into one %-template (_triplets_text) rather than built as lists for
+    json's indenting encoder."""
     skeleton = json.dumps({
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
         "N": plan.n,
         "mult_count": plan.mult_count,
         "add_count": plan.add_count,
-        "extra_mult_count": plan.extra_mult_count,
-        "additive": {"re": matrix(plan.additive.re_m0, False),
-                     "im": matrix(plan.additive.im_m0, False)},
         "branches": [{
             "m": b.m,
             "constant_kind": b.constant_kind,
-            "constant_value": b.constant_value,
             "destination": b.destination,
             "sign": b.sign,
-            "preadd": matrix(b.preadd, True),
-            "postadd": matrix(b.postadd, True),
-        } for b in plan.branches],
+            "preadd": {"rows": b.preadd.shape[0], "cols": b.preadd.shape[1],
+                       "triplets": i},
+        } for i, b in enumerate(plan.branches)],
     }, indent=2)
+    preadds = [b.preadd for b in plan.branches]
     return re.sub(r'^( *)"triplets": (\d+)$',
                   lambda g: f'{g[1]}"triplets": '
-                            f'{_triplets_text(*held[int(g[2])], g[1])}',
+                            f'{_triplets_text(preadds[int(g[2])], g[1])}',
                   skeleton, flags=re.MULTILINE)
 
 

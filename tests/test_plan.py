@@ -161,7 +161,6 @@ def test_mult_count_equals_realized_total_everywhere():
         plan = compile_plan_for(n)
         report = complexity_for(n)
         assert plan.mult_count == report.realized_total
-        assert plan.extra_mult_count == 0
 
 
 def test_realized_counts_reproduce_both_tables():
@@ -183,7 +182,6 @@ def test_plans_past_64_count_exactly_and_certify(tmp_path, n):
     r = complexity_for(n)
     assert (plan.mult_count == r.realized_total == r.stacked_total
             == r.simplified_total)
-    assert plan.extra_mult_count == 0
     report = verify_plan(plan, trials=2)
     assert report.passed and report.counters_match
     path = tmp_path / "plan.json"
@@ -264,10 +262,11 @@ def test_derived_slots_match_a_direct_factorization(n):
         assert (f.source.m, f.source.slot) in reps
         matrix = f.table[dec.exponents]
         assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
-        factors = f.factors(dec.exponents)
+        branch = f.branch(dec.exponents)
         post, pre = direct_factors(matrix)
         assert all(np.array_equal(mine, direct.entries) for mine, direct
-                   in zip(factors, (post, pre))), (n, f.m, f.slot)
+                   in zip((branch.postadd, branch.preadd), (post, pre))), \
+            (n, f.m, f.slot)
         assert f.rank == pre.rows
     orbits = {math.gcd(m, n // 4) for m in dec.indices if m >= 1}
     assert len({m for m, _ in reps}) == len(orbits)
@@ -453,8 +452,7 @@ def test_coupled_samples_odd_row_leaves_a_singleton():
         destination="real_out", sign=1)
     zero = np.zeros((4, 4), dtype=np.int8)
     plan = FftPlan(n=4, additive=AdditiveStage(re_m0=zero, im_m0=zero),
-                   branches=(branch,), mult_count=1, add_count=2,
-                   extra_mult_count=0)
+                   branches=(branch,), mult_count=1, add_count=2)
     pairs = coupled_samples(plan)
     assert [(p.first, p.second, p.relative_sign) for p in pairs] == \
         [(0, 2, -1), (3, None, None)]
@@ -469,32 +467,40 @@ def test_n20_couples_the_condensed_row_pattern():
 
 
 def test_plan_dict_roundtrip_preserves_everything():
-    plan = compile_plan_for(16)
-    doc = json.loads(json.dumps(plan_to_dict(plan)))
-    again = plan_from_dict(doc)
-    assert again.n == plan.n
-    assert again.mult_count == plan.mult_count
-    assert again.add_count == plan.add_count
-    assert again.extra_mult_count == plan.extra_mult_count
-    assert np.array_equal(again.additive.re_m0, plan.additive.re_m0)
-    assert np.array_equal(again.additive.im_m0, plan.additive.im_m0)
-    assert len(again.branches) == len(plan.branches)
-    for a, b in zip(again.branches, plan.branches):
-        assert (a.m, a.constant_kind, a.destination, a.sign) == \
-            (b.m, b.constant_kind, b.destination, b.sign)
-        assert a.constant_value == b.constant_value
-        assert np.array_equal(a.preadd, b.preadd)
-        assert np.array_equal(a.postadd, b.postadd)
+    # the document holds the preadds and counts; the loader rebuilds the
+    # rest, so the reloaded plan must be the compiled one array for array,
+    # with each constant exactly its kind's value and bitwise outputs
+    rng = np.random.default_rng(16)
+    for n in range(4, 129, 4):
+        plan = compile_plan_for(n)
+        doc = json.loads(json.dumps(plan_to_dict(plan)))
+        again = plan_from_dict(doc)
+        assert plan_to_dict(again) == doc, n
+        assert (again.n, again.mult_count, again.add_count) == \
+            (plan.n, plan.mult_count, plan.add_count), n
+        assert np.array_equal(again.additive.re_m0, plan.additive.re_m0)
+        assert np.array_equal(again.additive.im_m0, plan.additive.im_m0)
+        assert len(again.branches) == len(plan.branches)
+        for a, b in zip(again.branches, plan.branches):
+            assert (a.m, a.constant_kind, a.destination, a.sign) == \
+                (b.m, b.constant_kind, b.destination, b.sign)
+            assert a.constant_value == b.constant_value == \
+                constant_value(a.constant_kind, a.m, n), (n, a.m)
+            assert np.array_equal(a.preadd, b.preadd)
+            assert np.array_equal(a.postadd, b.postadd)
+        v = rng.uniform(-1.0, 1.0, n)
+        assert execute_real(again, v)[0].tobytes() == \
+            execute_real(plan, v)[0].tobytes(), n
 
 
-def _matrix_doc(mat, as_text):
+def _matrix_doc(mat, value=str):
     """mat's {rows, cols, triplets} plan-file object, built from np.nonzero
     apart from the package's encoder: [row, col, value] row-major, the value
-    the int +-1, or its string with as_text."""
+    value(+-1), the string "1" or "-1" by default."""
     rows, cols = np.nonzero(mat)
     values = mat[rows, cols].tolist()
     return {"rows": mat.shape[0], "cols": mat.shape[1],
-            "triplets": [[i, j, str(v) if as_text else v] for i, j, v
+            "triplets": [[i, j, value(v)] for i, j, v
                          in zip(rows.tolist(), cols.tolist(), values)]}
 
 
@@ -502,29 +508,29 @@ def _matrix_doc(mat, as_text):
 def test_plan_to_dict_holds_every_nonzero_of_every_matrix(n):
     plan = compile_plan_for(n)
     assert plan_to_dict(plan) == {
-        "format": "laurentfft-plan", "version": 1, "N": n,
+        "format": "laurentfft-plan", "version": 2, "N": n,
         "mult_count": plan.mult_count, "add_count": plan.add_count,
-        "extra_mult_count": 0,
-        "additive": {"re": _matrix_doc(plan.additive.re_m0, False),
-                     "im": _matrix_doc(plan.additive.im_m0, False)},
         "branches": [{"m": b.m, "constant_kind": b.constant_kind,
-                      "constant_value": b.constant_value,
                       "destination": b.destination, "sign": b.sign,
-                      "preadd": _matrix_doc(b.preadd, True),
-                      "postadd": _matrix_doc(b.postadd, True)}
+                      "preadd": _matrix_doc(b.preadd)}
                      for b in plan.branches]}
 
 
 def test_plan_document_shape():
     doc = plan_to_dict(compile_plan_for(12))
-    assert doc["format"] == "laurentfft-plan"
+    assert doc["format"] == "laurentfft-plan" and doc["version"] == 2
     assert doc["N"] == 12 and doc["mult_count"] == 8
+    # only what N does not fix: no additive stage, postadd or constant
+    assert set(doc) == {"format", "version", "N", "mult_count", "add_count",
+                        "branches"}
+    assert all(set(b) == {"m", "constant_kind", "destination", "sign",
+                          "preadd"} for b in doc["branches"])
     first = doc["branches"][0]["preadd"]
     assert first["rows"] == 1 and first["cols"] == 12
-    # triplets are [row, col, value] with branch values as strings
+    # triplets are [row, col, value] with values as strings, row-major
     assert first["triplets"][0] == [0, 1, "1"]
-    triplets = doc["additive"]["re"]["triplets"]
-    assert all(isinstance(v, int) for _, _, v in triplets)
+    triplets = doc["branches"][1]["preadd"]["triplets"]
+    assert all(isinstance(v, str) for _, _, v in triplets)
     assert triplets == sorted(triplets, key=lambda t: (t[0], t[1]))
 
 
@@ -533,11 +539,37 @@ def test_plan_from_dict_rejects_bad_documents():
     with pytest.raises(ValueError):
         plan_from_dict({**doc, "format": "something-else"})
     with pytest.raises(ValueError):
-        plan_from_dict({**doc, "version": 2})
+        plan_from_dict({**doc, "version": 3})
     tampered = json.loads(json.dumps(doc))
-    tampered["branches"][0]["constant_value"] = 0.123
+    tampered["branches"][0]["constant_kind"] = "tangent"
     with pytest.raises(ValueError):
         plan_from_dict(tampered)
+
+
+def _v1_document(plan):
+    """plan's document as plan format version 1 held it: besides the
+    version 2 fields, extra_mult_count, the additive stage (values the JSON
+    integers 1 and -1), and each branch's constant_value and postadd."""
+    doc = plan_to_dict(plan)
+    doc.update(version=1, extra_mult_count=0, additive={
+        "re": _matrix_doc(plan.additive.re_m0, int),
+        "im": _matrix_doc(plan.additive.im_m0, int)})
+    for b, branch in zip(doc["branches"], plan.branches):
+        b.update(constant_value=branch.constant_value,
+                 postadd=_matrix_doc(branch.postadd))
+    return doc
+
+
+def test_a_version_1_plan_file_is_refused(run_cli, tmp_path):
+    # the loader reads version 2 alone; no version 1 reader is kept
+    doc = _v1_document(compile_plan_for(12))
+    with pytest.raises(ValueError, match="unsupported plan version 1$"):
+        plan_from_dict(doc)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unsupported plan version 1" in err
 
 
 def _tamper_unsupported_n(doc):
@@ -545,7 +577,7 @@ def _tamper_unsupported_n(doc):
 
 
 def _tamper_class_index(doc):
-    doc["branches"][0]["m"] = -1  # cos is even, so the constant still fits
+    doc["branches"][0]["m"] = -1
 
 
 def _tamper_sign(doc):
@@ -566,23 +598,16 @@ def _tamper_negative_index(doc):
 
 
 def _tamper_index_past_the_end(doc):
-    doc["additive"]["re"]["triplets"][0][0] = doc["N"]
+    pre = doc["branches"][0]["preadd"]
+    pre["triplets"][0][0] = pre["rows"]
 
 
 def _tamper_preadd_cols(doc):
     doc["branches"][0]["preadd"]["cols"] = doc["N"] + 1
 
 
-def _tamper_postadd_rows(doc):
-    doc["branches"][0]["postadd"]["rows"] = doc["N"] + 1
-
-
 def _tamper_preadd_rows(doc):
     doc["branches"][0]["preadd"]["rows"] += 1
-
-
-def _tamper_additive_shape(doc):
-    doc["additive"]["im"]["cols"] = doc["N"] + 1
 
 
 def _tamper_mult_count(doc):
@@ -591,15 +616,6 @@ def _tamper_mult_count(doc):
 
 def _tamper_preadd_value(doc):
     doc["branches"][0]["preadd"]["triplets"][0][2] = "-1"
-
-
-def _tamper_postadd_value(doc):
-    triplet = doc["branches"][1]["postadd"]["triplets"][0]
-    triplet[2] = str(-int(triplet[2]))
-
-
-def _tamper_additive_value(doc):
-    doc["additive"]["re"]["triplets"][0][2] *= -1
 
 
 def _tamper_dropped_branch(doc):
@@ -611,20 +627,12 @@ def _tamper_add_count(doc):
     doc["add_count"] = 7
 
 
-def _tamper_extra_mult_count(doc):
-    doc["extra_mult_count"] = 3
-
-
 def _tamper_missing_n(doc):
     del doc["N"]
 
 
 def _tamper_missing_branches(doc):
     del doc["branches"]
-
-
-def _tamper_string_constant(doc):
-    doc["branches"][0]["constant_value"] = "0.5"
 
 
 def _tamper_float_index(doc):
@@ -636,58 +644,46 @@ def _tamper_branch_not_object(doc):
 
 
 def _tamper_rescaled_factor(doc):
-    # preadd row 0 times 2, postadd column 0 times 1/2: the product stays
-    # exact and extra_mult_count counts the scaled entries, but no compiled
-    # plan has an entry other than +-1
-    branch = doc["branches"][0]
-    row0 = [t for t in branch["preadd"]["triplets"] if t[0] == 0]
-    column0 = [t for t in branch["postadd"]["triplets"] if t[1] == 0]
-    for t in row0:
-        t[2] = str(2 * int(t[2]))
-    for t in column0:
-        t[2] += "/2"
-    doc["extra_mult_count"] = len(row0) + len(column0)
+    # preadd row 0 times 2, as a branch whose postadd took the halves would
+    # hold it: no compiled plan has an entry other than +-1
+    for t in doc["branches"][0]["preadd"]["triplets"]:
+        if t[0] == 0:
+            t[2] = str(2 * int(t[2]))
+
+
+def _shift_rows(pre):
+    """Move every triplet of preadd document pre one row down, leaving row
+    0 empty, and return the triplets."""
+    for t in pre["triplets"]:
+        t[0] += 1
+    pre["rows"] += 1
+    return pre["triplets"]
 
 
 def _tamper_redundant_row(doc):
-    # preadd row 0 repeated as a new row, with half of postadd column 0's
-    # terms moved to the new column: exact, honestly counted, one
-    # multiplication more than the compiled branch
-    branch = doc["branches"][0]
-    pre, post = branch["preadd"], branch["postadd"]
-    row0 = [[pre["rows"], c, v] for r, c, v in pre["triplets"] if r == 0]
-    pre["triplets"] += row0
-    column0 = [t for t in post["triplets"] if t[1] == 0]
-    for t in column0[len(column0) // 2:]:
-        t[1] = pre["rows"]
-    post["triplets"].sort()
-    pre["rows"] += 1
-    post["cols"] += 1
+    # the last entry (q, v) of preadd row 0, at a column no other row
+    # uses, split off into a new first row as "1": the matrix's column q is
+    # v times its pivot column, so the rebuilt product stays exact, but
+    # the branch spends one multiplication more than the compiled one
+    pre = doc["branches"][0]["preadd"]
+    others = {c for r, c, _ in pre["triplets"] if r != 0}
+    last = max(t for t in pre["triplets"] if t[0] == 0 and t[1] not in others)
+    pre["triplets"].remove(last)
+    _shift_rows(pre).insert(0, [0, last[1], "1"])
     doc["mult_count"] += 1
-    doc["add_count"] += len(row0) - 1
 
 
 def _tamper_idle_row(doc):
-    # a new preadd row that keeps the preadd reduced but that no postadd
-    # term reads: exact and honestly counted, yet a wasted multiplication
-    branch = doc["branches"][0]
-    pre = branch["preadd"]
-    used = {c for _, c, _ in pre["triplets"]}
-    last_pivot = min(c for r, c, _ in pre["triplets"] if r == pre["rows"] - 1)
-    free = next(c for c in range(last_pivot, doc["N"]) if c not in used)
-    pre["triplets"].append([pre["rows"], free, "1"])
-    pre["rows"] += 1
-    branch["postadd"]["cols"] += 1
+    # a new first preadd row led by column 0, where every slot's matrix is
+    # zero: the preadd stays reduced, the rebuilt product exact and the
+    # counts honest, since its postadd column is zero, yet the branch
+    # spends a multiplication on a value no output reads
+    _shift_rows(doc["branches"][0]["preadd"]).insert(0, [0, 0, "1"])
     doc["mult_count"] += 1
 
 
-def _tamper_repeated_postadd_triplet(doc):
-    triplets = doc["branches"][0]["postadd"]["triplets"]
-    triplets.insert(1, list(triplets[0]))
-
-
-def _tamper_repeated_additive_triplet(doc):
-    triplets = doc["additive"]["re"]["triplets"]
+def _tamper_repeated_preadd_triplet(doc):
+    triplets = doc["branches"][0]["preadd"]["triplets"]
     triplets.insert(1, list(triplets[0]))
 
 
@@ -724,21 +720,19 @@ _TAMPERS = {
     "destination": (12, _tamper_destination, "not in the layout"),
     "duplicate_branch": (12, _tamper_duplicate_branch, "duplicate branch"),
     "negative_index": (12, _tamper_negative_index, "outside"),
-    "index_past_the_end": (12, _tamper_index_past_the_end, "outside"),
+    "index_past_the_end": (12, _tamper_index_past_the_end,
+                           "triplet index \\(1, 1\\) is outside a 1x12"),
     "preadd_cols": (12, _tamper_preadd_cols, "do not chain"),
-    "postadd_rows": (12, _tamper_postadd_rows, "do not chain"),
-    "preadd_rows": (12, _tamper_preadd_rows, "do not chain"),
-    "additive_shape": (12, _tamper_additive_shape, "additive matrix"),
+    # one more preadd row than triplets fill: with no postadd in the file
+    # the shapes still chain, and the empty row is what no reduced form has
+    "preadd_rows": (12, _tamper_preadd_rows,
+                    "not in reduced row echelon form"),
     "mult_count": (12, _tamper_mult_count, "mult_count"),
     "preadd_value": (12, _tamper_preadd_value, "postadd \\* preadd"),
-    "postadd_value": (12, _tamper_postadd_value, "postadd \\* preadd"),
-    "additive_value": (12, _tamper_additive_value, "not M_0"),
     "dropped_branch": (12, _tamper_dropped_branch, "no branch for"),
     "add_count": (12, _tamper_add_count, "add_count 7"),
-    "extra_mult_count": (12, _tamper_extra_mult_count, "extra_mult_count 3"),
     "missing_n": (12, _tamper_missing_n, "malformed.*'N'"),
     "missing_branches": (12, _tamper_missing_branches, "malformed.*branches"),
-    "string_constant": (12, _tamper_string_constant, "does not match"),
     "float_index": (12, _tamper_float_index, "not an integer"),
     "branch_not_object": (12, _tamper_branch_not_object, "malformed"),
     "rescaled_factor": (12, _tamper_rescaled_factor,
@@ -746,12 +740,10 @@ _TAMPERS = {
     "redundant_row": (12, _tamper_redundant_row,
                       "not in reduced row echelon form"),
     "idle_row": (12, _tamper_idle_row, "full column rank"),
-    "repeated_postadd_triplet": (
-        12, _tamper_repeated_postadd_triplet,
-        "triplet index \\(1, 0\\) repeats in branch "
-        "\\(1, 'cosine', 'real_out'\\) postadd"),
-    "repeated_additive_triplet": (12, _tamper_repeated_additive_triplet,
-                                  "repeats in additive matrix"),
+    "repeated_preadd_triplet": (
+        12, _tamper_repeated_preadd_triplet,
+        "triplet index \\(0, 1\\) repeats in branch "
+        "\\(1, 'cosine', 'real_out'\\) preadd"),
     "huge_index": (12, _tamper_huge_index, "is outside a"),
     "huge_negative_index": (12, _tamper_huge_negative_index, "is outside a"),
     "bool_index": (12, _tamper_bool_index,
@@ -772,7 +764,7 @@ _TAMPERS = {
     "long_triplet": (12, _tamper_set(*_PREADD, "triplets", 0,
                                      value=[0, 1, "1", "1"]),
                      "not a \\[row, col, value\\] list"),
-    # a branch value is exactly "1" or "-1", an additive one 1 or -1
+    # a value is exactly the string "1" or "-1"
     "plus_one_value": (12, _tamper_set(*_VALUE, value="+1"),
                        "preadd has an entry \\+1 other than \\+1 or -1"),
     "zero_padded_value": (12, _tamper_set(*_VALUE, value="01"),
@@ -783,17 +775,14 @@ _TAMPERS = {
                            "preadd has an entry \u0661 other than"),
     "string_zero_value": (12, _tamper_set(*_VALUE, value="0"),
                           "preadd has an entry 0 other than"),
-    "additive_two": (12, _tamper_set("additive", "re", "triplets", 0, 2,
-                                     value=2),
-                     "additive matrix has an entry 2 other than"),
+    "integer_value": (12, _tamper_set(*_VALUE, value=1),
+                      "a triplet value of branch .* preadd is not a string"),
     # every integer field is a JSON integer: no float, no bool
     "float_preadd_cols": (12, _tamper_set(*_PREADD, "cols", value=12.0),
                           "do not chain"),
-    "float_postadd_rows": (12, _tamper_set("branches", 0, "postadd", "rows",
-                                           value=12.0), "do not chain"),
-    "float_additive_cols": (12, _tamper_set("additive", "re", "cols",
-                                            value=12.0), "do not chain"),
-    "float_version": (12, _tamper_set("version", value=1.0),
+    "float_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value=1.0),
+                          "do not chain"),
+    "float_version": (12, _tamper_set("version", value=2.0),
                       "unsupported plan version"),
     "bool_version": (12, _tamper_set("version", value=True),
                      "unsupported plan version"),
@@ -807,12 +796,10 @@ _TAMPERS = {
                   "not in the layout"),
     "float_mult_count": (12, _tamper_set("mult_count", value=8.0),
                          "is not the recounted"),
-    "bool_extra_mult_count": (12, _tamper_set("extra_mult_count",
-                                              value=False),
-                              "is not the recounted"),
-    "float_extra_mult_count": (12, _tamper_set("extra_mult_count",
-                                               value=0.0),
-                               "is not the recounted"),
+    "bool_add_count": (12, _tamper_set("add_count", value=True),
+                       "is not the recounted"),
+    "float_add_count": (12, _tamper_set("add_count", value=126.0),
+                        "is not the recounted"),
 }
 
 
@@ -853,12 +840,12 @@ _DOC28 = plan_to_dict(compile_plan_for(28))
 
 
 @pytest.mark.parametrize("m", (2, 3))
-@pytest.mark.parametrize("case", ("preadd_value", "postadd_value",
-                                  "redundant_row", "idle_row"))
+@pytest.mark.parametrize("case", ("preadd_value", "redundant_row",
+                                  "idle_row"))
 def test_load_plan_rejects_a_tampered_derived_branch(case, m):
     # N=28 is one orbit with m=1 its representative, so the loader reads
-    # m=2 and 3 off m=1's certified preadds; the tampers edit the first two
-    # branches, so class m's branches go first (branch order is free)
+    # m=2 and 3 off m=1's certified preadds; the tampers edit the first
+    # branch, so class m's branches go first (branch order is free)
     assert all(f.source is not None for f in
                plan_mod._factored_slots(decompose(28)) if f.m == m)
     doc = copy.deepcopy(_DOC28)
@@ -870,12 +857,12 @@ def test_load_plan_rejects_a_tampered_derived_branch(case, m):
         plan_from_dict(doc)
 
 
-# sha256 of save_plan's output with Python 3.11.7 and numpy 2.4.6; the
-# plan file format must stay byte-stable
+# sha256 of save_plan's output (plan format version 2) with Python 3.11.7
+# and numpy 2.4.6; the plan file format must stay byte-stable
 _PLAN_SHA256 = {
-    12: "cc337392118e40e478e7b4f219d1e2695e7347a287a9f4ad25c25a7922fc8801",
-    60: "e7d0bead55789d429b2bdda73f24a60205c15172d10f8ffaa733c5e29bb8004c",
-    64: "43d715d3d980df7d7b8847ba0269281e7486f68e02139dedec30bb1496ef8534",
+    12: "45c1597ea6f197680eb5af7f6679243969f99067ed417b80fb31de1b0a1ce402",
+    60: "cbbcb5308bf3aa79e8b8f1662163b20adc546711bc663b6b95a539fff63258dd",
+    64: "bf6f70c1f77135e67fa175d389d34e13cfbcf9348bdae473b0cea0b3d919909e",
 }
 
 
@@ -894,16 +881,16 @@ def test_save_plan_writes_the_json_dumps_bytes(tmp_path, n):
     assert path.read_text() == json.dumps(plan_to_dict(plan), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("as_text", (False, True))
-def test_plan_json_text_renders_empty_triplets_as_json_does(as_text):
+def test_plan_json_text_renders_empty_triplets_as_json_does():
     # save_plan splices _triplets_text into json's layout of the rest; an
     # empty matrix's triplets must come out as json's "[]" at any depth
     zero = np.zeros((3, 4), dtype=np.int8)
     for indent in ("", "      "):
-        assert plan_mod._triplets_text(zero, as_text, indent) == "[]"
-    for mat in (zero, np.eye(3, 4, dtype=np.int8)):
-        text = plan_mod._triplets_text(mat, as_text, "    ")
-        doc = {"a": {"triplets": _matrix_doc(mat, as_text)["triplets"]}}
+        assert plan_mod._triplets_text(zero, indent) == "[]"
+    eye = np.eye(3, 4, dtype=np.int8)
+    for mat in (zero, eye, -eye):
+        text = plan_mod._triplets_text(mat, "    ")
+        doc = {"a": {"triplets": _matrix_doc(mat)["triplets"]}}
         assert json.dumps(doc, indent=2) == \
             '{\n  "a": {\n    "triplets": ' + text + '\n  }\n}'
 
@@ -1048,20 +1035,16 @@ def test_load_plan_fuzz_rejects_or_stays_exact(data):
     assert np.max(np.abs(out - np.fft.fft(v))) <= 1e-10
     assert (counters.real_mults, counters.real_adds) == \
         (plan.mult_count, plan.add_count)
-    assert plan.extra_mult_count == 0
     # an accepted document is spelled exactly as plan_to_dict writes it
     assert json.dumps(plan_to_dict(plan), sort_keys=True) == \
         json.dumps(doc, sort_keys=True)
 
 
 def test_load_plan_rejects_a_large_claim_in_bounded_memory():
-    # 239 bytes that claim N=256: the loader holds one class's matrices at
+    # 96 bytes that claim N=256: the loader holds one class's matrices at
     # a time, where all 64 classes at once would peak near 70 MB
-    doc = {"format": "laurentfft-plan", "version": 1, "N": 256,
-           "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
-           "additive": {part: {"rows": 256, "cols": 256, "triplets": []}
-                        for part in ("re", "im")},
-           "branches": []}
+    doc = {"format": "laurentfft-plan", "version": 2, "N": 256,
+           "mult_count": 0, "add_count": 0, "branches": []}
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -1083,9 +1066,8 @@ def test_a_blocklength_too_large_to_hold_is_a_value_error(run_cli, tmp_path):
     for build in (compile_plan_for, complexity_for):
         with pytest.raises(ValueError, match=match):
             build(_HUGE_N)
-    doc = {"format": "laurentfft-plan", "version": 1, "N": _HUGE_N,
-           "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
-           "additive": {}, "branches": []}
+    doc = {"format": "laurentfft-plan", "version": 2, "N": _HUGE_N,
+           "mult_count": 0, "add_count": 0, "branches": []}
     with pytest.raises(ValueError, match=match):
         plan_from_dict(doc)
     path = tmp_path / "huge.json"
@@ -1098,21 +1080,17 @@ def test_a_blocklength_too_large_to_hold_is_a_value_error(run_cli, tmp_path):
 
 
 def test_load_plan_decodes_one_branch_at_a_time():
-    # all 126 layout slots of N=256 claim an empty N x N preadd and
-    # postadd, a few hundred bytes each: decoding every branch before the
-    # first product check peaked near 85 MB
+    # all 126 layout slots of N=256 claim an empty N x N preadd, about a
+    # hundred bytes each: decoding every branch before the first product
+    # check peaked near 85 MB
     n = 256
     dec = decompose(n)
-    m0 = dec.matrix(0)
     empty = {"rows": n, "cols": n, "triplets": []}
-    doc = {"format": "laurentfft-plan", "version": 1, "N": n,
-           "mult_count": 0, "add_count": 0, "extra_mult_count": 0,
-           "additive": {"re": _matrix_doc(m0.re, as_text=False),
-                        "im": _matrix_doc(m0.im, as_text=False)},
+    doc = {"format": "laurentfft-plan", "version": 2, "N": n,
+           "mult_count": 0, "add_count": 0,
            "branches": [{"m": m, "constant_kind": kind,
-                         "constant_value": constant_value(kind, m, n),
                          "destination": destination, "sign": sign,
-                         "preadd": empty, "postadd": empty}
+                         "preadd": empty}
                         for m in plan_mod._positive_indices(dec.indices)
                         for _, kind, destination, sign in
                         plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]}
