@@ -1,5 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
+from laurentfft import plan as plan_mod
 from laurentfft.cli import main
 
 
@@ -16,3 +19,12 @@ def run_cli(capsys):
         return code, out, err
 
     return run
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo of certified plans for this test alone, returned so
+    the test can read it; loading a plan warms it for that N."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(plan_mod, "_certified", fresh)
+    return fresh

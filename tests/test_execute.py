@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from laurentfft import execute
 from laurentfft.execute import (OpCounters, default_tolerance, execute_complex,
                                 execute_real, naive_dft, verify_plan)
-from laurentfft.plan import REAL_OUT, compile_plan_for
+from laurentfft.plan import (REAL_OUT, compile_plan_for, plan_from_dict,
+                             plan_to_dict)
 from oracles import term_by_term, term_by_term_sums
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -184,10 +185,10 @@ _EXECUTE_PINS = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
-def test_execute_outputs_are_pinned(n):
-    mults, adds, sha256 = _EXECUTE_PINS[n]
-    plan = compile_plan_for(n)
+def _pinned_digest(plan, n):
+    """sha256 of plan's outputs on the pinned inputs of N, checking the
+    counters of each run against the pinned counts."""
+    mults, adds, _ = _EXECUTE_PINS[n]
     rng = np.random.default_rng(n)
     impulse = np.zeros(n)
     impulse[1] = -1.0
@@ -200,7 +201,29 @@ def test_execute_outputs_are_pinned(n):
     out, counters = execute_complex(plan, z)
     digest.update(out.tobytes())
     assert (counters.real_mults, counters.real_adds) == (2 * mults, 2 * adds)
-    assert digest.hexdigest() == sha256
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
+def test_execute_outputs_are_pinned(n):
+    assert _pinned_digest(compile_plan_for(n), n) == _EXECUTE_PINS[n][2]
+
+
+@pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
+def test_a_warm_reload_is_a_new_plan_lowered_again(memo, n):
+    # the second load of a document is answered from the loader's memo: it
+    # must still be a plan object of its own, lowered on its own first
+    # run, that writes the document back and executes as pinned
+    doc = plan_to_dict(compile_plan_for(n))
+    cold = plan_from_dict(doc)
+    warm = plan_from_dict(doc)
+    assert list(memo) == [n]
+    assert warm is not cold and warm is not memo[n].plan
+    assert plan_to_dict(warm) == doc
+    for plan in (cold, warm):
+        assert _pinned_digest(plan, n) == _EXECUTE_PINS[n][2]
+    assert execute._LOWERED[warm] is not execute._LOWERED[cold]
+    assert memo[n].plan not in execute._LOWERED
 
 
 def test_execute_real_rejects_a_plan_whose_add_count_is_off():

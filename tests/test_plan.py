@@ -1,8 +1,13 @@
 import copy
+import gc
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -525,6 +530,12 @@ def test_plan_document_shape():
                         "branches"}
     assert all(set(b) == {"m", "constant_kind", "destination", "sign",
                           "preadd"} for b in doc["branches"])
+    assert all(set(b["preadd"]) == {"rows", "cols", "triplets"}
+               for b in doc["branches"])
+    # the loader refuses any other key, at each of the three levels
+    assert (plan_mod._PLAN_KEYS, plan_mod._BRANCH_KEYS,
+            plan_mod._MATRIX_KEYS) == (set(doc), set(doc["branches"][0]),
+                                       set(doc["branches"][0]["preadd"]))
     first = doc["branches"][0]["preadd"]
     assert first["rows"] == 1 and first["cols"] == 12
     # triplets are [row, col, value] with values as strings, row-major
@@ -800,6 +811,18 @@ _TAMPERS = {
                        "is not the recounted"),
     "float_add_count": (12, _tamper_set("add_count", value=126.0),
                         "is not the recounted"),
+    # a key save_plan does not write, such as a version 1 field, is
+    # refused at every level rather than dropped
+    "additive_key": (12, _tamper_set("additive", value={}),
+                     "the plan document has keys \\['additive'\\] that a "
+                     "plan file does not hold"),
+    "constant_value_key": (12, _tamper_set("branches", 0, "constant_value",
+                                           value=0.5),
+                           "branch \\(1, 'cosine', 'real_out', 1\\) has "
+                           "keys \\['constant_value'\\]"),
+    "preadd_key": (12, _tamper_set(*_PREADD, "dtype", value="int8"),
+                   "branch \\(1, 'cosine', 'real_out', 1\\) preadd has "
+                   "keys \\['dtype'\\]"),
 }
 
 
@@ -823,6 +846,130 @@ def test_verify_plan_file_exits_2_on_every_tamper(run_cli, tmp_path, case):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", list(_TAMPERS))
+def test_a_warm_load_rejects_each_tamper_as_a_cold_one(memo, case):
+    # the first load of the tampered document is cold; loading the true
+    # document then warms the memo for N, and the second load of the
+    # tampered one must fail with the same message
+    n, tamper, match = _TAMPERS[case]
+    doc = plan_to_dict(compile_plan_for(n))
+    tampered = copy.deepcopy(doc)
+    tamper(tampered)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match) as exc:
+            plan_from_dict(tampered)
+        messages.append(str(exc.value))
+        plan_from_dict(doc)
+        assert list(memo) == [n]
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n", (12, 28, 64))
+def test_a_warm_load_builds_no_grid_and_ranks_nothing(memo, monkeypatch, n):
+    doc = plan_to_dict(compile_plan_for(n))
+    cold = plan_from_dict(doc)
+
+    def forbidden(*args):
+        raise AssertionError("a warm load certified again")
+
+    for name in ("decompose", "rank", "_certify", "_orbit_walk"):
+        monkeypatch.setattr(plan_mod, name, forbidden)
+    warm = plan_from_dict(doc)
+    assert warm is not cold and warm is not memo[n].plan
+    assert warm.branches == cold.branches
+    assert plan_to_dict(warm) == doc
+    # the memo's layout is the branches' walk order, which _recalled zips
+    assert list(memo[n].layout) == [
+        (b.m, b.constant_kind, b.destination, b.sign) for b in warm.branches]
+
+
+def _held(memo) -> int:
+    """The bytes of the plan arrays memo holds, counted off its plans."""
+    return sum(a.nbytes for e in memo.values()
+               for a in (e.plan.additive.re_m0, e.plan.additive.im_m0,
+                         *(m for b in e.plan.branches
+                           for m in (b.preadd, b.postadd))))
+
+
+def test_the_memo_drops_the_least_recently_loaded_plan(memo, monkeypatch):
+    docs = {n: plan_to_dict(compile_plan_for(n)) for n in (12, 16, 20)}
+    sizes = {}
+    for n, doc in docs.items():
+        memo.clear()
+        plan_from_dict(doc)
+        sizes[n] = memo[n].nbytes
+        assert sizes[n] == _held(memo), n
+    # room for any two of the three plans, not for all three
+    budget = sizes[16] + sizes[20]
+    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", budget)
+    memo.clear()
+    for n, kept in ((12, [12]), (16, [12, 16]), (12, [16, 12]),
+                    (20, [12, 20]), (16, [20, 16])):
+        plan_from_dict(docs[n])
+        assert list(memo) == kept, n
+        assert _held(memo) <= budget, n
+
+
+def test_the_memo_keeps_no_plan_over_its_budget(memo, monkeypatch):
+    doc = plan_to_dict(compile_plan_for(64))
+    plan = plan_from_dict(doc)
+    # under the default budget the memo keeps the plan's branches alive
+    kept = weakref.ref(plan.branches[0])
+    del plan
+    gc.collect()
+    assert kept() is not None and list(memo) == [64]
+    memo.clear()
+    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", 1000)
+    plan_from_dict(plan_to_dict(compile_plan_for(4)))
+    assert list(memo) == [4] and _held(memo) <= 1000
+    # the large plan is not kept, and does not push the small one out
+    plan = plan_from_dict(doc)
+    assert list(memo) == [4]
+    dropped = weakref.ref(plan.branches[0])
+    del plan
+    gc.collect()
+    assert dropped() is None
+
+
+def test_threads_share_the_memo_without_a_false_rejection(memo,
+                                                          monkeypatch):
+    # four threads on two cores load plans that evict one another, under
+    # a budget of about two of them, with a short switch interval: a lost
+    # update would raise in a load (a KeyError is a malformed document)
+    # or leave the memo over its budget
+    docs = [plan_to_dict(compile_plan_for(n)) for n in (12, 16, 20, 24)]
+    for doc in docs:
+        plan_from_dict(doc)
+    budget = sum(e.nbytes for e in list(memo.values())[-2:])
+    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", budget)
+    memo.clear()
+    errors = []
+
+    def load(k):
+        try:
+            for i in range(40):
+                doc = docs[(k + i) % len(docs)]
+                assert plan_from_dict(doc).n == doc["N"]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert _held(memo) <= budget
 
 
 def test_a_plan_document_that_is_not_an_object_is_rejected(run_cli,
@@ -923,22 +1070,36 @@ def test_the_pivot_block_lemma_needs_symmetry():
     assert sympy_rank(a.tolist()) == 1
 
 
-def test_an_idle_row_is_rejected_by_one_exact_rank(monkeypatch):
-    # the tampered branch is the first the walk certifies, and its pivot
-    # block is the only matrix the loader ranks
+def _idle_row_rank_calls(monkeypatch, warm: bool) -> int:
+    """The exact ranks taken to reject the idle_row tamper of N=12, with
+    the loader's memo of N=12 empty or warm."""
     calls = []
 
     def counted(matrix):
         calls.append(matrix)
         return rank(matrix)
 
-    monkeypatch.setattr(plan_mod, "rank", counted)
     doc = plan_to_dict(compile_plan_for(12))
+    if warm:
+        plan_from_dict(doc)
+    monkeypatch.setattr(plan_mod, "rank", counted)
     _, tamper, match = _TAMPERS["idle_row"]
     tamper(doc)
     with pytest.raises(ValueError, match=match):
         plan_from_dict(doc)
-    assert len(calls) == 1
+    return len(calls)
+
+
+def test_an_idle_row_is_rejected_by_one_exact_rank(memo, monkeypatch):
+    # the tampered branch is the first the walk certifies, and its pivot
+    # block is the only matrix the loader ranks
+    assert _idle_row_rank_calls(monkeypatch, warm=False) == 1
+
+
+def test_a_warm_load_rejects_an_idle_row_by_one_exact_rank(memo,
+                                                          monkeypatch):
+    # its preadd is not the certified one, so the full walk runs as cold
+    assert _idle_row_rank_calls(monkeypatch, warm=True) == 1
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -1005,6 +1166,25 @@ def _other_type(value):
 def test_load_plan_fuzz_rejects_or_stays_exact(data):
     # one mutation of a valid N=12 document: the loader must either reject
     # it or return a plan that is still an exact DFT with honest counters
+    _fuzz_one_mutation(data, warm=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_load_plan_fuzz_rejects_or_stays_exact_when_warm(data):
+    # the same, with the loader's memo holding the certified N=12 plan
+    _fuzz_one_mutation(data, warm=True)
+
+
+def _fuzz_one_mutation(data, warm: bool):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan_mod, "_certified", OrderedDict())
+        if warm:
+            plan_from_dict(_DOC12)
+        _load_one_mutation(data)
+
+
+def _load_one_mutation(data):
     doc = copy.deepcopy(_DOC12)
     mutation = data.draw(st.sampled_from(["delete", "retype", "triplet"]))
     if mutation == "delete":
