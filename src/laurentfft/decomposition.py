@@ -18,6 +18,7 @@ itself shifted (the asymmetric class, handled specially downstream).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,19 @@ class UnsupportedBlocklengthError(ValueError):
     and for a supported N whose N x N exponent grid cannot be allocated."""
 
 
-def _check_blocklength(n: int) -> None:
+def _check_blocklength(n: int) -> int:
+    """n as a Python int; UnsupportedBlocklengthError unless it is an
+    integer (operator.index takes numpy's, never a float or a string)
+    of at least 4 that 4 divides."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise UnsupportedBlocklengthError(
+            f"blocklength {n!r} unsupported: not an integer") from None
     if n < 4 or n % 4 != 0:
         raise UnsupportedBlocklengthError(
             f"blocklength {n} unsupported: need N >= 4 with N divisible by 4")
+    return n
 
 
 def exponent_matrix(n: int) -> np.ndarray:
@@ -159,6 +169,7 @@ class ClassDecomposition:
 def decompose(n: int) -> ClassDecomposition:
     """Decompose blocklength n into its residue classes; class matrices are
     built when asked for."""
+    n = _check_blocklength(n)
     exp = exponent_matrix(n)
     exp.flags.writeable = False
     return ClassDecomposition(n=n, indices=class_indices(n), exponents=exp)

@@ -264,7 +264,8 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
         v = rng.uniform(-1.0, 1.0, plan.n)
         got, counters = execute_real(plan, v)
         err = float(np.max(np.abs(got - naive_dft(v))))
-        max_error = max(max_error, err)
+        # np.maximum keeps a NaN, where max() would drop it
+        max_error = float(np.maximum(max_error, err))
         if (counters.real_mults != plan.mult_count
                 or counters.real_adds != plan.add_count):
             counters_match = False

@@ -82,23 +82,6 @@ row permutation of a certified one, so the certified preadd is A's
 reduced form too, and A = A[:, P] * preadd: a branch there with that
 preadd is the compiled one as built, with no product, echelon check or
 rank.
-
-The certificate is a function of N and the decoded preadds alone, and
-it accepts exactly one set of preadds per N: the reduced row echelon
-form of a row space is unique, and the counts are recounted from the
-rebuilt matrices. So a document whose every preadd is byte for byte the
-one a full certificate accepted for its N, with the same counts, is that
-plan. The loader keeps what it accepted (_certified: each N's layout and
-a private copy of its plan) and a later load of that N decodes each
-preadd, in walk order, and compares it with np.array_equal; if all match
-and the counts do, it returns a new FftPlan on the same read-only
-arrays without decompose, the walk or any product or rank. The first
-mismatch falls through to the full certificate, which alone raises, so
-a warm load rejects what a cold one does with the same message; the key
-and layout checks run before either. The memo holds at most _MEMO_BYTES
-of plan arrays, least recently loaded first out, and never keeps a plan
-larger than that. Each load returns its own plan object, so the
-executor still lowers every loaded plan on its first run.
 """
 
 from __future__ import annotations
@@ -106,13 +89,11 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -634,26 +615,6 @@ _BRANCH_KEYS = frozenset({"m", "constant_kind", "destination", "sign",
                           "preadd"})
 _MATRIX_KEYS = frozenset({"rows", "cols", "triplets"})
 
-# The bytes of plan arrays the loader's memo (_certified) may hold: every
-# plan up to N = 256 fits
-_MEMO_BYTES = 16 * 2**20
-
-
-class _Certified(NamedTuple):
-    """What a full certificate accepted for one N: its layout slots by
-    branch key, in walk order (_layout_slots), a private copy of the plan,
-    whose branches are in that order, and the bytes of its arrays."""
-
-    layout: dict[tuple, tuple]
-    plan: FftPlan
-    nbytes: int
-
-
-# N -> what the full certificate accepted for it, least recently loaded
-# first; _memo_lock guards every change to its order or contents
-_certified: OrderedDict[int, _Certified] = OrderedDict()
-_memo_lock = threading.Lock()
-
 
 def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str
                      ) -> np.ndarray:
@@ -735,11 +696,7 @@ def plan_from_dict(doc: dict) -> FftPlan:
     its matrix) is a ValueError too, and so is a document of plan version
     1, which held the rebuilt parts as well. Every value is spelled as
     save_plan writes it: an integer field is a JSON integer, never a
-    float or a bool, and a triplet value is exactly "1" or "-1". A later
-    load of an N this process has certified compares the decoded preadds
-    with the certified ones instead of certifying them again, and accepts
-    and rejects exactly as the full certificate does (the module
-    docstring says why).
+    float or a bool, and a triplet value is exactly "1" or "-1".
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -802,56 +759,6 @@ def _refuse_unknown_keys(obj, known: frozenset, what: str) -> None:
                          f"that a plan file does not hold")
 
 
-def _layout_slots(n: int, indices: Iterable[int]) -> dict[tuple, tuple]:
-    """Each layout row of N's positive classes, by the key a branch names
-    it with, (m, constant_kind, destination, sign), in walk order."""
-    return {(m, *row[1:]): row for m in _positive_indices(indices)
-            for row in _LAYOUT[_class_kind(n, m)]}
-
-
-def _check_counts(doc: dict, counts: tuple[int, int]) -> None:
-    """ValueError unless doc's mult_count and add_count are the JSON
-    integers counts, as the certificate recounted them."""
-    for name, count in zip(("mult_count", "add_count"), counts):
-        if type(doc[name]) is not int or doc[name] != count:
-            raise ValueError(f"{name} {doc[name]!r} is not the recounted "
-                             f"{count}")
-
-
-def _recalled(entry: _Certified, doc: dict, by_slot: dict[tuple, dict]
-              ) -> FftPlan | None:
-    """A new plan on entry's arrays if doc is the plan a full certificate
-    accepted for its N, else None. Each preadd is decoded and compared in
-    walk order, one at a time. Every branch before the one that raises
-    or differs is the certified one, which the full walk accepts too, so
-    a decoding or count error here is the one the walk raises."""
-    plan = entry.plan
-    for (key, row), branch in zip(entry.layout.items(), plan.branches):
-        pre = _decoded_preadd(plan.n, key[0], row, by_slot.get(key))
-        if not np.array_equal(pre, branch.preadd):
-            return None
-    _check_counts(doc, (plan.mult_count, plan.add_count))
-    return replace(plan)
-
-
-def _remember(layout: dict[tuple, tuple], plan: FftPlan) -> None:
-    """Keep a copy of plan, just certified, as its N's entry in
-    _certified, then drop the least recently loaded entries until the
-    memo holds at most _MEMO_BYTES. A plan larger than that is not kept.
-    The copy is a distinct object, so the memo never holds the caller's
-    plan or the executor's lowering of it."""
-    nbytes = sum(a.nbytes for a in (plan.additive.re_m0, plan.additive.im_m0,
-                                    *(m for b in plan.branches
-                                      for m in (b.preadd, b.postadd))))
-    if nbytes > _MEMO_BYTES:
-        return
-    with _memo_lock:
-        _certified[plan.n] = _Certified(layout, replace(plan), nbytes)
-        _certified.move_to_end(plan.n)
-        while sum(e.nbytes for e in _certified.values()) > _MEMO_BYTES:
-            _certified.popitem(last=False)
-
-
 def _certified_plan(doc: dict) -> FftPlan:
     if doc.get("format") != PLAN_FORMAT:
         raise ValueError(f"not a plan document: format={doc.get('format')!r}")
@@ -862,15 +769,11 @@ def _certified_plan(doc: dict) -> FftPlan:
     n = doc["N"]
     if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
-    entry = _certified.get(n)
-    if entry is None:
-        # decompose builds class matrices on demand, so at most one
-        # class's matrices are held at a time, O(n^2) memory, however
-        # large n claims
-        dec = decompose(n)
-        layout = _layout_slots(n, dec.indices)
-    else:  # a load of a remembered N builds not even the grid
-        layout = entry.layout
+    # decompose builds class matrices on demand, so at most one class's
+    # matrices are held at a time, O(n^2) memory, however large n claims.
+    dec = decompose(n)
+    layout = {(m, *row[1:]) for m in _positive_indices(dec.indices)
+              for row in _LAYOUT[_class_kind(n, m)]}
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
@@ -884,14 +787,6 @@ def _certified_plan(doc: dict) -> FftPlan:
         _refuse_unknown_keys(b.get("preadd"), _MATRIX_KEYS,
                              f"branch {key!r} preadd")
         by_slot[key] = b
-    if entry is not None:
-        plan = _recalled(entry, doc, by_slot)
-        if plan is not None:
-            with _memo_lock:
-                if n in _certified:  # another thread may have dropped it
-                    _certified.move_to_end(n)
-            return plan
-        dec = decompose(n)
     # each orbit's first class is certified in full; a later class's
     # branch needs no check if its preadd is the one read off that class
     branches: list[MultiplicativeBranch] = []
@@ -909,10 +804,11 @@ def _certified_plan(doc: dict) -> FftPlan:
         pass
     additive = _additive_stage(dec)
     counts = _plan_counts(additive, branches)
-    _check_counts(doc, counts)
-    plan = FftPlan(n, additive, tuple(branches), *counts)
-    _remember(layout, plan)
-    return plan
+    for name, count in zip(("mult_count", "add_count"), counts):
+        if type(doc[name]) is not int or doc[name] != count:
+            raise ValueError(f"{name} {doc[name]!r} is not the recounted "
+                             f"{count}")
+    return FftPlan(n, additive, tuple(branches), *counts)
 
 
 def _triplets_text(mat: np.ndarray, indent: str) -> str:
@@ -967,6 +863,30 @@ def save_plan(plan: FftPlan, path: str | Path) -> None:
     Path(path).write_text(_plan_text(plan) + "\n", encoding="utf-8")
 
 
+# The longest file text load_plan caches: every plan file through N = 256
+# (1.6 MB at 256) fits
+_CACHED_TEXT_CHARS = 2 * 2**20
+
+
 def load_plan(path: str | Path) -> FftPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return plan_from_dict(doc)
+    """The plan in the file at path: plan_from_dict of its JSON.
+
+    The plans of the last 8 file texts loaded are cached, each keyed on
+    the file's whole text, so a load of the same text returns the same
+    FftPlan object without parsing or certifying it again, and the
+    executor reuses that object's lowering. The certificate is a function
+    of the document alone, so the cache accepts nothing plan_from_dict
+    refuses; a refused text raises on every load, since an exception is
+    never cached, and a file rewritten with other content is certified
+    again. A text longer than _CACHED_TEXT_CHARS is certified on every
+    load and not kept.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if len(text) > _CACHED_TEXT_CHARS:
+        return _plan_of_text.__wrapped__(text)
+    return _plan_of_text(text)
+
+
+@lru_cache(maxsize=8)
+def _plan_of_text(text: str) -> FftPlan:
+    return plan_from_dict(json.loads(text))

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import pytest
 
 from laurentfft import plan as plan_mod
@@ -22,9 +20,9 @@ def run_cli(capsys):
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """An empty memo of certified plans for this test alone, returned so
-    the test can read it; loading a plan warms it for that N."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(plan_mod, "_certified", fresh)
-    return fresh
+def plan_cache():
+    """load_plan's cache of plans by file text, empty when the test starts
+    and emptied when it ends, returned so the test can read its info."""
+    plan_mod._plan_of_text.cache_clear()
+    yield plan_mod._plan_of_text
+    plan_mod._plan_of_text.cache_clear()

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import json
+import sys
+import threading
 import tracemalloc
 from functools import lru_cache
 
@@ -9,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from laurentfft import execute
+from laurentfft import plan as plan_mod
 from laurentfft.execute import (OpCounters, default_tolerance, execute_complex,
                                 execute_real, naive_dft, verify_plan)
-from laurentfft.plan import (REAL_OUT, compile_plan_for, plan_from_dict,
-                             plan_to_dict)
+from laurentfft.plan import (REAL_OUT, compile_plan_for, load_plan,
+                             plan_to_dict, save_plan)
 from oracles import term_by_term, term_by_term_sums
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -210,20 +214,70 @@ def test_execute_outputs_are_pinned(n):
 
 
 @pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
-def test_a_warm_reload_is_a_new_plan_lowered_again(memo, n):
-    # the second load of a document is answered from the loader's memo: it
-    # must still be a plan object of its own, lowered on its own first
-    # run, that writes the document back and executes as pinned
-    doc = plan_to_dict(compile_plan_for(n))
-    cold = plan_from_dict(doc)
-    warm = plan_from_dict(doc)
-    assert list(memo) == [n]
-    assert warm is not cold and warm is not memo[n].plan
-    assert plan_to_dict(warm) == doc
+def test_a_warm_reload_is_a_new_plan_lowered_again(plan_cache, tmp_path, n):
+    # a text longer than load_plan caches (here the plan file padded with
+    # spaces, which json reads past) is certified on every load: each
+    # reload is a plan object of its own, lowered on its own first run,
+    # that executes as pinned
+    path = tmp_path / "plan.json"
+    path.write_text(plan_mod._plan_text(compile_plan_for(n))
+                    + " " * plan_mod._CACHED_TEXT_CHARS)
+    cold, warm = load_plan(path), load_plan(path)
+    assert warm is not cold and plan_cache.cache_info().currsize == 0
     for plan in (cold, warm):
         assert _pinned_digest(plan, n) == _EXECUTE_PINS[n][2]
     assert execute._LOWERED[warm] is not execute._LOWERED[cold]
-    assert memo[n].plan not in execute._LOWERED
+
+
+@pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
+def test_a_cached_reload_is_the_same_plan_lowered_once(plan_cache, tmp_path,
+                                                       n):
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(n), path)
+    cold = load_plan(path)
+    assert _pinned_digest(cold, n) == _EXECUTE_PINS[n][2]
+    lowered = execute._LOWERED[cold]
+    warm = load_plan(path)
+    assert warm is cold and plan_to_dict(warm) == json.loads(path.read_text())
+    assert _pinned_digest(warm, n) == _EXECUTE_PINS[n][2]
+    assert execute._LOWERED[warm] is lowered
+
+
+@pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
+def test_threads_share_one_loaded_plan_bit_for_bit(plan_cache, tmp_path, n):
+    # four threads run one freshly loaded plan, not yet lowered, with a
+    # short switch interval: each must lower it or read its lowering and
+    # produce exactly the single-threaded outputs
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(n), path)
+    plan = load_plan(path)
+    assert plan not in execute._LOWERED
+    inputs = np.random.default_rng(n).uniform(-1.0, 1.0, (16, n))
+    alone = compile_plan_for(n)
+    expected = [execute_real(alone, v)[0].tobytes() for v in inputs]
+    start = threading.Barrier(4)
+    outputs, errors = {}, []
+
+    def run(k):
+        try:
+            start.wait(timeout=60)
+            outputs[k] = [execute_real(plan, v)[0].tobytes() for v in inputs]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert [outputs[k] for k in range(4)] == [expected] * 4
+    assert _pinned_digest(plan, n) == _EXECUTE_PINS[n][2]
 
 
 def test_execute_real_rejects_a_plan_whose_add_count_is_off():
@@ -416,6 +470,16 @@ def test_verify_plan_reports_failure_instead_of_raising():
                          seed=0)
     assert not report.passed
     assert report.max_error > 1e-18
+
+
+def test_verify_plan_fails_a_plan_that_outputs_nan():
+    # max() keeps the old maximum against a NaN error, which hid a NaN
+    # output behind max_error=0.0 and passed=True
+    plan = compile_plan_for(12)
+    nan = dataclasses.replace(plan.branches[0], constant_value=float("nan"))
+    broken = dataclasses.replace(plan, branches=(nan, *plan.branches[1:]))
+    report = verify_plan(broken, trials=3, seed=0)
+    assert np.isnan(report.max_error) and not report.passed
 
 
 def test_verify_plan_is_reproducible():

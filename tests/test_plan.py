@@ -3,11 +3,8 @@ import gc
 import hashlib
 import json
 import math
-import sys
-import threading
 import tracemalloc
 import weakref
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from laurentfft import plan as plan_mod
 from laurentfft.bounds import nlog2n_rounded
-from laurentfft.decomposition import decompose
+from laurentfft.decomposition import UnsupportedBlocklengthError, decompose
 from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              MultiplicativeBranch, branch_matrices,
@@ -848,128 +845,118 @@ def test_verify_plan_file_exits_2_on_every_tamper(run_cli, tmp_path, case):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def _save_text(path, text: str):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("case", list(_TAMPERS))
-def test_a_warm_load_rejects_each_tamper_as_a_cold_one(memo, case):
-    # the first load of the tampered document is cold; loading the true
-    # document then warms the memo for N, and the second load of the
-    # tampered one must fail with the same message
+def test_a_warm_load_rejects_each_tamper_as_a_cold_one(plan_cache, tmp_path,
+                                                       case):
+    # the first load of the tampered file is cold; loading the true file
+    # then caches its plan, and the second load of the tampered one must
+    # fail with the same message, since a refusal is never cached
     n, tamper, match = _TAMPERS[case]
-    doc = plan_to_dict(compile_plan_for(n))
-    tampered = copy.deepcopy(doc)
-    tamper(tampered)
+    plan = compile_plan_for(n)
+    true = _save_text(tmp_path / "true.json", plan_mod._plan_text(plan))
+    doc = plan_to_dict(plan)
+    tamper(doc)
+    tampered = _save_text(tmp_path / "tampered.json", json.dumps(doc))
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match=match) as exc:
-            plan_from_dict(tampered)
+            load_plan(tampered)
         messages.append(str(exc.value))
-        plan_from_dict(doc)
-        assert list(memo) == [n]
+        load_plan(true)
+        assert plan_cache.cache_info().currsize == 1
     assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("n", (12, 28, 64))
-def test_a_warm_load_builds_no_grid_and_ranks_nothing(memo, monkeypatch, n):
-    doc = plan_to_dict(compile_plan_for(n))
-    cold = plan_from_dict(doc)
+def test_a_warm_load_builds_no_grid_and_ranks_nothing(plan_cache, monkeypatch,
+                                                      tmp_path, n):
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(n), path)
+    cold = load_plan(path)
 
     def forbidden(*args):
-        raise AssertionError("a warm load certified again")
+        raise AssertionError("a cached load certified again")
 
-    for name in ("decompose", "rank", "_certify", "_orbit_walk"):
+    for name in ("plan_from_dict", "decompose", "rank", "_certify",
+                 "_orbit_walk"):
         monkeypatch.setattr(plan_mod, name, forbidden)
-    warm = plan_from_dict(doc)
-    assert warm is not cold and warm is not memo[n].plan
-    assert warm.branches == cold.branches
-    assert plan_to_dict(warm) == doc
-    # the memo's layout is the branches' walk order, which _recalled zips
-    assert list(memo[n].layout) == [
-        (b.m, b.constant_kind, b.destination, b.sign) for b in warm.branches]
+    # the same bytes: the same plan object, whose lowering the executor
+    # keeps, with no parse, grid, product or rank
+    assert load_plan(path) is cold
+    assert plan_cache.cache_info().hits == 1
 
 
-def _held(memo) -> int:
-    """The bytes of the plan arrays memo holds, counted off its plans."""
-    return sum(a.nbytes for e in memo.values()
-               for a in (e.plan.additive.re_m0, e.plan.additive.im_m0,
-                         *(m for b in e.plan.branches
-                           for m in (b.preadd, b.postadd))))
+def test_a_file_rewritten_in_place_is_certified_again(plan_cache, monkeypatch,
+                                                      tmp_path):
+    # the cache is keyed on the text, never the path: a rewritten file is
+    # loaded as what it now holds
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(12), path)
+    first = load_plan(path)
+    certified = []
+
+    def counted(doc):
+        certified.append(doc["N"])
+        return plan_from_dict(doc)
+
+    monkeypatch.setattr(plan_mod, "plan_from_dict", counted)
+    save_plan(compile_plan_for(16), path)
+    assert load_plan(path).n == 16 and certified == [16]
+    n, tamper, match = _TAMPERS["idle_row"]
+    doc = plan_to_dict(first)
+    tamper(doc)
+    _save_text(path, json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_plan(path)
+    assert certified == [16, n]
 
 
-def test_the_memo_drops_the_least_recently_loaded_plan(memo, monkeypatch):
-    docs = {n: plan_to_dict(compile_plan_for(n)) for n in (12, 16, 20)}
-    sizes = {}
-    for n, doc in docs.items():
-        memo.clear()
-        plan_from_dict(doc)
-        sizes[n] = memo[n].nbytes
-        assert sizes[n] == _held(memo), n
-    # room for any two of the three plans, not for all three
-    budget = sizes[16] + sizes[20]
-    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", budget)
-    memo.clear()
-    for n, kept in ((12, [12]), (16, [12, 16]), (12, [16, 12]),
-                    (20, [12, 20]), (16, [20, 16])):
-        plan_from_dict(docs[n])
-        assert list(memo) == kept, n
-        assert _held(memo) <= budget, n
+def test_the_memo_drops_the_least_recently_loaded_plan(plan_cache, tmp_path):
+    # texts that differ only in trailing whitespace are one document under
+    # distinct keys; the cache keeps the plans of the last 8 loaded
+    assert plan_cache.cache_info().maxsize == 8
+    text = plan_mod._plan_text(compile_plan_for(12))
+    paths = [_save_text(tmp_path / f"plan{k}.json", text + "\n" * k)
+             for k in range(9)]
+    plans = [load_plan(path) for path in paths]
+    assert plan_cache.cache_info()[1:] == (9, 8, 8)  # misses, max, size
+    assert load_plan(paths[8]) is plans[8]
+    # the first text was dropped; loading it again drops the second
+    assert load_plan(paths[0]) is not plans[0]
+    assert load_plan(paths[2]) is plans[2]
+    assert load_plan(paths[1]) is not plans[1]
+    assert plan_cache.cache_info().currsize == 8
 
 
-def test_the_memo_keeps_no_plan_over_its_budget(memo, monkeypatch):
-    doc = plan_to_dict(compile_plan_for(64))
-    plan = plan_from_dict(doc)
-    # under the default budget the memo keeps the plan's branches alive
+def test_the_memo_keeps_no_plan_over_its_budget(plan_cache, tmp_path):
+    # a text over _CACHED_TEXT_CHARS, here the N=64 text padded with
+    # spaces that json reads past, is certified on each load and not kept
+    text = plan_mod._plan_text(compile_plan_for(64))
+    small = _save_text(tmp_path / "small.json", text)
+    large = _save_text(tmp_path / "large.json",
+                       text + " " * plan_mod._CACHED_TEXT_CHARS)
+    plan = load_plan(small)
     kept = weakref.ref(plan.branches[0])
     del plan
     gc.collect()
-    assert kept() is not None and list(memo) == [64]
-    memo.clear()
-    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", 1000)
-    plan_from_dict(plan_to_dict(compile_plan_for(4)))
-    assert list(memo) == [4] and _held(memo) <= 1000
-    # the large plan is not kept, and does not push the small one out
-    plan = plan_from_dict(doc)
-    assert list(memo) == [4]
+    assert kept() is not None
+    plan = load_plan(large)
+    assert load_plan(large) is not plan
+    assert plan_cache.cache_info().currsize == 1
     dropped = weakref.ref(plan.branches[0])
     del plan
     gc.collect()
     assert dropped() is None
 
 
-def test_threads_share_the_memo_without_a_false_rejection(memo,
-                                                          monkeypatch):
-    # four threads on two cores load plans that evict one another, under
-    # a budget of about two of them, with a short switch interval: a lost
-    # update would raise in a load (a KeyError is a malformed document)
-    # or leave the memo over its budget
-    docs = [plan_to_dict(compile_plan_for(n)) for n in (12, 16, 20, 24)]
-    for doc in docs:
-        plan_from_dict(doc)
-    budget = sum(e.nbytes for e in list(memo.values())[-2:])
-    monkeypatch.setattr(plan_mod, "_MEMO_BYTES", budget)
-    memo.clear()
-    errors = []
-
-    def load(k):
-        try:
-            for i in range(40):
-                doc = docs[(k + i) % len(docs)]
-                assert plan_from_dict(doc).n == doc["N"]
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=load, args=(k,))
-                   for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert _held(memo) <= budget
+def test_every_plan_file_through_256_fits_the_cache():
+    assert len(plan_mod._plan_text(compile_plan_for(256))) \
+        < plan_mod._CACHED_TEXT_CHARS
 
 
 def test_a_plan_document_that_is_not_an_object_is_rejected(run_cli,
@@ -1070,36 +1057,41 @@ def test_the_pivot_block_lemma_needs_symmetry():
     assert sympy_rank(a.tolist()) == 1
 
 
-def _idle_row_rank_calls(monkeypatch, warm: bool) -> int:
-    """The exact ranks taken to reject the idle_row tamper of N=12, with
-    the loader's memo of N=12 empty or warm."""
+def _idle_row_rank_calls(monkeypatch, tmp_path, warm: bool) -> int:
+    """The exact ranks taken to reject the idle_row tamper of N=12 through
+    load_plan, with the true N=12 file loaded into its cache first or
+    not."""
     calls = []
 
     def counted(matrix):
         calls.append(matrix)
         return rank(matrix)
 
-    doc = plan_to_dict(compile_plan_for(12))
+    plan = compile_plan_for(12)
     if warm:
-        plan_from_dict(doc)
+        save_plan(plan, tmp_path / "true.json")
+        load_plan(tmp_path / "true.json")
     monkeypatch.setattr(plan_mod, "rank", counted)
     _, tamper, match = _TAMPERS["idle_row"]
+    doc = plan_to_dict(plan)
     tamper(doc)
     with pytest.raises(ValueError, match=match):
-        plan_from_dict(doc)
+        load_plan(_save_text(tmp_path / "tampered.json", json.dumps(doc)))
     return len(calls)
 
 
-def test_an_idle_row_is_rejected_by_one_exact_rank(memo, monkeypatch):
+def test_an_idle_row_is_rejected_by_one_exact_rank(plan_cache, monkeypatch,
+                                                   tmp_path):
     # the tampered branch is the first the walk certifies, and its pivot
     # block is the only matrix the loader ranks
-    assert _idle_row_rank_calls(monkeypatch, warm=False) == 1
+    assert _idle_row_rank_calls(monkeypatch, tmp_path, warm=False) == 1
 
 
-def test_a_warm_load_rejects_an_idle_row_by_one_exact_rank(memo,
-                                                          monkeypatch):
-    # its preadd is not the certified one, so the full walk runs as cold
-    assert _idle_row_rank_calls(monkeypatch, warm=True) == 1
+def test_a_warm_load_rejects_an_idle_row_by_one_exact_rank(plan_cache,
+                                                          monkeypatch,
+                                                          tmp_path):
+    # its text is not the cached one, so it is certified as cold
+    assert _idle_row_rank_calls(monkeypatch, tmp_path, warm=True) == 1
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -1127,7 +1119,8 @@ def test_compiled_branches_have_a_nonsingular_pivot_block(n):
             == b.rank, (n, b.m, b.constant_kind, b.destination)
 
 
-_DOC12 = plan_to_dict(compile_plan_for(12))
+_TEXT12 = plan_mod._plan_text(compile_plan_for(12))
+_DOC12 = json.loads(_TEXT12)
 
 
 def _nodes(node, path=()):
@@ -1166,25 +1159,27 @@ def _other_type(value):
 def test_load_plan_fuzz_rejects_or_stays_exact(data):
     # one mutation of a valid N=12 document: the loader must either reject
     # it or return a plan that is still an exact DFT with honest counters
-    _fuzz_one_mutation(data, warm=False)
+    _load_one_mutation(data, plan_from_dict)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.data())
-def test_load_plan_fuzz_rejects_or_stays_exact_when_warm(data):
-    # the same, with the loader's memo holding the certified N=12 plan
-    _fuzz_one_mutation(data, warm=True)
+def test_load_plan_fuzz_rejects_or_stays_exact_when_warm(tmp_path_factory,
+                                                         data):
+    # the same through load_plan, with the true N=12 text loaded through
+    # its cache first
+    plan_mod._plan_of_text.cache_clear()
+    tmp = tmp_path_factory.getbasetemp() / "fuzz_warm"
+    tmp.mkdir(exist_ok=True)
+    load_plan(_save_text(tmp / "true.json", _TEXT12))
+
+    def load(doc):
+        return load_plan(_save_text(tmp / "mutated.json", json.dumps(doc)))
+
+    _load_one_mutation(data, load)
 
 
-def _fuzz_one_mutation(data, warm: bool):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(plan_mod, "_certified", OrderedDict())
-        if warm:
-            plan_from_dict(_DOC12)
-        _load_one_mutation(data)
-
-
-def _load_one_mutation(data):
+def _load_one_mutation(data, load):
     doc = copy.deepcopy(_DOC12)
     mutation = data.draw(st.sampled_from(["delete", "retype", "triplet"]))
     if mutation == "delete":
@@ -1207,7 +1202,7 @@ def _load_one_mutation(data):
         else:
             triplet[2] = data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
     try:
-        plan = plan_from_dict(doc)
+        plan = load(doc)
     except ValueError:
         return
     v = np.random.default_rng(5).uniform(-1.0, 1.0, 12)
@@ -1233,6 +1228,22 @@ def test_load_plan_rejects_a_large_claim_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 10**6
+
+
+@pytest.mark.parametrize("build, bad", [
+    (compile_plan_for, 12.0), (complexity_for, np.float64(16.0)),
+    (decompose, "12"), (decompose, 12.5), (decompose, None)])
+def test_a_non_integer_blocklength_is_a_value_error(build, bad):
+    with pytest.raises(UnsupportedBlocklengthError, match="not an integer"):
+        build(bad)
+
+
+def test_a_numpy_integer_blocklength_builds_a_plan_that_saves(tmp_path):
+    plan = compile_plan_for(np.int64(12))
+    assert type(plan.n) is int and plan.mult_count == 8
+    assert complexity_for(np.int64(12)).realized_total == 8
+    save_plan(plan, tmp_path / "plan.json")
+    assert plan_to_dict(load_plan(tmp_path / "plan.json")) == _DOC12
 
 
 # np.arange alone asks for 1 EiB at N = 2**57 and is refused at once, so
