@@ -20,11 +20,13 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, BoundsRow,
-                     bounds_row, heideman_burrus_bound, nlog2n_rounded)
+from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, bounds_row,
+                     nlog2n_rounded)
 from .decomposition import class_indices, decompose, residue_class
 from .execute import execute_real, naive_dft, verify_plan
 from .plan import compile_plan_for, complexity_for, load_plan, save_plan
@@ -83,56 +85,69 @@ def cmd_matrices(args) -> int:
     return 0
 
 
-def _mu_r_cell(row: BoundsRow) -> str:
-    """The Heideman-Burrus bound of a bounds row, or "-" where it is not
-    defined (N not a power of two)."""
-    mu_r = row.heideman_burrus_mu
-    return "-" if mu_r is None else str(mu_r)
+@dataclass
+class _Row:
+    """One table row's blocklength; its complexity report and bounds row
+    are each computed once, when a cell first reads them."""
+
+    n: int
+    report = cached_property(lambda row: complexity_for(row.n))
+    bounds = cached_property(lambda row: bounds_row(row.n))
+
+
+def _mu_r(row: _Row):
+    """The Heideman-Burrus bound, or "-" where it is not defined (N not a
+    power of two)."""
+    mu_r = row.bounds.heideman_burrus_mu
+    return "-" if mu_r is None else mu_r
+
+
+# (header, width, cell) of each table column. nlog2n is computed from N,
+# so a row reaches complexity_for, which refuses a huge N at once, before
+# heideman_bound, which would run for ages on it
+_N = ("N", 4, lambda row: row.n)
+_NLOG2N = ("nlog2n", 8, lambda row: nlog2n_rounded(row.n))
+_MULTS = ("mults", 8, lambda row: row.report.realized_total)
+_MU_DFT = ("mu_DFT", 8, lambda row: row.bounds.heideman_mu)
+_COMPLEXITY = (_N, _NLOG2N, _MULTS,
+               ("stacked", 9, lambda row: row.report.stacked_total),
+               _MU_DFT, ("mu_r", 8, _mu_r))
+_BOUNDS = (_N, _NLOG2N, _MU_DFT, ("mu_r", 8, _mu_r))
+# table --which: the columns and blocklengths of each fixed summary table
+_FIXED_TABLES = {
+    1: ((_N, _NLOG2N, _MULTS), range(12, 61, 8)),
+    2: ((_N, _NLOG2N, ("radix2", 8, lambda row: RADIX2_REAL_MULTS[row.n]),
+         ("rader_brenner", 15, lambda row: RADER_BRENNER_REAL_MULTS[row.n]),
+         ("mu_r", 6, _mu_r),
+         ("laurent", 9, lambda row: row.report.realized_total)),
+        (8, 16, 32, 64)),
+}
+
+
+def _print_table(columns, ns) -> None:
+    """Print the headers of columns, each a (header, width, cell) triple,
+    then one row per blocklength in ns, every value right-aligned to its
+    column's width. Every row is built, its cells left to right, before
+    anything is printed, so a blocklength that raises prints nothing."""
+    widths = [width for _, width, _ in columns]
+    rows = [[cell(row) for _, _, cell in columns] for row in map(_Row, ns)]
+    for values in [[header for header, _, _ in columns], *rows]:
+        print("".join(f"{value:>{width}}"
+                      for value, width in zip(values, widths)))
 
 
 def cmd_complexity(args) -> int:
-    ns = _parse_blocklengths(args.N, args.step)
-    rows = []
-    for n in ns:
-        report = complexity_for(n)
-        bounds = bounds_row(n)
-        rows.append(f"{n:>4}{report.nlog2n:>8}{report.realized_total:>8}"
-                    f"{report.stacked_total:>9}{bounds.heideman_mu:>8}"
-                    f"{_mu_r_cell(bounds):>8}")
-    print(f"{'N':>4}{'nlog2n':>8}{'mults':>8}{'stacked':>9}"
-          f"{'mu_DFT':>8}{'mu_r':>8}")
-    for row in rows:
-        print(row)
+    _print_table(_COMPLEXITY, _parse_blocklengths(args.N, args.step))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    ns = _parse_blocklengths(args.N, args.step)
-    rows = []
-    for n in ns:
-        row = bounds_row(n)
-        rows.append(f"{n:>4}{row.nlog2n_rounded:>8}{row.heideman_mu:>8}"
-                    f"{_mu_r_cell(row):>8}")
-    print(f"{'N':>4}{'nlog2n':>8}{'mu_DFT':>8}{'mu_r':>8}")
-    for row in rows:
-        print(row)
+    _print_table(_BOUNDS, _parse_blocklengths(args.N, args.step))
     return 0
 
 
 def cmd_table(args) -> int:
-    if args.which == 1:
-        print(f"{'N':>4}{'nlog2n':>8}{'mults':>8}")
-        for n in range(12, 61, 8):
-            report = complexity_for(n)
-            print(f"{n:>4}{report.nlog2n:>8}{report.realized_total:>8}")
-    else:
-        print(f"{'N':>4}{'nlog2n':>8}{'radix2':>8}{'rader_brenner':>15}"
-              f"{'mu_r':>6}{'laurent':>9}")
-        for n in (8, 16, 32, 64):
-            report = complexity_for(n)
-            print(f"{n:>4}{nlog2n_rounded(n):>8}{RADIX2_REAL_MULTS[n]:>8}"
-                  f"{RADER_BRENNER_REAL_MULTS[n]:>15}"
-                  f"{heideman_burrus_bound(n):>6}{report.realized_total:>9}")
+    _print_table(*_FIXED_TABLES[args.which])
     return 0
 
 

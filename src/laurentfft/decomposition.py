@@ -162,9 +162,6 @@ class ClassDecomposition:
         """M_m; ValueError when m is not a class index."""
         return class_matrix(self.exponents, m)
 
-    def residue_class(self, m: int) -> ResidueClass:
-        return residue_class(self.n, m)
-
 
 def decompose(n: int) -> ClassDecomposition:
     """Decompose blocklength n into its residue classes; class matrices are

@@ -34,10 +34,10 @@ matrix repeats its rows so heavily that these are rank-many of its N.
 E is symmetric, so every combination matrix A = t[E] is too (A is a group
 matrix of Z/N). Every slot's postadd is A at the preadd's pivot columns
 P, and A[:, P] = A[P, :]^T: it is read off the table as the gather of
-whole grid rows t[E[P]].T (_pivot_columns).
+whole grid rows t[E[P]].T (in _FactoredSlot.branch).
 
 One builder turns a slot and its preadd into a branch
-(_FactoredSlot.branch: the postadd gathered by _pivot_columns, the
+(_FactoredSlot.branch: the postadd gathered as whole grid rows, the
 constant from constant_value) and one builds the additive stage from M_0
 (_additive_stage); compile_plan and the loader both build through them.
 
@@ -233,8 +233,8 @@ class _FactoredSlot:
         Its preadd is the slot's reduced form, its postadd the symmetric
         matrix's columns at the preadd's pivots, which are its rows there
         transposed: the table read at those whole rows of the exponent
-        grid (_pivot_columns). Its constant is constant_value's, which
-        must lie strictly between 0 and 1.
+        grid. Its constant is constant_value's, which must lie strictly
+        between 0 and 1.
         """
         n = len(self.table)
         value = constant_value(self.constant_kind, self.m, n)
@@ -243,19 +243,15 @@ class _FactoredSlot:
                              f"m={self.m}, N={n} is not strictly between 0 "
                              f"and 1")
         pivots = (self.reduced != 0).argmax(axis=1)
-        post = _unit_matrix(_pivot_columns(self.table, exponents, pivots),
+        # the N x rank columns of table[exponents] at the pivots, gathered
+        # as its rows there, transposed: the grid is symmetric, so the two
+        # agree
+        post = _unit_matrix(self.table[exponents[pivots]].T,
                             f"postadd of the m={self.m} {self.slot} matrix")
         return MultiplicativeBranch(
             m=self.m, constant_kind=self.constant_kind, constant_value=value,
             preadd=self.reduced, postadd=post, destination=self.destination,
             sign=self.sign)
-
-
-def _pivot_columns(table: np.ndarray, exponents: np.ndarray,
-                   pivots: np.ndarray) -> np.ndarray:
-    """The N x rank columns of table[exponents] at pivots, gathered as its
-    rows there, transposed: the grid is symmetric, so the two agree."""
-    return table[exponents[pivots]].T
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -616,18 +612,16 @@ _BRANCH_KEYS = frozenset({"m", "constant_kind", "destination", "sign",
 _MATRIX_KEYS = frozenset({"rows", "cols", "triplets"})
 
 
-def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str
-                     ) -> np.ndarray:
-    """The plan matrix of a {rows, cols, triplets} document, decoded in one
-    pass over the triplets. rows and cols are the JSON integers of shape;
-    a triplet is [row, col, value] with integer indices inside shape, at
-    most one per position, and a value spelled as save_plan writes it,
-    which _UNIT_BYTES maps to its int8 byte."""
-    rows, cols = shape
-    given = doc["rows"], doc["cols"]
-    if given != shape or {*map(type, given)} != {int}:
-        raise ValueError(f"{what} is {given[0]!r}x{given[1]!r}, not "
-                         f"{rows}x{cols}: the shapes do not chain")
+def _matrix_from_doc(doc: dict, n: int, what: str) -> np.ndarray:
+    """The preadd of a {rows, cols, triplets} document, decoded in one pass
+    over the triplets. rows is a JSON integer from 1 to n and cols the JSON
+    integer n; a triplet is [row, col, value] with integer indices inside
+    the matrix, at most one per position, and a value spelled as save_plan
+    writes it, which _UNIT_BYTES maps to its int8 byte."""
+    rows, cols = doc["rows"], doc["cols"]
+    if {type(rows), type(cols)} != {int} or not 0 < rows <= n or cols != n:
+        raise ValueError(f"{what} is {rows!r}x{cols!r}, not 1 to N={n} rows "
+                         f"of {n} columns: the shapes do not chain")
     cells = bytearray(rows * cols)
     for triplet in doc["triplets"]:
         if len(triplet) != 3:
@@ -648,7 +642,7 @@ def _matrix_from_doc(doc: dict, shape: tuple[int, int], what: str
         if cells[cell]:
             raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
         cells[cell] = _UNIT_BYTES[value]
-    mat = np.frombuffer(cells, dtype=np.int8).reshape(shape)
+    mat = np.frombuffer(cells, dtype=np.int8).reshape(rows, cols)
     mat.flags.writeable = False
     return mat
 
@@ -715,12 +709,8 @@ def _decoded_preadd(n: int, m: int, layout_row: tuple, b: dict | None
     slot, kind, destination, _ = layout_row
     if b is None:
         raise ValueError(f"no branch for the {slot} matrix of m={m}, N={n}")
-    where = f"branch {(m, kind, destination)!r}"
-    rows = b["preadd"]["rows"]
-    if type(rows) is not int or not 0 < rows <= n:
-        raise ValueError(f"{where} preadd has {rows!r} rows, not 1 to N={n}: "
-                         f"the shapes do not chain")
-    return _matrix_from_doc(b["preadd"], (rows, n), f"{where} preadd")
+    return _matrix_from_doc(b["preadd"], n,
+                            f"branch {(m, kind, destination)!r} preadd")
 
 
 def _certify(branch: MultiplicativeBranch, a: np.ndarray, slot: str) -> None:
@@ -863,9 +853,11 @@ def save_plan(plan: FftPlan, path: str | Path) -> None:
     Path(path).write_text(_plan_text(plan) + "\n", encoding="utf-8")
 
 
-# The longest file text load_plan caches: every plan file through N = 256
-# (1.6 MB at 256) fits
-_CACHED_TEXT_CHARS = 2 * 2**20
+# The longest file text load_plan caches: every plan file through N = 128
+# fits (the longest, N = 124's, is 0.39 MiB), and the heaviest plan whose
+# file fits, N = 156's, holds 1.39 MiB of text, arrays and lowering, so 8
+# entries hold about 11 MiB at most
+_CACHED_TEXT_CHARS = 512 * 2**10
 
 
 def load_plan(path: str | Path) -> FftPlan:

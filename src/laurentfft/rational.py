@@ -35,8 +35,6 @@ def _as_exact(value) -> int | Fraction:
         return _exact(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, str):
-        return _exact(Fraction(value))
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 

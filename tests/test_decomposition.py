@@ -136,7 +136,7 @@ def test_decompose_structure():
     assert dec.indices == (-1, 0, 1, 2)
     assert tuple(dec.matrix(m).m for m in dec.indices) == dec.indices
     assert dec.matrix(2).m == 2
-    assert dec.residue_class(1).members == (1, 5, 9, 13)
+    assert residue_class(16, 1).members == (1, 5, 9, 13)
     with pytest.raises(ValueError):
         dec.matrix(5)
 

@@ -482,6 +482,48 @@ def test_verify_plan_fails_a_plan_that_outputs_nan():
     assert np.isnan(report.max_error) and not report.passed
 
 
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("n", (12, 64))
+def test_verify_plan_reports_what_a_per_trial_loop_measures(n, seed):
+    # the documented draw order: trial t runs the t-th of trials
+    # successive length-N draws of the seeded generator
+    plan = compile_plan_for(n)
+    rng = np.random.default_rng(seed)
+    max_error, counters_match, totals = 0.0, True, OpCounters()
+    for _ in range(7):
+        v = rng.uniform(-1.0, 1.0, n)
+        got, counters = execute_real(plan, v)
+        max_error = np.maximum(max_error, np.max(np.abs(got - naive_dft(v))))
+        counters_match &= (counters.real_mults, counters.real_adds) == \
+            (plan.mult_count, plan.add_count)
+        totals.merge(counters)
+    report = verify_plan(plan, trials=7, seed=seed)
+    assert np.float64(report.max_error).tobytes() == \
+        np.float64(max_error).tobytes()
+    assert report.totals == totals
+    assert (report.counters_match, report.passed) == \
+        (counters_match, max_error < default_tolerance(n))
+
+
+def test_naive_dft_keeps_the_matrices_of_the_last_16_sizes():
+    execute._dft_matrix_cached.cache_clear()
+    for n in range(1, 21):
+        naive_dft(np.ones(n))
+    assert execute._dft_matrix_cached.cache_info().currsize == 16
+
+
+def test_a_second_pass_over_the_sweep_ladder_reuses_every_dft_matrix():
+    ladder = (*range(12, 65, 4), 96)  # the benchmark's sweep blocklengths
+    execute._dft_matrix_cached.cache_clear()
+    for n in ladder:
+        naive_dft(np.ones(n))
+    hits = execute._dft_matrix_cached.cache_info().hits
+    for n in ladder:
+        naive_dft(np.ones(n))
+    info = execute._dft_matrix_cached.cache_info()
+    assert (info.hits - hits, info.misses) == (len(ladder), len(ladder))
+
+
 def test_verify_plan_is_reproducible():
     plan = compile_plan_for(16)
     a = verify_plan(plan, trials=20, seed=42)

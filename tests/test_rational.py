@@ -10,9 +10,11 @@ from oracles import exact_product, sympy_rank, sympy_rref
 
 
 def test_constructor_and_accessors():
-    m = RationalMatrix([[1, 2], [3, "1/2"]])
+    m = RationalMatrix([[1, 2], [3, Fraction(1, 2)]])
     assert (m.rows, m.cols) == (2, 2)
     assert m.entries == ((1, 2), (3, Fraction(1, 2)))
+    with pytest.raises(TypeError, match="'1/2'"):
+        RationalMatrix([[1, "1/2"]])
 
 
 def test_constructor_rejects_ragged_rows():
