@@ -37,11 +37,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending. Trial range is fine here:
-    arguments stay small (totient quotients of factors of N <= 64)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """All positive divisors of n, ascending, built from its prime
+    factorization: as slow as factorize on a large prime factor, and
+    otherwise a few steps per divisor."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def euler_totient(n: int) -> int:

@@ -104,7 +104,7 @@ def _mu_r(row: _Row):
 
 # (header, width, cell) of each table column. nlog2n is computed from N,
 # so a row reaches complexity_for, which refuses a huge N at once, before
-# heideman_bound, which would run for ages on it
+# heideman_bound, which factorizes N and runs long on a huge prime factor
 _N = ("N", 4, lambda row: row.n)
 _NLOG2N = ("nlog2n", 8, lambda row: nlog2n_rounded(row.n))
 _MULTS = ("mults", 8, lambda row: row.report.realized_total)
@@ -127,13 +127,16 @@ _FIXED_TABLES = {
 def _print_table(columns, ns) -> None:
     """Print the headers of columns, each a (header, width, cell) triple,
     then one row per blocklength in ns, every value right-aligned to its
-    column's width. Every row is built, its cells left to right, before
-    anything is printed, so a blocklength that raises prints nothing."""
-    widths = [width for _, width, _ in columns]
+    column's width; a value after the first that fills or overflows its
+    width gets one leading space, so it never runs into its neighbour.
+    Every row is built, its cells left to right, before anything is
+    printed, so a blocklength that raises prints nothing."""
+    (_, first, _), *rest = columns
     rows = [[cell(row) for _, _, cell in columns] for row in map(_Row, ns)]
-    for values in [[header for header, _, _ in columns], *rows]:
-        print("".join(f"{value:>{width}}"
-                      for value, width in zip(values, widths)))
+    for head, *tail in [[header for header, _, _ in columns], *rows]:
+        print(f"{head:>{first}}" + "".join(
+            f"{' ' + str(value):>{width}}"
+            for value, (_, width, _) in zip(tail, rest)))
 
 
 def cmd_complexity(args) -> int:

@@ -19,6 +19,7 @@ itself shifted (the asymmetric class, handled specially downstream).
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,9 @@ class UnsupportedBlocklengthError(ValueError):
 def _check_blocklength(n: int) -> int:
     """n as a Python int; UnsupportedBlocklengthError unless it is an
     integer (operator.index takes numpy's, never a float or a string)
-    of at least 4 that 4 divides."""
+    of at least 4 that 4 divides, whose 8 N^2-byte int64 exponent grid is
+    no larger than numpy's largest array, so that such an N is refused
+    before anything is built for it."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -41,6 +44,10 @@ def _check_blocklength(n: int) -> int:
     if n < 4 or n % 4 != 0:
         raise UnsupportedBlocklengthError(
             f"blocklength {n} unsupported: need N >= 4 with N divisible by 4")
+    if 8 * n * n > sys.maxsize:
+        raise UnsupportedBlocklengthError(
+            f"blocklength {n} unsupported: its {n} x {n} exponent grid "
+            f"cannot be allocated")
     return n
 
 

@@ -1,10 +1,7 @@
 """Run compiled plans as numpy scatter-adds, with op counters.
 
-Each plan is lowered once, on its first execution, into two flat term
-lists, one (destination, source index) pair per term: the preadd rows of
-every branch, and per output the terms of its row of M_0 (the additive
-stage) followed by every postadd term of every branch, in branch order.
-An execution is
+A plan runs off its term lists (plan._Lowered), which it builds on its
+first execution and keeps. An execution is
 
     src = [x, -x, 0.0, p, -p]
     p   = sums(preadd terms of src) * branch constants
@@ -15,34 +12,22 @@ it. ufunc.at is unbuffered and applies its terms one at a time in list
 order, and each destination's terms are listed in plan order, so every
 sum is -0.0 + t1 + t2 + ... left to right. -0.0 is the exact additive
 identity (from +0.0 a sum of -0.0 terms would come out +0.0), so the
-outputs are bit for bit those of a term-by-term evaluation. A sign flip
-is a read of the negated copy, and a sum with no term reads the 0.0
-slot: an empty preadd row, or an output whose row of M_0 is empty, which
-then starts from 0.0. No list holds padding.
+outputs are bit for bit those of a term-by-term evaluation.
 
-Counters are counted off the lists, under one documented convention:
-
-* each branch-constant scaling is one real multiplication;
-* a sum of t terms costs t - 1 additions (an output whose row of M_0 is
-  empty starts from 0.0, so each of its postadd terms costs one);
-* sign flips and routing by the unit factors 1, -j, -1, j are free.
-
-Lowering raises ValueError for a plan with a matrix entry other than +1
-or -1, or whose mult_count/add_count differ from the counts of its
-lists. The lists never depend on the input, so measured counts are
-input-independent and equal the plan's static counts.
+The counters are the counts of the term lists, under FftPlan's count
+convention; lowering refuses a plan whose mult_count or add_count
+differs from them, or with an entry other than +1 or -1.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .decomposition import dft_matrix
-from .plan import FftPlan, REAL_OUT
+from .plan import FftPlan, _Lowered
 
 # a DFT matrix is 16 N^2 bytes: a cycle through up to 16 blocklengths
 # reuses every matrix, and a scan over more sizes keeps only the last 16
@@ -70,105 +55,6 @@ class OpCounters:
     def merge(self, other: "OpCounters") -> None:
         self.real_mults += other.real_mults
         self.real_adds += other.real_adds
-
-
-@dataclass(frozen=True, eq=False)
-class _Lowered:
-    """A plan lowered to term lists; the counts are per real vector."""
-
-    pre_dest: np.ndarray  # preadd row of each preadd term
-    pre_src: np.ndarray  # its index into [x, -x, 0.0, p, -p]
-    out_dest: np.ndarray  # output (real parts, then imaginary) of each term
-    out_src: np.ndarray  # its index into the same source
-    constants: np.ndarray  # (rank,)
-    mults: int
-    adds: int
-
-
-# keyed by plan identity (FftPlan is eq=False); an entry goes with its plan
-_LOWERED: weakref.WeakKeyDictionary[FftPlan, _Lowered] = \
-    weakref.WeakKeyDictionary()
-
-
-def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(row, column, entry) of every nonzero of the n-column matrix mat,
-    row by row in column order; ValueError for an entry other than +-1."""
-    flat = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(flat, n)
-    entries = mat.ravel()[flat]
-    # compile_plan and the loader build only unit entries; a hand-built
-    # plan may not
-    if ((entries != 1) & (entries != -1)).any():
-        raise ValueError("a plan matrix has an entry that is not +1 or -1")
-    return rows, cols, entries
-
-
-def _signed(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, source index) of every term of the +-1 matrix mat, row by row
-    in column order: x[c] is at c and -x[c] at n + c; an empty row reads
-    the 0.0 slot at 2n."""
-    rows, cols, entries = _terms(mat, n)
-    empty = np.flatnonzero(np.bincount(rows, minlength=mat.shape[0]) == 0)
-    return (np.concatenate((rows, empty)),
-            np.concatenate((cols + n * (entries < 0),
-                            np.full(empty.size, 2 * n))))
-
-
-def _lower(plan: FftPlan) -> _Lowered:
-    """The plan's term lists and their counts; ValueError for a shape that
-    does not chain, an entry other than +-1 or a count that differs."""
-    n = plan.n
-    branches = plan.branches
-    for mat in (plan.additive.re_m0, plan.additive.im_m0):
-        if mat.shape != (n, n):
-            raise ValueError(f"additive stage is {mat.shape}, not {n}x{n}")
-    for b in branches:
-        if (b.preadd.ndim, b.postadd.shape) != (2, (n, b.rank)) or \
-                b.preadd.shape[1] != n:
-            raise ValueError(f"branch m={b.m} has a {b.preadd.shape} preadd "
-                             f"and a {b.postadd.shape} postadd: the shapes "
-                             f"do not chain for N={n}")
-    # every branch's preadd rows, and every branch's postadd columns as
-    # rows: branch order is the order of p
-    m0 = np.concatenate((plan.additive.re_m0, plan.additive.im_m0))
-    pre = np.concatenate([np.empty((0, n), np.int8)]
-                         + [b.preadd for b in branches])
-    post_t = np.concatenate([np.empty((0, n), np.int8)]
-                            + [b.postadd.T for b in branches])
-    rank = pre.shape[0]
-    ranks = [b.rank for b in branches]
-    dest = np.repeat(np.array([0 if b.destination == REAL_OUT else n
-                               for b in branches], dtype=np.intp), ranks)
-    sign = np.repeat(np.array([b.sign for b in branches], dtype=np.int8),
-                     ranks)
-    constants = np.repeat(np.array([b.constant_value for b in branches],
-                                   dtype=float), ranks)
-    pre_dest, pre_src = _signed(pre, n)
-    # output o sums the terms of row o of M_0, then its postadd terms,
-    # which the column-major walk of the postadd block lists in branch
-    # order: each p[k], or -p[k] where the entry is minus its branch's sign
-    m0_dest, m0_src = _signed(m0, n)
-    k, i, entries = _terms(post_t, n)
-    out_dest = np.concatenate((m0_dest, i + dest[k]))
-    out_src = np.concatenate((m0_src, 2 * n + 1 + k
-                              + rank * (entries != sign[k])))
-    # a sum of t terms costs t - 1 adds; every sum has at least one term
-    adds = pre_src.size - rank + out_src.size - 2 * n
-    if (rank, adds) != (plan.mult_count, plan.add_count):
-        raise ValueError(f"plan (mult_count, add_count) "
-                         f"{(plan.mult_count, plan.add_count)} differs from "
-                         f"the measured (mults, adds) {(rank, adds)} of its "
-                         f"term lists")
-    return _Lowered(pre_dest, pre_src, out_dest, out_src, constants, rank,
-                    adds)
-
-
-def _lowered(plan: FftPlan) -> _Lowered:
-    """The plan's term lists, lowered on its first execution."""
-    lowered = _LOWERED.get(plan)
-    if lowered is None:
-        lowered = _LOWERED[plan] = _lower(plan)
-    return lowered
 
 
 def _run(lowered: _Lowered, x: np.ndarray) -> np.ndarray:
@@ -203,7 +89,7 @@ def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
     vec = vec.astype(float, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a real vector of length {plan.n}")
-    lowered = _lowered(plan)
+    lowered = plan._term_lists
     out = _run(lowered, vec)
     n = plan.n
     return (out[:n] + 1j * out[n:],
@@ -269,7 +155,7 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
               for v in inputs]
     # np.max keeps a NaN, where max() would drop it
     max_error = float(np.max(errors))
-    lowered = _lowered(plan)
+    lowered = plan._term_lists
     return VerificationReport(
         n=plan.n, trials=trials, tolerance=tol, seed=seed,
         max_error=max_error, passed=max_error < tol,

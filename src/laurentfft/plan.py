@@ -90,7 +90,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -98,7 +98,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .bounds import nlog2n_rounded
-from .decomposition import ClassDecomposition, class_tables, decompose
+from .decomposition import (ClassDecomposition, _index_range, class_tables,
+                            decompose)
 from .rational import RationalMatrix, rank, rank_factor, vstack
 
 SYMMETRIC = "symmetric"
@@ -407,12 +408,15 @@ class FftPlan:
     """Straight-line recipe: additive stage plus scaled branches.
 
     Every matrix is a read-only int8 array with entries in {-1, 0, 1}.
-    mult_count counts one real multiplication per preadded value per branch
-    (the branch constant scalings); add_count counts every two-operand real
-    addition in the preadd, postadd, and additive stages under the fixed
-    convention of :mod:`laurentfft.execute`. No entry outside {-1, 0, 1}
-    costs a further multiplication: compile_plan, the loader and the
-    executor reject such an entry.
+    The counts are real operations per real vector under the package's
+    one count convention, which _plan_counts counts off the matrices and
+    _lower measures off the term lists: each branch-constant scaling is
+    one multiplication, so mult_count is the sum of the ranks; a sum of t
+    terms costs t - 1 additions, where a preadd row sums its nonzeros and
+    an output its row of M_0 (or 0.0, when that row is empty) and then
+    its postadd terms; sign flips and routing by the unit factors 1, -j,
+    -1, j are free. No entry outside {-1, 0, 1} costs a further
+    multiplication: compile_plan, the loader and the executor reject one.
     """
 
     n: int
@@ -420,6 +424,13 @@ class FftPlan:
     branches: tuple[MultiplicativeBranch, ...]
     mult_count: int
     add_count: int
+
+    @cached_property
+    def _term_lists(self) -> _Lowered:
+        """The plan's term lists (_lower), built on first use and kept; a
+        dataclasses.replace copy lowers, and so checks, its own. Threads
+        that first run a plan at once may each lower it, to equal lists."""
+        return _lower(self)
 
 
 def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
@@ -432,18 +443,106 @@ def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
 
 def _plan_counts(additive: AdditiveStage,
                  branches: list[MultiplicativeBranch]) -> tuple[int, int]:
-    """(mult_count, add_count) of a plan's matrices.
-
-    A row of k nonzeros costs k - 1 additions in the additive and preadd
-    stages (its first term starts the sum), and every postadd entry one
-    (each term accumulates onto an output). This is the convention
-    execute.py measures.
-    """
+    """(mult_count, add_count) of a plan's matrices, under FftPlan's count
+    convention."""
     sums = np.concatenate([additive.re_m0, additive.im_m0,
                            *(b.preadd for b in branches)])
     adds = int(np.maximum(np.count_nonzero(sums, axis=1) - 1, 0).sum())
     adds += sum(int(np.count_nonzero(b.postadd)) for b in branches)
     return sum(b.rank for b in branches), adds
+
+
+@dataclass(frozen=True, eq=False)
+class _Lowered:
+    """A plan as two flat term lists over the source [x, -x, 0.0, p, -p],
+    p the scaled preadded values, one (destination, source index) pair per
+    term, with their counts. The preadd list holds every branch's preadd
+    rows; the output list, per output, its row of M_0, then every branch's
+    postadd terms in branch order. A sign flip reads the negated copy and
+    a sum with no term the 0.0 slot. No list holds padding or depends on
+    the input, so the counts are input-independent.
+    """
+
+    pre_dest: np.ndarray  # preadd row of each preadd term
+    pre_src: np.ndarray  # its index into [x, -x, 0.0, p, -p]
+    out_dest: np.ndarray  # output (real parts, then imaginary) of each term
+    out_src: np.ndarray  # its index into the same source
+    constants: np.ndarray  # (rank,)
+    mults: int
+    adds: int
+
+
+def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(row, column, entry) of every nonzero of the n-column matrix mat,
+    row by row in column order; ValueError for an entry other than +-1."""
+    flat = np.flatnonzero(mat != 0)
+    rows, cols = np.divmod(flat, n)
+    entries = mat.ravel()[flat]
+    # compile_plan and the loader build only unit entries; a hand-built
+    # plan may not
+    if ((entries != 1) & (entries != -1)).any():
+        raise ValueError("a plan matrix has an entry that is not +1 or -1")
+    return rows, cols, entries
+
+
+def _signed(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, source index) of every term of the +-1 matrix mat, row by row
+    in column order: x[c] is at c and -x[c] at n + c; an empty row reads
+    the 0.0 slot at 2n."""
+    rows, cols, entries = _terms(mat, n)
+    empty = np.flatnonzero(np.bincount(rows, minlength=mat.shape[0]) == 0)
+    return (np.concatenate((rows, empty)),
+            np.concatenate((cols + n * (entries < 0),
+                            np.full(empty.size, 2 * n))))
+
+
+def _lower(plan: FftPlan) -> _Lowered:
+    """The plan's term lists and their counts; ValueError for a shape that
+    does not chain, an entry other than +-1 or a count that differs."""
+    n = plan.n
+    branches = plan.branches
+    for mat in (plan.additive.re_m0, plan.additive.im_m0):
+        if mat.shape != (n, n):
+            raise ValueError(f"additive stage is {mat.shape}, not {n}x{n}")
+    for b in branches:
+        if (b.preadd.ndim, b.postadd.shape) != (2, (n, b.rank)) or \
+                b.preadd.shape[1] != n:
+            raise ValueError(f"branch m={b.m} has a {b.preadd.shape} preadd "
+                             f"and a {b.postadd.shape} postadd: the shapes "
+                             f"do not chain for N={n}")
+    # every branch's preadd rows, and every branch's postadd columns as
+    # rows: branch order is the order of p
+    m0 = np.concatenate((plan.additive.re_m0, plan.additive.im_m0))
+    pre = np.concatenate([np.empty((0, n), np.int8)]
+                         + [b.preadd for b in branches])
+    post_t = np.concatenate([np.empty((0, n), np.int8)]
+                            + [b.postadd.T for b in branches])
+    rank = pre.shape[0]
+    ranks = [b.rank for b in branches]
+    dest = np.repeat(np.array([0 if b.destination == REAL_OUT else n
+                               for b in branches], dtype=np.intp), ranks)
+    sign = np.repeat(np.array([b.sign for b in branches], dtype=np.int8),
+                     ranks)
+    constants = np.repeat(np.array([b.constant_value for b in branches],
+                                   dtype=float), ranks)
+    pre_dest, pre_src = _signed(pre, n)
+    # output o sums the terms of row o of M_0, then its postadd terms,
+    # which the column-major walk of the postadd block lists in branch
+    # order: each p[k], or -p[k] where the entry is minus its branch's sign
+    m0_dest, m0_src = _signed(m0, n)
+    k, i, entries = _terms(post_t, n)
+    out_dest = np.concatenate((m0_dest, i + dest[k]))
+    out_src = np.concatenate((m0_src, 2 * n + 1 + k
+                              + rank * (entries != sign[k])))
+    # a sum of t terms costs t - 1 adds; every sum has at least one term
+    adds = pre_src.size - rank + out_src.size - 2 * n
+    if (rank, adds) != (plan.mult_count, plan.add_count):
+        raise ValueError(f"plan (mult_count, add_count) "
+                         f"{(plan.mult_count, plan.add_count)} differs from "
+                         f"the measured (mults, adds) {(rank, adds)} of its "
+                         f"term lists")
+    return _Lowered(pre_dest, pre_src, out_dest, out_src, constants, rank,
+                    adds)
 
 
 def compile_plan(dec: ClassDecomposition) -> FftPlan:
@@ -701,18 +800,6 @@ def plan_from_dict(doc: dict) -> FftPlan:
         raise ValueError(f"malformed plan document: {exc!r}") from exc
 
 
-def _decoded_preadd(n: int, m: int, layout_row: tuple, b: dict | None
-                    ) -> np.ndarray:
-    """The preadd of branch document b, on class m's slot of layout_row;
-    ValueError if b is None or the preadd does not decode to N columns and
-    1 to N rows."""
-    slot, kind, destination, _ = layout_row
-    if b is None:
-        raise ValueError(f"no branch for the {slot} matrix of m={m}, N={n}")
-    return _matrix_from_doc(b["preadd"], n,
-                            f"branch {(m, kind, destination)!r} preadd")
-
-
 def _certify(branch: MultiplicativeBranch, a: np.ndarray, slot: str) -> None:
     """ValueError unless branch, built from a decoded preadd, is the
     compiled branch of its slot's matrix a: postadd * preadd equals a, the
@@ -759,15 +846,16 @@ def _certified_plan(doc: dict) -> FftPlan:
     n = doc["N"]
     if type(n) is not int:
         raise ValueError(f"plan N must be an integer, got {n!r}")
-    # decompose builds class matrices on demand, so at most one class's
-    # matrices are held at a time, O(n^2) memory, however large n claims.
-    dec = decompose(n)
-    layout = {(m, *row[1:]) for m in _positive_indices(dec.indices)
-              for row in _LAYOUT[_class_kind(n, m)]}
+    # the branches are checked against the layout of N arithmetically,
+    # before decompose(n) builds the N x N exponent grid: a document that
+    # claims a huge N with too few branches costs what its branches cost
+    positive = range(1, _index_range(n).stop)
     by_slot: dict[tuple, dict] = {}
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
-        if key not in layout or {type(b["m"]), type(b["sign"])} != {int}:
+        if {type(b["m"]), type(b["sign"])} != {int} or b["m"] not in positive \
+                or key[1:] not in {row[1:] for row in
+                                   _LAYOUT[_class_kind(n, b["m"])]}:
             raise ValueError(f"branch {key!r} is not in the layout for N={n}: "
                              f"m is not a positive class index or the rest "
                              f"is not a layout row of its class")
@@ -777,14 +865,26 @@ def _certified_plan(doc: dict) -> FftPlan:
         _refuse_unknown_keys(b.get("preadd"), _MATRIX_KEYS,
                              f"branch {key!r} preadd")
         by_slot[key] = b
+    # every key is a distinct layout slot, so the document is complete iff
+    # its first len(by_slot) slots in walk order are all present and no
+    # slot follows them: at most len(by_slot) + 1 slots are visited
+    slots = ((m, row) for m in positive
+             for row in _LAYOUT[_class_kind(n, m)])
+    for i, (m, row) in enumerate(slots):
+        if i == len(by_slot) or (m, *row[1:]) not in by_slot:
+            raise ValueError(f"no branch for the {row[0]} matrix of m={m}, "
+                             f"N={n}")
+    dec = decompose(n)
     # each orbit's first class is certified in full; a later class's
     # branch needs no check if its preadd is the one read off that class
     branches: list[MultiplicativeBranch] = []
 
     def certified(m: int, layout_row: tuple, table: np.ndarray,
                   source: _FactoredSlot | None) -> _FactoredSlot:
-        f = _FactoredSlot(m, *layout_row, table=table, reduced=_decoded_preadd(
-            n, m, layout_row, by_slot.get((m, *layout_row[1:]))))
+        _, kind, destination, _ = layout_row
+        preadd = _matrix_from_doc(by_slot[(m, *layout_row[1:])]["preadd"], n,
+                                  f"branch {(m, kind, destination)!r} preadd")
+        f = _FactoredSlot(m, *layout_row, table=table, reduced=preadd)
         branches.append(f.branch(dec.exponents))
         if source is None or not np.array_equal(f.reduced, source.reduced):
             _certify(branches[-1], table[dec.exponents], f.slot)

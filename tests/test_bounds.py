@@ -23,8 +23,8 @@ def test_factorize_rejects_nonpositive():
 
 
 def test_divisors_matches_sympy():
-    for n in range(1, 150):
-        assert divisors(n) == tuple(sympy.divisors(n))
+    for n in [*range(1, 2001), *(2 ** k for k in range(64))]:
+        assert divisors(n) == tuple(sympy.divisors(n)), n
 
 
 def test_totient_matches_sympy():
@@ -42,6 +42,12 @@ def test_heideman_agrees_with_independent_oracle():
     # the load-bearing check: same numbers from two unrelated evaluations
     for n in range(1, 65):
         assert heideman_bound(n) == heideman_reference(n), n
+
+
+def test_heideman_of_a_huge_power_of_two_matches_the_oracle():
+    # divisors of the totient quotients up to 2**55: a trial loop to n
+    # would not return
+    assert heideman_bound(2 ** 57) == heideman_reference(2 ** 57)
 
 
 def test_heideman_known_values():

@@ -110,6 +110,14 @@ def test_bounds_golden(run_cli):
                    "  16      64      10      20\n")
 
 
+def test_bounds_keeps_a_space_between_values_wider_than_their_columns(
+        run_cli):
+    code, out, _ = run_cli("bounds", "1048576")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1048576", "20971520", "2096730",
+                                           "4193460"]
+
+
 def test_bounds_accepts_any_positive_length(run_cli):
     code, out, _ = run_cli("bounds", "1..6", "--step", "1")
     assert code == 0

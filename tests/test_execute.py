@@ -81,7 +81,7 @@ def test_each_sum_is_bitwise_the_term_by_term_sum(n):
     # many a -0.0 into +0.0, so only here does a sum started from +0.0
     # (rather than -0.0, the exact additive identity) show
     plan = compile_plan_for(n)
-    lowered = execute._lower(plan)
+    lowered = plan_mod._lower(plan)
     for v in (-np.zeros(n), np.random.default_rng(3000 + n).uniform(-1, 1, n)):
         assert execute._run(lowered, v).tobytes() == \
             term_by_term_sums(plan, v).tobytes()
@@ -100,7 +100,7 @@ def test_lowered_form_holds_only_the_plan_terms(n):
     # source [x, -x, 0.0, p, -p]; the terms of every sum in the order
     # term_by_term adds them, with one 0.0 term per empty row of M_0
     plan = compile_plan_for(n)
-    lowered = execute._lower(plan)
+    lowered = plan_mod._lower(plan)
     rank = plan.mult_count
 
     def signed(row):
@@ -135,7 +135,7 @@ def test_lowered_form_of_the_512_plan_is_small():
     plan = compile_plan_for(512)
     tracemalloc.start()
     try:
-        lowered = execute._lower(plan)
+        lowered = plan_mod._lower(plan)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -226,7 +226,7 @@ def test_a_warm_reload_is_a_new_plan_lowered_again(plan_cache, tmp_path, n):
     assert warm is not cold and plan_cache.cache_info().currsize == 0
     for plan in (cold, warm):
         assert _pinned_digest(plan, n) == _EXECUTE_PINS[n][2]
-    assert execute._LOWERED[warm] is not execute._LOWERED[cold]
+    assert warm._term_lists is not cold._term_lists
 
 
 @pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
@@ -236,11 +236,11 @@ def test_a_cached_reload_is_the_same_plan_lowered_once(plan_cache, tmp_path,
     save_plan(compile_plan_for(n), path)
     cold = load_plan(path)
     assert _pinned_digest(cold, n) == _EXECUTE_PINS[n][2]
-    lowered = execute._LOWERED[cold]
+    lowered = vars(cold)["_term_lists"]
     warm = load_plan(path)
     assert warm is cold and plan_to_dict(warm) == json.loads(path.read_text())
     assert _pinned_digest(warm, n) == _EXECUTE_PINS[n][2]
-    assert execute._LOWERED[warm] is lowered
+    assert warm._term_lists is lowered
 
 
 @pytest.mark.parametrize("n", sorted(_EXECUTE_PINS))
@@ -251,7 +251,7 @@ def test_threads_share_one_loaded_plan_bit_for_bit(plan_cache, tmp_path, n):
     path = tmp_path / "plan.json"
     save_plan(compile_plan_for(n), path)
     plan = load_plan(path)
-    assert plan not in execute._LOWERED
+    assert "_term_lists" not in vars(plan)
     inputs = np.random.default_rng(n).uniform(-1.0, 1.0, (16, n))
     alone = compile_plan_for(n)
     expected = [execute_real(alone, v)[0].tobytes() for v in inputs]
@@ -278,6 +278,24 @@ def test_threads_share_one_loaded_plan_bit_for_bit(plan_cache, tmp_path, n):
     assert not any(t.is_alive() for t in threads) and errors == []
     assert [outputs[k] for k in range(4)] == [expected] * 4
     assert _pinned_digest(plan, n) == _EXECUTE_PINS[n][2]
+
+
+def test_a_plan_is_lowered_once_and_a_copy_lowers_its_own(monkeypatch):
+    lowered, lower = [], plan_mod._lower
+    monkeypatch.setattr(plan_mod, "_lower",
+                        lambda plan: lowered.append(plan) or lower(plan))
+    plan = compile_plan_for(12)
+    assert "_term_lists" not in vars(plan)
+    for v in np.eye(12)[:3]:
+        execute_real(plan, v)
+    execute_complex(plan, np.ones(12, dtype=complex))
+    verify_plan(plan, trials=2)
+    assert lowered == [plan]
+    copy = dataclasses.replace(plan)
+    assert "_term_lists" not in vars(copy)
+    execute_real(copy, np.zeros(12))
+    assert lowered == [plan, copy]
+    assert copy._term_lists is not plan._term_lists
 
 
 def test_execute_real_rejects_a_plan_whose_add_count_is_off():

@@ -1270,6 +1270,35 @@ def test_a_blocklength_too_large_to_hold_is_a_value_error(run_cli, tmp_path):
         assert str(_HUGE_N) in err
 
 
+def test_a_document_without_its_branches_is_refused_before_the_grid():
+    # N = 4096's exponent grid is 134 MB of int64; the layout check is
+    # arithmetic, so refusing the empty document costs next to nothing
+    doc = {"format": "laurentfft-plan", "version": 2, "N": 4096,
+           "mult_count": 0, "add_count": 0, "branches": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no branch for the re_sum matrix "
+                                             "of m=1, N=4096"):
+            plan_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
+@pytest.mark.parametrize("dropped, message", [
+    (0, "re_sum matrix of m=1"), (3, "re_diff matrix of m=1"),
+    (5, "im_diff matrix of m=2")])
+def test_the_first_missing_slot_in_walk_order_is_named(dropped, message):
+    # N = 16 has six slots: the four of class 1, then the two of the
+    # asymmetric class 2
+    doc = plan_to_dict(compile_plan_for(16))
+    del doc["branches"][dropped]
+    with pytest.raises(ValueError, match=f"no branch for the {message}, "
+                                         f"N=16"):
+        plan_from_dict(doc)
+
+
 def test_load_plan_decodes_one_branch_at_a_time():
     # all 126 layout slots of N=256 claim an empty N x N preadd, about a
     # hundred bytes each: decoding every branch before the first product
