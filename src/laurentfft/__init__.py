@@ -20,7 +20,7 @@ from .execute import (OpCounters, VerificationReport, default_tolerance,
 from .plan import (AdditiveStage, BranchMatrices, ClassRankRow,
                    ComplexityReport, CoupledPair, FftPlan,
                    MultiplicativeBranch, branch_matrices, compile_plan,
-                   compile_plan_for, complexity, complexity_for,
+                   UnitMatrix, compile_plan_for, complexity, complexity_for,
                    coupled_samples, load_plan, plan_from_dict, plan_to_dict,
                    save_plan)
 from .rational import (RationalMatrix, RrefResult, ZeroMatrixError, rank,
@@ -33,7 +33,7 @@ __all__ = [
     "ClassMatrix", "ClassRankRow", "ComplexityReport", "CoupledPair",
     "FftPlan", "MultiplicativeBranch", "NotPowerOfTwoError", "OpCounters",
     "PartitionReport", "RationalMatrix", "ResidueClass", "RrefResult",
-    "UnsupportedBlocklengthError", "VerificationReport",
+    "UnitMatrix", "UnsupportedBlocklengthError", "VerificationReport",
     "ZeroMatrixError", "bounds_row", "branch_matrices", "class_indices",
     "class_matrix", "class_tables", "compile_plan", "compile_plan_for",
     "complexity", "complexity_for", "coupled_samples", "decompose",

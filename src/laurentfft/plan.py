@@ -41,10 +41,14 @@ One builder turns a slot and its preadd into a branch
 constant from constant_value) and one builds the additive stage from M_0
 (_additive_stage); compile_plan and the loader both build through them.
 
-Every plan matrix is a read-only int8 array with entries in {-1, 0, 1}:
-compile_plan and the builder check theirs with _unit_matrix, and the JSON
-decoder accepts only the values save_plan writes (_UNIT_BYTES, the file's
-rule). The module also reports the count three ways
+Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
+sign) arrays, row by row in column order, each sign +1 or -1. One helper,
+_unit_matrix, builds and checks every one, for compile_plan, the builder
+and the JSON decoder alike; the decoder accepts only the values save_plan
+writes (_UNIT_VALUES, the file's rule). The counts, the encoder,
+coupled_samples and the lowering read the arrays as they are; only the
+loader's certificate makes a matrix dense, one branch at a time.
+The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
 assumed, and can serialize plans to JSON and back. A plan file (version
@@ -55,21 +59,23 @@ its kind's value at m and N, and the additive stage is M_0. One encoder
 (_plan_text) renders a plan as the bytes of json.dumps(document,
 indent=2): json lays out the small skeleton with each preadd's triplets
 held as an index, and each index is replaced by the preadd's triplets,
-written straight from the matrix into one joined %-template, never
+written straight from its arrays into one joined %-template, never
 built as lists for json's per-item indenting encoder. save_plan writes
 that text and plan_to_dict is json.loads of it, so the file and the
 document cannot disagree. The loader decodes each preadd in one pass
 over its triplets, checking each one's form, bounds, value and repeat
-as it writes it into one bytearray, rebuilds every branch and the
+as it records it by its row-major position, sorts them into the
+preadd's arrays, rebuilds every branch and the
 additive stage with the builder, certifies the preadds exactly against
 the tables of N, one class at a time along the same orbit walk, and
 recounts the plan, so a plan it accepts is the compiled one, constants
 included. An orbit's first class, and any branch whose preadd is not
 the one read off it, is certified in full: postadd * preadd equals the
 slot's matrix A = t[E], the preadd is in reduced row echelon form and A
-has rank r, the preadd's row count. The product runs in float64 through
-BLAS and is still exact: its entries are +-1, so every partial sum is an
-integer of size at most N < 2^53.
+has rank r, the preadd's row count. The product runs on the two
+matrices made dense, in float64 through BLAS, and is still exact: its
+entries are +-1, so every partial sum is an integer of size at most
+N < 2^53.
 Minimality is one exact rank of an r x r block, by this lemma: if
 postadd * preadd = A with the preadd reduced, r rows and pivots P, then
 A has rank r iff A[P, P] = postadd[P] is nonsingular. Proof: postadd =
@@ -91,7 +97,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import groupby
+from itertools import chain, compress, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -184,20 +190,69 @@ def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
 _STACKED_PAIRS = (("re_sum", "im_sum"), ("re_diff", "im_diff"))
 
 
-def _unit_matrix(entries, what: str) -> np.ndarray:
-    """entries as a plan matrix: a read-only int8 array. The unit rule of
-    every matrix the package builds (compile_plan's preadds, and the
-    postadds and additive stage that compile_plan and the loader build
-    alike): ValueError unless every entry is an integer -1, 0 or 1. The
-    decoder keeps the rule of the file for the preadds it reads instead,
-    in _UNIT_BYTES."""
-    a = np.asarray(entries)
-    if a.size and (a.dtype.kind != "i" or a.min() < -1 or a.max() > 1):
-        bad = next((x for x in a.flat if x not in (-1, 0, 1)), a.dtype)
+@dataclass(frozen=True, eq=False)
+class UnitMatrix:
+    """A plan matrix, every entry +1, -1 or 0, held as its nonzeros.
+
+    Nonzero k is signs[k], +1 or -1, at (rows[k], cols[k]); the nonzeros
+    are listed row by row, in column order within a row, each position
+    once. rows and cols are read-only int32 arrays, signs a read-only int8
+    array. _unit_matrix builds every matrix of a compiled or loaded plan;
+    the executor checks every matrix of a plan, these and any built by
+    hand, when it lowers the plan.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a dense int8 array."""
+        out = np.zeros(self.shape, np.int8)
+        out[self.rows, self.cols] = self.signs
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, UnitMatrix) and self.shape == other.shape
+                and all(map(np.array_equal,
+                            (self.rows, self.cols, self.signs),
+                            (other.rows, other.cols, other.signs))))
+
+
+def _unit_matrix(shape: tuple[int, int], rows, cols, entries,
+                 what: str) -> UnitMatrix:
+    """The plan matrix of shape whose nonzeros are entries at (rows, cols),
+    which the caller lists row by row in column order: the one builder of
+    every matrix of a compiled or loaded plan. ValueError unless every
+    entry is an integer +1 or -1."""
+    entries = np.asarray(entries)
+    if entries.dtype.kind != "i" or np.count_nonzero(np.abs(entries) != 1):
+        bad = next((x for x in entries.flat if x not in (-1, 1)),
+                   entries.dtype)
         raise ValueError(f"{what} has an entry {bad} other than +1 or -1")
-    out = a.astype(np.int8)
-    out.flags.writeable = False
-    return out
+    arrays = (rows.astype(np.int32), cols.astype(np.int32),
+              entries.astype(np.int8))
+    for a in arrays:
+        a.setflags(write=False)
+    return UnitMatrix(shape, *arrays)
+
+
+def _nonzeros(a: np.ndarray) -> tuple:
+    """(shape, rows, cols, entries) of the dense matrix a's nonzeros, row
+    by row in column order: _unit_matrix's arguments."""
+    rows, cols = a.nonzero()
+    return a.shape, rows, cols, a[rows, cols]
+
+
+def _preadd(reduced: RationalMatrix, m: int) -> UnitMatrix:
+    """The plan matrix of an exact reduced form, its nonzeros read off the
+    rows' entries with no dense array."""
+    shape = reduced.rows, reduced.cols
+    entries = tuple(chain.from_iterable(reduced.entries))
+    at = np.fromiter(compress(range(len(entries)), entries), np.int64)
+    return _unit_matrix(shape, *np.divmod(at, shape[1]),
+                        list(filter(None, entries)), f"preadd of m={m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +266,8 @@ class _FactoredSlot:
     other slot's matrix is +-source's with its rows permuted, which the
     walk checked exactly, so it shares source's preadd. The loader's
     slots carry the preadds it decoded, each certified before the walk
-    reads a later class off it.
+    reads a later class off it. complexity's slots, which it reads only
+    for their ranks, carry no preadd (reduced is None).
     """
 
     m: int
@@ -220,13 +276,10 @@ class _FactoredSlot:
     destination: str
     sign: int
     table: np.ndarray
-    reduced: np.ndarray
+    rank: int
+    reduced: UnitMatrix | None
     exact: RationalMatrix | None = None
     source: _FactoredSlot | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.reduced)
 
     def branch(self, exponents: np.ndarray) -> MultiplicativeBranch:
         """The slot's branch, as compile_plan and the loader build it.
@@ -243,11 +296,15 @@ class _FactoredSlot:
             raise ValueError(f"{self.constant_kind} constant {value!r} of "
                              f"m={self.m}, N={n} is not strictly between 0 "
                              f"and 1")
-        pivots = (self.reduced != 0).argmax(axis=1)
+        # each row's first column; an empty row, which only a tampered
+        # preadd has and the certificate refuses, reads a later row's or 0
+        pre = self.reduced
+        pivots = np.append(pre.cols, 0)[np.searchsorted(pre.rows,
+                                                        np.arange(self.rank))]
         # the N x rank columns of table[exponents] at the pivots, gathered
         # as its rows there, transposed: the grid is symmetric, so the two
         # agree
-        post = _unit_matrix(self.table[exponents[pivots]].T,
+        post = _unit_matrix(*_nonzeros(self.table[exponents[pivots]].T),
                             f"postadd of the m={self.m} {self.slot} matrix")
         return MultiplicativeBranch(
             m=self.m, constant_kind=self.constant_kind, constant_value=value,
@@ -270,19 +327,19 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
-                   table: np.ndarray, source: _FactoredSlot | None
-                   ) -> _FactoredSlot:
-    """table's slot: source's preadd when the walk read it off source,
-    else the reduced form of the distinct rows up to sign of its matrix,
-    which is built for that and dropped."""
+                   table: np.ndarray, source: _FactoredSlot | None, *,
+                   preadds: bool) -> _FactoredSlot:
+    """table's slot: source's rank and preadd when the walk read it off
+    source, else the rank and reduced form of the distinct rows up to sign
+    of its matrix, which is built for that and dropped; the reduced form
+    becomes the slot's preadd only if preadds."""
     if source is not None:
-        return _FactoredSlot(m, *layout_row, table=table,
+        return _FactoredSlot(m, *layout_row, table=table, rank=source.rank,
                              reduced=source.reduced, source=source)
     exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
     reduced = rank_factor(exact)[1]
-    return _FactoredSlot(m, *layout_row, table=table,
-                         reduced=_unit_matrix(reduced.entries,
-                                              f"preadd of m={m}"),
+    return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
+                         reduced=_preadd(reduced, m) if preadds else None,
                          exact=exact)
 
 
@@ -354,11 +411,13 @@ def _orbit_walk(dec: ClassDecomposition, step: Callable[..., _FactoredSlot]
         yield from slots
 
 
-def _factored_slots(dec: ClassDecomposition) -> Iterator[_FactoredSlot]:
-    """Every combination matrix with its rank and factors, class by class
-    in layout order: each orbit's representative factored directly and
-    every other class read off it."""
-    return _orbit_walk(dec, partial(_factored_slot, dec.exponents))
+def _factored_slots(dec: ClassDecomposition, preadds: bool = True
+                    ) -> Iterator[_FactoredSlot]:
+    """Every combination matrix with its rank, and its preadd if preadds,
+    class by class in layout order: each orbit's representative factored
+    directly and every other class read off it."""
+    return _orbit_walk(dec, partial(_factored_slot, dec.exponents,
+                                    preadds=preadds))
 
 
 def constant_value(kind: str, m: int, n: int) -> float:
@@ -385,8 +444,8 @@ class MultiplicativeBranch:
     m: int
     constant_kind: str
     constant_value: float
-    preadd: np.ndarray
-    postadd: np.ndarray
+    preadd: UnitMatrix
+    postadd: UnitMatrix
     destination: str
     sign: int
 
@@ -399,24 +458,25 @@ class MultiplicativeBranch:
 class AdditiveStage:
     """Multiplication-free class-0 contribution: Re and Im of M_0."""
 
-    re_m0: np.ndarray
-    im_m0: np.ndarray
+    re_m0: UnitMatrix
+    im_m0: UnitMatrix
 
 
 @dataclass(frozen=True, eq=False)
 class FftPlan:
     """Straight-line recipe: additive stage plus scaled branches.
 
-    Every matrix is a read-only int8 array with entries in {-1, 0, 1}.
-    The counts are real operations per real vector under the package's
-    one count convention, which _plan_counts counts off the matrices and
-    _lower measures off the term lists: each branch-constant scaling is
-    one multiplication, so mult_count is the sum of the ranks; a sum of t
-    terms costs t - 1 additions, where a preadd row sums its nonzeros and
-    an output its row of M_0 (or 0.0, when that row is empty) and then
-    its postadd terms; sign flips and routing by the unit factors 1, -j,
-    -1, j are free. No entry outside {-1, 0, 1} costs a further
-    multiplication: compile_plan, the loader and the executor reject one.
+    Every matrix is a UnitMatrix, its entries +1, -1 and 0 held as the
+    nonzeros. The counts are real operations per real vector under the
+    package's one count convention, which _plan_counts counts off the
+    matrices and _lower measures off the term lists: each branch-constant
+    scaling is one multiplication, so mult_count is the sum of the ranks;
+    a sum of t terms costs t - 1 additions, where a preadd row sums its
+    nonzeros and an output its row of M_0 (or 0.0, when that row is
+    empty) and then its postadd terms; sign flips and routing by the unit
+    factors 1, -j, -1, j are free. No entry outside {-1, 0, 1} costs a
+    further multiplication: compile_plan, the loader and the executor
+    reject one.
     """
 
     n: int
@@ -437,19 +497,20 @@ def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
     """The additive stage of dec's plan: Re and Im of M_0 as plan
     matrices."""
     m0 = dec.matrix(0)
-    return AdditiveStage(re_m0=_unit_matrix(m0.re, "Re(M_0)"),
-                         im_m0=_unit_matrix(m0.im, "Im(M_0)"))
+    return AdditiveStage(re_m0=_unit_matrix(*_nonzeros(m0.re), "Re(M_0)"),
+                         im_m0=_unit_matrix(*_nonzeros(m0.im), "Im(M_0)"))
 
 
 def _plan_counts(additive: AdditiveStage,
                  branches: list[MultiplicativeBranch]) -> tuple[int, int]:
     """(mult_count, add_count) of a plan's matrices, under FftPlan's count
     convention."""
-    sums = np.concatenate([additive.re_m0, additive.im_m0,
-                           *(b.preadd for b in branches)])
-    adds = int(np.maximum(np.count_nonzero(sums, axis=1) - 1, 0).sum())
-    adds += sum(int(np.count_nonzero(b.postadd)) for b in branches)
-    return sum(b.rank for b in branches), adds
+    sums = (additive.re_m0, additive.im_m0, *(b.preadd for b in branches))
+    # a row of t >= 1 terms costs t - 1 adds, an empty row none
+    adds = sum(m.signs.size - np.count_nonzero(np.bincount(m.rows))
+               for m in sums)
+    adds += sum(b.postadd.signs.size for b in branches)
+    return sum(b.rank for b in branches), int(adds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,66 +533,83 @@ class _Lowered:
     adds: int
 
 
-def _terms(mat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(row, column, entry) of every nonzero of the n-column matrix mat,
-    row by row in column order; ValueError for an entry other than +-1."""
-    flat = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(flat, n)
-    entries = mat.ravel()[flat]
-    # compile_plan and the loader build only unit entries; a hand-built
-    # plan may not
-    if ((entries != 1) & (entries != -1)).any():
+def _stack(mats: list[UnitMatrix], row_offsets: list[int],
+           col_offsets: list[int]) -> tuple[np.ndarray, ...]:
+    """(rows, cols, signs) of the nonzeros of mats, matrix by matrix, each
+    matrix's rows and columns moved by its offsets. ValueError unless each
+    matrix lists its nonzeros as UnitMatrix says: inside its shape, row by
+    row in column order, each +1 or -1; a matrix built by hand need not."""
+    sizes = np.array([m.signs.size for m in mats])
+    rows, cols, signs = (np.concatenate([getattr(m, name) for m in mats])
+                         for name in ("rows", "cols", "signs"))
+    if np.count_nonzero(np.abs(signs) != 1):
         raise ValueError("a plan matrix has an entry that is not +1 or -1")
-    return rows, cols, entries
+    heights, widths = (np.array(side)
+                       for side in zip(*(m.shape for m in mats)))
+    areas = heights * widths
+    width = np.repeat(widths, sizes)
+    # each nonzero's row-major place in its matrix, and in the matrices
+    # laid end to end: increasing iff every matrix lists each nonzero once,
+    # in order
+    local = rows * width + cols
+    at = np.repeat(np.cumsum(areas) - areas, sizes) + local
+    if np.count_nonzero((cols < 0) | (cols >= width) | (local < 0)
+                        | (local >= np.repeat(areas, sizes))) \
+            or np.count_nonzero(np.diff(at) <= 0):
+        raise ValueError("a plan matrix lists a nonzero outside its shape, "
+                         "twice or out of row-major order")
+    return (rows + np.repeat(row_offsets, sizes),
+            cols + np.repeat(col_offsets, sizes), signs)
 
 
-def _signed(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, source index) of every term of the +-1 matrix mat, row by row
-    in column order: x[c] is at c and -x[c] at n + c; an empty row reads
-    the 0.0 slot at 2n."""
-    rows, cols, entries = _terms(mat, n)
-    empty = np.flatnonzero(np.bincount(rows, minlength=mat.shape[0]) == 0)
+def _signed(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray,
+            height: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, source index) of every term of a sum over x, one per nonzero
+    at (rows, cols) of a height x n matrix: x[c] is at c and -x[c] at
+    n + c; an empty row reads the 0.0 slot at 2n, after every nonzero."""
+    empty = np.flatnonzero(np.bincount(rows, minlength=height) == 0)
     return (np.concatenate((rows, empty)),
-            np.concatenate((cols + n * (entries < 0),
+            np.concatenate((cols + n * (signs < 0),
                             np.full(empty.size, 2 * n))))
 
 
 def _lower(plan: FftPlan) -> _Lowered:
     """The plan's term lists and their counts; ValueError for a shape that
-    does not chain, an entry other than +-1 or a count that differs."""
+    does not chain, a matrix _stack refuses or a count that differs."""
     n = plan.n
     branches = plan.branches
-    for mat in (plan.additive.re_m0, plan.additive.im_m0):
+    m0 = [plan.additive.re_m0, plan.additive.im_m0]
+    for mat in m0:
         if mat.shape != (n, n):
             raise ValueError(f"additive stage is {mat.shape}, not {n}x{n}")
     for b in branches:
-        if (b.preadd.ndim, b.postadd.shape) != (2, (n, b.rank)) or \
-                b.preadd.shape[1] != n:
+        if b.preadd.shape[1] != n or b.postadd.shape != (n, b.rank):
             raise ValueError(f"branch m={b.m} has a {b.preadd.shape} preadd "
                              f"and a {b.postadd.shape} postadd: the shapes "
                              f"do not chain for N={n}")
-    # every branch's preadd rows, and every branch's postadd columns as
-    # rows: branch order is the order of p
-    m0 = np.concatenate((plan.additive.re_m0, plan.additive.im_m0))
-    pre = np.concatenate([np.empty((0, n), np.int8)]
-                         + [b.preadd for b in branches])
-    post_t = np.concatenate([np.empty((0, n), np.int8)]
-                            + [b.postadd.T for b in branches])
-    rank = pre.shape[0]
+    # p lists every branch's preadd rows, in branch order
     ranks = [b.rank for b in branches]
-    dest = np.repeat(np.array([0 if b.destination == REAL_OUT else n
-                               for b in branches], dtype=np.intp), ranks)
+    rank = sum(ranks)
+    first = np.cumsum([0] + ranks)[:-1].tolist()
     sign = np.repeat(np.array([b.sign for b in branches], dtype=np.int8),
                      ranks)
     constants = np.repeat(np.array([b.constant_value for b in branches],
                                    dtype=float), ranks)
-    pre_dest, pre_src = _signed(pre, n)
-    # output o sums the terms of row o of M_0, then its postadd terms,
-    # which the column-major walk of the postadd block lists in branch
-    # order: each p[k], or -p[k] where the entry is minus its branch's sign
-    m0_dest, m0_src = _signed(m0, n)
-    k, i, entries = _terms(post_t, n)
-    out_dest = np.concatenate((m0_dest, i + dest[k]))
+    # M_0's rows are the outputs, a preadd's rows its entries of p, and a
+    # postadd's rows and columns its outputs and its entries of p
+    pre = [b.preadd for b in branches]
+    dest = [0 if b.destination == REAL_OUT else n for b in branches]
+    ends = np.cumsum([sum(m.signs.size for m in mats) for mats in (m0, pre)])
+    m0_terms, pre_terms, (i, k, entries) = zip(*(
+        np.split(x, ends) for x in _stack(
+            m0 + pre + [b.postadd for b in branches], [0, n] + first + dest,
+            [0, 0] + [0] * len(branches) + first)))
+    m0_dest, m0_src = _signed(*m0_terms, 2 * n, n)
+    pre_dest, pre_src = _signed(*pre_terms, rank, n)
+    # output o sums the terms of row o of M_0, then its postadd terms in
+    # branch order: each p[k], or -p[k] where the entry is minus its
+    # branch's sign
+    out_dest = np.concatenate((m0_dest, i))
     out_src = np.concatenate((m0_src, 2 * n + 1 + k
                               + rank * (entries != sign[k])))
     # a sum of t terms costs t - 1 adds; every sum has at least one term
@@ -644,7 +722,8 @@ def complexity(dec: ClassDecomposition) -> ComplexityReport:
     rows: list[ClassRankRow] = []
     totals = [0, 0, 0]
     stacked_of: dict[int, int] = {}
-    for m, group in groupby(_factored_slots(dec), key=lambda f: f.m):
+    for m, group in groupby(_factored_slots(dec, preadds=False),
+                            key=lambda f: f.m):
         row, *counts = _class_ranks(dec.n, m, group, stacked_of)
         rows.append(row)
         totals = [t + c for t, c in zip(totals, counts)]
@@ -683,13 +762,15 @@ def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
     """
     pairs: list[CoupledPair] = []
     for branch in plan.branches:
-        for row in branch.preadd:
-            cols = np.flatnonzero(row).tolist()
-            for c1, c2 in zip(cols[::2], cols[1::2]):
+        pre = branch.preadd
+        terms = zip(pre.rows.tolist(), pre.cols.tolist(), pre.signs.tolist())
+        for _, row in groupby(terms, key=lambda t: t[0]):
+            row = list(row)
+            for (_, c1, s1), (_, c2, s2) in zip(row[::2], row[1::2]):
                 pairs.append(CoupledPair(first=c1, second=c2,
-                                         relative_sign=int(row[c1] * row[c2])))
-            if len(cols) % 2:
-                pairs.append(CoupledPair(first=cols[-1], second=None,
+                                         relative_sign=s1 * s2))
+            if len(row) % 2:
+                pairs.append(CoupledPair(first=row[-1][1], second=None,
                                          relative_sign=None))
     return pairs
 
@@ -698,9 +779,9 @@ PLAN_FORMAT = "laurentfft-plan"
 PLAN_VERSION = 2
 
 
-# The int8 byte of each triplet value a plan file may hold: the strings
-# "1" and "-1", exactly as save_plan writes them.
-_UNIT_BYTES = {"1": 1, "-1": 0xFF}
+# The entry of each triplet value a plan file may hold: the strings "1"
+# and "-1", exactly as save_plan writes them.
+_UNIT_VALUES = {"1": 1, "-1": -1}
 
 # The keys of each object of a plan file, as _plan_text writes them: the
 # document, a branch and a preadd
@@ -711,17 +792,19 @@ _BRANCH_KEYS = frozenset({"m", "constant_kind", "destination", "sign",
 _MATRIX_KEYS = frozenset({"rows", "cols", "triplets"})
 
 
-def _matrix_from_doc(doc: dict, n: int, what: str) -> np.ndarray:
+def _matrix_from_doc(doc: dict, n: int, what: str) -> UnitMatrix:
     """The preadd of a {rows, cols, triplets} document, decoded in one pass
     over the triplets. rows is a JSON integer from 1 to n and cols the JSON
     integer n; a triplet is [row, col, value] with integer indices inside
     the matrix, at most one per position, and a value spelled as save_plan
-    writes it, which _UNIT_BYTES maps to its int8 byte."""
+    writes it, which _UNIT_VALUES maps to its entry. The nonzeros are then
+    put in row-major order, the order save_plan writes them in."""
     rows, cols = doc["rows"], doc["cols"]
     if {type(rows), type(cols)} != {int} or not 0 < rows <= n or cols != n:
         raise ValueError(f"{what} is {rows!r}x{cols!r}, not 1 to N={n} rows "
                          f"of {n} columns: the shapes do not chain")
-    cells = bytearray(rows * cols)
+    # each nonzero's entry by its row-major position
+    cells: dict[int, int] = {}
     for triplet in doc["triplets"]:
         if len(triplet) != 3:
             raise ValueError(f"a triplet of {what} is not a [row, col, value] "
@@ -734,16 +817,18 @@ def _matrix_from_doc(doc: dict, n: int, what: str) -> np.ndarray:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"triplet index ({i}, {j}) is outside a "
                              f"{rows}x{cols} matrix")
-        if value not in _UNIT_BYTES:
+        if value not in _UNIT_VALUES:
             raise ValueError(f"{what} has an entry {value} other than +1 or "
                              f"-1")
         cell = i * cols + j
-        if cells[cell]:
+        if cell in cells:
             raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
-        cells[cell] = _UNIT_BYTES[value]
-    mat = np.frombuffer(cells, dtype=np.int8).reshape(rows, cols)
-    mat.flags.writeable = False
-    return mat
+        cells[cell] = _UNIT_VALUES[value]
+    at = np.fromiter(cells, np.int64, len(cells))
+    order = np.argsort(at)
+    entries = np.fromiter(cells.values(), np.int8, len(cells))[order]
+    return _unit_matrix((rows, cols), *np.divmod(at[order], cols), entries,
+                        what)
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
@@ -806,7 +891,8 @@ def _certify(branch: MultiplicativeBranch, a: np.ndarray, slot: str) -> None:
     preadd is in reduced row echelon form, and a has rank r, which holds
     iff the r x r block a[P, P] at the pivots P is nonsingular, since a is
     symmetric (the module's lemma)."""
-    pre, post, rows = branch.preadd, branch.postadd, branch.rank
+    pre, post, rows = branch.preadd.toarray(), branch.postadd.toarray(), \
+        branch.rank
     where = f"branch {(branch.m, branch.constant_kind, branch.destination)!r}"
     # every partial sum of the product is an integer of size at most
     # N < 2^53, so float64 (and BLAS) computes it exactly
@@ -884,9 +970,10 @@ def _certified_plan(doc: dict) -> FftPlan:
         _, kind, destination, _ = layout_row
         preadd = _matrix_from_doc(by_slot[(m, *layout_row[1:])]["preadd"], n,
                                   f"branch {(m, kind, destination)!r} preadd")
-        f = _FactoredSlot(m, *layout_row, table=table, reduced=preadd)
+        f = _FactoredSlot(m, *layout_row, table=table,
+                          rank=preadd.shape[0], reduced=preadd)
         branches.append(f.branch(dec.exponents))
-        if source is None or not np.array_equal(f.reduced, source.reduced):
+        if source is None or f.reduced != source.reduced:
             _certify(branches[-1], table[dec.exponents], f.slot)
         return f
 
@@ -901,19 +988,18 @@ def _certified_plan(doc: dict) -> FftPlan:
     return FftPlan(n, additive, tuple(branches), *counts)
 
 
-def _triplets_text(mat: np.ndarray, indent: str) -> str:
+def _triplets_text(mat: UnitMatrix, indent: str) -> str:
     """The [row, col, value] list of mat's nonzeros, row-major, as
     json.dumps(..., indent=2) writes it nested at indent, written from
     the matrix: one %-template per nonzero, joined and filled from the
     nonzeros' (row, col, value) in one pass. A value is the string of its
     +-1, which '"%d"' writes as json does."""
-    rows, cols = np.nonzero(mat)
-    if not len(rows):
+    if not mat.signs.size:
         return "[]"
     inner, leaf = indent + "  ", indent + "    "
     row = f'{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}"%d"\n{inner}]'
-    body = ",\n".join([row] * len(rows))
-    fields = np.column_stack((rows, cols, mat[rows, cols])).ravel()
+    body = ",\n".join([row] * mat.signs.size)
+    fields = np.column_stack((mat.rows, mat.cols, mat.signs)).ravel()
     return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
 
 
@@ -955,8 +1041,8 @@ def save_plan(plan: FftPlan, path: str | Path) -> None:
 
 # The longest file text load_plan caches: every plan file through N = 128
 # fits (the longest, N = 124's, is 0.39 MiB), and the heaviest plan whose
-# file fits, N = 156's, holds 1.39 MiB of text, arrays and lowering, so 8
-# entries hold about 11 MiB at most
+# file fits, N = 156's, holds 1.02 MiB of text, arrays and lowering, so 8
+# entries hold about 8 MiB at most
 _CACHED_TEXT_CHARS = 512 * 2**10
 
 
@@ -981,4 +1067,9 @@ def load_plan(path: str | Path) -> FftPlan:
 
 @lru_cache(maxsize=8)
 def _plan_of_text(text: str) -> FftPlan:
-    return plan_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        # json's decoder recurses once per level of nesting
+        raise ValueError(f"malformed plan document: {exc!r}") from exc
+    return plan_from_dict(doc)

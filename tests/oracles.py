@@ -113,7 +113,7 @@ def term_by_term_sums(plan, v) -> np.ndarray:
 
     def rows(mat):
         out = []
-        for row in mat.tolist():
+        for row in mat.toarray().tolist():
             terms = [v[c] if x == 1 else -v[c] for c, x in enumerate(row) if x]
             acc = terms[0] if terms else 0.0
             for t in terms[1:]:
@@ -125,7 +125,7 @@ def term_by_term_sums(plan, v) -> np.ndarray:
     for b in plan.branches:
         scaled = [b.constant_value * x for x in rows(b.preadd)]
         out = re_out if b.destination == "real_out" else im_out
-        for i, row in enumerate(b.postadd.tolist()):
+        for i, row in enumerate(b.postadd.toarray().tolist()):
             for j, x in enumerate(row):
                 if x == b.sign:
                     out[i] += scaled[j]

@@ -106,23 +106,24 @@ def test_lowered_form_holds_only_the_plan_terms(n):
     def signed(row):
         return [c if x == 1 else n + c for c, x in enumerate(row) if x]
 
-    pre = [signed(row) for b in plan.branches for row in b.preadd.tolist()]
+    pre = [signed(row) for b in plan.branches
+           for row in b.preadd.toarray().tolist()]
     out = [signed(row) or [2 * n]
            for mat in (plan.additive.re_m0, plan.additive.im_m0)
-           for row in mat.tolist()]
+           for row in mat.toarray().tolist()]
     empty_m0 = sum(t == [2 * n] for t in out)
     offset = 0
     for b in plan.branches:
         base = 0 if b.destination == REAL_OUT else n
-        for i, row in enumerate(b.postadd.tolist()):
+        for i, row in enumerate(b.postadd.toarray().tolist()):
             out[base + i] += [2 * n + 1 + offset + j + (x != b.sign) * rank
                               for j, x in enumerate(row) if x]
         offset += b.rank
     assert _in_order(lowered.pre_dest, lowered.pre_src) == dict(enumerate(pre))
     assert _in_order(lowered.out_dest, lowered.out_src) == dict(enumerate(out))
-    nonzeros = sum(np.count_nonzero(m) for b in plan.branches
+    nonzeros = sum(np.count_nonzero(m.toarray()) for b in plan.branches
                    for m in (b.preadd, b.postadd))
-    m0_nonzeros = sum(np.count_nonzero(m) for m in
+    m0_nonzeros = sum(np.count_nonzero(m.toarray()) for m in
                       (plan.additive.re_m0, plan.additive.im_m0))
     assert lowered.pre_src.size + lowered.out_src.size == \
         nonzeros + m0_nonzeros + empty_m0
@@ -143,6 +144,22 @@ def test_lowered_form_of_the_512_plan_is_small():
     assert held < 8 * 10**6
 
 
+def test_the_512_plan_compiles_and_lowers_in_bounded_memory():
+    # as dense int8 arrays the plan matrices peaked at 25.6 MiB to compile,
+    # and stacking them densely to lower them at 24 MiB more
+    tracemalloc.start()
+    try:
+        plan = compile_plan_for(512)
+        compiled, compile_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        plan_mod._lower(plan)
+        lower_peak = tracemalloc.get_traced_memory()[1] - compiled
+    finally:
+        tracemalloc.stop()
+    assert compile_peak < 10 * 2**20
+    assert lower_peak < 12 * 2**20
+
+
 def test_counters_are_input_independent():
     plan = compile_plan_for(20)
     _, a = execute_real(plan, np.zeros(20))
@@ -157,7 +174,7 @@ def test_execute_real_impulse_needs_no_branches():
     out, _ = execute_real(plan, np.eye(12)[0])
     assert np.array_equal(out, np.ones(12, dtype=complex))
     for b in plan.branches:
-        assert not b.preadd[:, 0].any()
+        assert not b.preadd.toarray()[:, 0].any()
 
 
 def test_execute_real_input_checks():
@@ -305,31 +322,80 @@ def test_execute_real_rejects_a_plan_whose_add_count_is_off():
         execute_real(off, np.zeros(12))
 
 
+def _with_matrix(plan, matrix, change):
+    """plan with change applied to its Re(M_0), or to its first branch's
+    preadd or postadd."""
+    if matrix == "re_m0":
+        return dataclasses.replace(plan, additive=dataclasses.replace(
+            plan.additive, re_m0=change(plan.additive.re_m0)))
+    branch = plan.branches[0]
+    changed = dataclasses.replace(branch,
+                                  **{matrix: change(getattr(branch, matrix))})
+    return dataclasses.replace(plan, branches=(changed, *plan.branches[1:]))
+
+
 def test_execute_real_rejects_a_hand_built_plan_whose_shapes_do_not_chain():
     plan = compile_plan_for(12)
-    additive = dataclasses.replace(plan.additive,
-                                   re_m0=plan.additive.re_m0[:11])
+    short = _with_matrix(plan, "re_m0",
+                         lambda m: dataclasses.replace(m, shape=(11, 12)))
     with pytest.raises(ValueError, match="additive stage is \\(11, 12\\)"):
-        execute_real(dataclasses.replace(plan, additive=additive),
-                     np.zeros(12))
-    branch = plan.branches[0]
-    short = dataclasses.replace(branch, postadd=branch.postadd[:-1])
+        execute_real(short, np.zeros(12))
+    short = _with_matrix(plan, "postadd", lambda m: dataclasses.replace(
+        m, shape=(11, m.shape[1])))
     with pytest.raises(ValueError, match="do not chain for N=12"):
-        execute_real(dataclasses.replace(
-            plan, branches=(short, *plan.branches[1:])), np.zeros(12))
+        execute_real(short, np.zeros(12))
+
+
+def _non_unit(entry):
+    """A change that sets a plan matrix's first nonzero to entry."""
+    def change(mat):
+        signs = mat.signs.copy()
+        signs[0] = entry
+        return dataclasses.replace(mat, signs=signs)
+    return change
 
 
 def test_execute_real_rejects_a_non_unit_entry():
     # the counts still match: only the entry 2 is wrong
     plan = compile_plan_for(12)
-    branch = plan.branches[0]
-    preadd = branch.preadd.copy()
-    preadd[0, np.flatnonzero(preadd[0])[0]] = 2
-    scaled = dataclasses.replace(
-        plan, branches=(dataclasses.replace(branch, preadd=preadd),
-                        *plan.branches[1:]))
     with pytest.raises(ValueError, match="not \\+1 or -1"):
-        execute_real(scaled, np.zeros(12))
+        execute_real(_with_matrix(plan, "preadd", _non_unit(2)),
+                     np.zeros(12))
+
+
+@pytest.mark.parametrize("matrix, entry", (("re_m0", 2), ("postadd", 2),
+                                           ("re_m0", 0), ("preadd", 0),
+                                           ("postadd", 0)))
+def test_execute_real_rejects_a_non_unit_entry_in_any_matrix(matrix, entry):
+    # the additive stage and the postadds are refused as the preadds are,
+    # and a stored 0 as a 2
+    with pytest.raises(ValueError, match="not \\+1 or -1"):
+        execute_real(_with_matrix(compile_plan_for(12), matrix,
+                                  _non_unit(entry)), np.zeros(12))
+
+
+@pytest.mark.parametrize("fault", ("outside", "repeat", "order"))
+@pytest.mark.parametrize("matrix", ("re_m0", "preadd", "postadd"))
+def test_execute_real_rejects_a_matrix_that_lists_its_nonzeros_out_of_form(
+        matrix, fault):
+    # a hand-built UnitMatrix must list each nonzero inside its shape, once,
+    # row by row in column order, as the builder does; the counts still
+    # match, and no term may land on another matrix's row or input
+    plan = compile_plan_for(12)
+
+    def broken(mat):
+        rows, cols = mat.rows.copy(), mat.cols.copy()
+        if fault == "outside":
+            cols[-1] = mat.shape[1]
+        elif fault == "repeat":
+            rows[1], cols[1] = rows[0], cols[0]
+        else:
+            rows[:2], cols[:2] = rows[1::-1], cols[1::-1]
+        return dataclasses.replace(mat, rows=rows, cols=cols)
+
+    with pytest.raises(ValueError, match="outside its shape, twice or out of "
+                                         "row-major order"):
+        execute_real(_with_matrix(plan, matrix, broken), np.zeros(12))
 
 
 def test_execute_complex_matches_real_on_real_input():
@@ -498,6 +564,33 @@ def test_verify_plan_fails_a_plan_that_outputs_nan():
     broken = dataclasses.replace(plan, branches=(nan, *plan.branches[1:]))
     report = verify_plan(broken, trials=3, seed=0)
     assert np.isnan(report.max_error) and not report.passed
+
+
+def test_verify_plan_memory_does_not_grow_with_trials():
+    # one (trials, N) draw and one error per trial peaked at 10.5 MiB here
+    plan = compile_plan_for(64)
+    verify_plan(plan, trials=1)
+    tracemalloc.start()
+    try:
+        report = verify_plan(plan, trials=20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and peak < 2 * 2**20
+
+
+def test_verify_plan_runs_the_rows_of_one_draw_across_blocks(monkeypatch):
+    # the trials drawn block by block are the rows of one (trials, N) draw
+    n, trials = 12, 2 * execute._TRIAL_BLOCK + 3
+    plan = compile_plan_for(n)
+    seen, run = [], execute.execute_real
+    monkeypatch.setattr(execute, "execute_real",
+                        lambda plan, v: seen.append(v.copy()) or run(plan, v))
+    report = verify_plan(plan, trials=trials, seed=5)
+    inputs = np.random.default_rng(5).uniform(-1.0, 1.0, (trials, n))
+    assert np.array_equal(seen, inputs)
+    errors = [np.max(np.abs(run(plan, v)[0] - naive_dft(v))) for v in inputs]
+    assert np.float64(report.max_error).tobytes() == np.max(errors).tobytes()
 
 
 @pytest.mark.parametrize("seed", (0, 1))

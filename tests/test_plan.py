@@ -15,7 +15,7 @@ from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import UnsupportedBlocklengthError, decompose
 from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
-                             MultiplicativeBranch, branch_matrices,
+                             MultiplicativeBranch, UnitMatrix, branch_matrices,
                              compile_plan, compile_plan_for, complexity,
                              complexity_for, constant_value, coupled_samples,
                              load_plan, plan_from_dict, plan_to_dict,
@@ -117,7 +117,7 @@ def test_compile_plan_n4_is_additive_only():
     plan = compile_plan_for(4)
     assert plan.branches == ()
     assert plan.mult_count == 0
-    assert np.array_equal(plan.additive.re_m0,
+    assert np.array_equal(plan.additive.re_m0.toarray(),
                           np.array([[1, 1, 1, 1], [1, 0, -1, 0],
                                     [1, -1, 1, -1], [1, 0, -1, 0]]))
 
@@ -154,7 +154,8 @@ def test_branch_factorizations_are_exact():
         for b in plan.branches:
             source = getattr(branch_matrices(dec, b.m),
                              slot_for[(b.constant_kind, b.destination)])
-            product = b.postadd.astype(int) @ b.preadd.astype(int)
+            product = b.postadd.toarray().astype(int) @ \
+                b.preadd.toarray().astype(int)
             assert np.array_equal(product, source), (n, b.m)
 
 
@@ -266,7 +267,8 @@ def test_derived_slots_match_a_direct_factorization(n):
         assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         branch = f.branch(dec.exponents)
         post, pre = direct_factors(matrix)
-        assert all(np.array_equal(mine, direct.entries) for mine, direct
+        assert all(np.array_equal(mine.toarray(), direct.entries)
+                   for mine, direct
                    in zip((branch.postadd, branch.preadd), (post, pre))), \
             (n, f.m, f.slot)
         assert f.rank == pre.rows
@@ -286,7 +288,8 @@ def test_derived_preadds_are_the_representatives(n):
             plan_mod._distinct_rows(f.table[dec.exponents]))
         assert exact.rows > 0 and f.rank > 0, (n, f.m, f.slot)
         assert f.reduced is f.source.reduced
-        assert np.array_equal(rref(exact).rref.entries, f.source.reduced), \
+        assert np.array_equal(rref(exact).rref.entries,
+                              f.source.reduced.toarray()), \
             (n, f.m, f.slot)
 
 
@@ -324,7 +327,8 @@ def test_representatives_match_a_full_row_factorization(n):
         matrix = f.table[dec.exponents]
         assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         pre = direct_factors(matrix)[1]
-        assert np.array_equal(f.reduced, pre.entries), (n, f.m, f.slot)
+        assert np.array_equal(f.reduced.toarray(), pre.entries), \
+            (n, f.m, f.slot)
         assert f.rank == pre.rows, (n, f.m, f.slot)
 
 
@@ -418,7 +422,7 @@ def test_asymmetric_class_only_when_8_divides_n():
 def test_n12_preadd_rows_match_the_known_reductions():
     plan = compile_plan_for(12)
     rows = {(b.constant_kind, b.destination):
-            [tuple(row) for row in b.preadd.tolist()]
+            [tuple(row) for row in b.preadd.toarray().tolist()]
             for b in plan.branches}
     assert rows[("cosine", "real_out")] == \
         [(0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)]
@@ -449,10 +453,9 @@ def test_coupled_samples_n4_empty():
 def test_coupled_samples_odd_row_leaves_a_singleton():
     branch = MultiplicativeBranch(
         m=1, constant_kind="cosine", constant_value=0.5,
-        preadd=np.array([[1, 0, -1, 1]], dtype=np.int8),
-        postadd=np.array([[1], [0], [0], [0]], dtype=np.int8),
+        preadd=_unit([[1, 0, -1, 1]]), postadd=_unit([[1], [0], [0], [0]]),
         destination="real_out", sign=1)
-    zero = np.zeros((4, 4), dtype=np.int8)
+    zero = _unit(np.zeros((4, 4), dtype=np.int8))
     plan = FftPlan(n=4, additive=AdditiveStage(re_m0=zero, im_m0=zero),
                    branches=(branch,), mult_count=1, add_count=2)
     pairs = coupled_samples(plan)
@@ -463,7 +466,7 @@ def test_coupled_samples_odd_row_leaves_a_singleton():
 def test_n20_couples_the_condensed_row_pattern():
     plan = compile_plan_for(20)
     supports = {tuple(np.flatnonzero(row).tolist())
-                for b in plan.branches for row in b.preadd}
+                for b in plan.branches for row in b.preadd.toarray()}
     assert (1, 9, 11, 19) in supports
     assert (3, 7, 13, 17) in supports
 
@@ -480,25 +483,33 @@ def test_plan_dict_roundtrip_preserves_everything():
         assert plan_to_dict(again) == doc, n
         assert (again.n, again.mult_count, again.add_count) == \
             (plan.n, plan.mult_count, plan.add_count), n
-        assert np.array_equal(again.additive.re_m0, plan.additive.re_m0)
-        assert np.array_equal(again.additive.im_m0, plan.additive.im_m0)
+        assert again.additive.re_m0 == plan.additive.re_m0
+        assert again.additive.im_m0 == plan.additive.im_m0
         assert len(again.branches) == len(plan.branches)
         for a, b in zip(again.branches, plan.branches):
             assert (a.m, a.constant_kind, a.destination, a.sign) == \
                 (b.m, b.constant_kind, b.destination, b.sign)
             assert a.constant_value == b.constant_value == \
                 constant_value(a.constant_kind, a.m, n), (n, a.m)
-            assert np.array_equal(a.preadd, b.preadd)
-            assert np.array_equal(a.postadd, b.postadd)
+            assert a.preadd == b.preadd and a.postadd == b.postadd
         v = rng.uniform(-1.0, 1.0, n)
         assert execute_real(again, v)[0].tobytes() == \
             execute_real(plan, v)[0].tobytes(), n
 
 
-def _matrix_doc(mat, value=str):
-    """mat's {rows, cols, triplets} plan-file object, built from np.nonzero
-    apart from the package's encoder: [row, col, value] row-major, the value
-    value(+-1), the string "1" or "-1" by default."""
+def _unit(dense) -> UnitMatrix:
+    """The plan matrix of the dense array dense, through the package's
+    builder."""
+    return plan_mod._unit_matrix(*plan_mod._nonzeros(np.asarray(dense)),
+                                 "a test matrix")
+
+
+def _matrix_doc(unit, value=str):
+    """The plan matrix unit's {rows, cols, triplets} plan-file object,
+    built from np.nonzero of its dense array apart from the package's
+    encoder: [row, col, value] row-major, the value value(+-1), the string
+    "1" or "-1" by default."""
+    mat = unit.toarray()
     rows, cols = np.nonzero(mat)
     values = mat[rows, cols].tolist()
     return {"rows": mat.shape[0], "cols": mat.shape[1],
@@ -1018,11 +1029,11 @@ def test_save_plan_writes_the_json_dumps_bytes(tmp_path, n):
 def test_plan_json_text_renders_empty_triplets_as_json_does():
     # save_plan splices _triplets_text into json's layout of the rest; an
     # empty matrix's triplets must come out as json's "[]" at any depth
-    zero = np.zeros((3, 4), dtype=np.int8)
+    zero = _unit(np.zeros((3, 4), dtype=np.int8))
     for indent in ("", "      "):
         assert plan_mod._triplets_text(zero, indent) == "[]"
     eye = np.eye(3, 4, dtype=np.int8)
-    for mat in (zero, eye, -eye):
+    for mat in (zero, _unit(eye), _unit(-eye)):
         text = plan_mod._triplets_text(mat, "    ")
         doc = {"a": {"triplets": _matrix_doc(mat)["triplets"]}}
         assert json.dumps(doc, indent=2) == \
@@ -1104,9 +1115,9 @@ def test_compiled_postadds_are_the_slot_matrix_at_the_pivot_columns(n):
         slot = next(row[0] for row in layout
                     if row[1:] == (b.constant_kind, b.destination, b.sign))
         a = plan_mod._slot_tables(n, b.m)[slot][dec.exponents]
-        pivots = (b.preadd != 0).argmax(axis=1)
-        assert np.array_equal(b.postadd, a[:, pivots]), (n, b.m, slot)
-        assert b.postadd.flags.f_contiguous, (n, b.m, slot)
+        pivots = (b.preadd.toarray() != 0).argmax(axis=1)
+        assert np.array_equal(b.postadd.toarray(), a[:, pivots]), \
+            (n, b.m, slot)
 
 
 @pytest.mark.parametrize("n", range(4, 129, 4))
@@ -1114,8 +1125,9 @@ def test_compiled_branches_have_a_nonsingular_pivot_block(n):
     # a compiled branch is minimal, so by the pivot-block lemma its r x r
     # block A[P, P], the one matrix the loader ranks, is nonsingular
     for b in compile_plan_for(n).branches:
-        pivots = (b.preadd != 0).argmax(axis=1)
-        assert rank(RationalMatrix.from_int_matrix(b.postadd[pivots])) \
+        pivots = (b.preadd.toarray() != 0).argmax(axis=1)
+        block = b.postadd.toarray()[pivots]
+        assert rank(RationalMatrix.from_int_matrix(block)) \
             == b.rank, (n, b.m, b.constant_kind, b.destination)
 
 
@@ -1343,18 +1355,38 @@ def test_save_and_load_plan(tmp_path):
     loaded = load_plan(path)
     assert loaded.mult_count == plan.mult_count
     assert len(loaded.branches) == len(plan.branches)
-    assert all(np.array_equal(a.preadd, b.preadd)
+    assert all(a.preadd == b.preadd
                for a, b in zip(loaded.branches, plan.branches))
 
 
+def test_a_deeply_nested_plan_file_is_a_value_error(run_cli, tmp_path):
+    # json's decoder recurses once per bracket: its RecursionError is a
+    # malformed document, refused with exit 2, not a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="malformed plan document"):
+        load_plan(path)
+    code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "malformed plan document" in err
+
+
 def test_preadd_and_postadd_entries_are_unit_for_supported_lengths():
-    # every plan matrix, the additive ones included, is one read-only int8
-    # array of unit entries, which the executor, the counts and the codec
-    # read with numpy
+    # every plan matrix, the additive ones included, is one UnitMatrix:
+    # read-only int32 rows and columns and int8 signs +-1, each nonzero of
+    # its dense array once, row by row in column order, which the
+    # executor, the counts and the codec read as they are
     for n in range(4, 129, 4):
         plan = compile_plan_for(n)
         mats = [plan.additive.re_m0, plan.additive.im_m0]
         mats += [m for b in plan.branches for m in (b.preadd, b.postadd)]
         for mat in mats:
-            assert mat.dtype == np.int8 and not mat.flags.writeable, n
-            assert set(np.unique(mat).tolist()) <= {-1, 0, 1}, n
+            arrays = (mat.rows, mat.cols, mat.signs)
+            assert [a.dtype for a in arrays] == [np.int32, np.int32, np.int8]
+            assert not any(a.flags.writeable for a in arrays), n
+            assert set(mat.signs.tolist()) <= {-1, 1}, n
+            dense = mat.toarray()
+            rows, cols = np.nonzero(dense)
+            assert np.array_equal(mat.rows, rows), n
+            assert np.array_equal(mat.cols, cols), n
+            assert np.array_equal(mat.signs, dense[rows, cols]), n
