@@ -17,22 +17,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# factorize divides by every d below this; a part left at least its square
+# could hold a prime factor as large as its square root, which trial
+# division would take hours to reach
+_TRIAL_LIMIT = 10**6
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as ((p, e), ...) with p ascending."""
+    """Prime factorization as ((p, e), ...) with p ascending, by trial
+    division below _TRIAL_LIMIT: ValueError for an n that it leaves with a
+    part of at least _TRIAL_LIMIT^2, which may not be prime."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
+    rest = n
     d = 2
-    while d * d <= n:
+    while d * d <= rest:
+        if d == _TRIAL_LIMIT:
+            raise ValueError(f"cannot factor N={n}: its part {rest} has no "
+                             f"prime factor below 10^6 and is at least "
+                             f"10^12, past what trial division reaches")
         e = 0
-        while n % d == 0:
-            n //= d
+        while rest % d == 0:
+            rest //= d
             e += 1
         if e:
             out.append((d, e))
         d += 1
-    if n > 1:
-        out.append((n, 1))
+    if rest > 1:
+        out.append((rest, 1))
     return tuple(out)
 
 

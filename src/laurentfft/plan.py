@@ -12,11 +12,11 @@ The multiplication count of a compiled plan is the sum of branch ranks.
 One table (_LAYOUT) says which combination matrix becomes which branch:
 classes m and -m have disjoint supports, so no combination matrix is
 zero and every layout row of every positive class is one branch. One
-walk (_orbit_walk) is the only loop over the positive classes: it gives
-compile_plan and complexity every matrix's rank and exact factors, and
-the loader every slot to certify. Each combination matrix is a function
-of the exponent alone: a length-N int8 table t read at the exponent grid
-E[k, i] = k*i mod N, so every matrix is one gather t[E] (_slot_tables).
+walk (_factored_slots) is the only loop over the positive classes: it
+gives compile_plan and complexity every matrix's rank and exact factors.
+Each combination matrix is a function of the exponent alone: a length-N
+int8 table t read at the exponent grid E[k, i] = k*i mod N, so every
+matrix is one gather t[E] (_slot_tables).
 A unit c mod N permutes the columns (i -> c*i mod N) and so maps class m
 onto class c*m (Rader 1968; Winograd 1978, "On computing the discrete
 Fourier transform"), so the positive classes with one g = gcd(m, N/4)
@@ -39,15 +39,14 @@ whole grid rows t[E[P]].T (in _FactoredSlot.branch).
 One builder turns a slot and its preadd into a branch
 (_FactoredSlot.branch: the postadd gathered as whole grid rows, the
 constant from constant_value) and one builds the additive stage from M_0
-(_additive_stage); compile_plan and the loader both build through them.
+(_additive_stage).
 
 Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
 sign) arrays, row by row in column order, each sign +1 or -1. One helper,
 _unit_matrix, builds and checks every one, for compile_plan, the builder
 and the JSON decoder alike; the decoder accepts only the values save_plan
 writes (_UNIT_VALUES, the file's rule). The counts, the encoder,
-coupled_samples and the lowering read the arrays as they are; only the
-loader's certificate makes a matrix dense, one branch at a time.
+coupled_samples and the lowering read the arrays as they are.
 The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
@@ -62,32 +61,15 @@ held as an index, and each index is replaced by the preadd's triplets,
 written straight from its arrays into one joined %-template, never
 built as lists for json's per-item indenting encoder. save_plan writes
 that text and plan_to_dict is json.loads of it, so the file and the
-document cannot disagree. The loader decodes each preadd in one pass
-over its triplets, checking each one's form, bounds, value and repeat
-as it records it by its row-major position, sorts them into the
-preadd's arrays, rebuilds every branch and the
-additive stage with the builder, certifies the preadds exactly against
-the tables of N, one class at a time along the same orbit walk, and
-recounts the plan, so a plan it accepts is the compiled one, constants
-included. An orbit's first class, and any branch whose preadd is not
-the one read off it, is certified in full: postadd * preadd equals the
-slot's matrix A = t[E], the preadd is in reduced row echelon form and A
-has rank r, the preadd's row count. The product runs on the two
-matrices made dense, in float64 through BLAS, and is still exact: its
-entries are +-1, so every partial sum is an integer of size at most
-N < 2^53.
-Minimality is one exact rank of an r x r block, by this lemma: if
-postadd * preadd = A with the preadd reduced, r rows and pivots P, then
-A has rank r iff A[P, P] = postadd[P] is nonsingular. Proof: postadd =
-A[:, P], and rank A = rank postadd. If rank A = r, P are A's pivot
-columns, so A[:, P] has rank r, and by symmetry so do the rows A[P, :]
-= A[P, P] * preadd, so A[P, P] is nonsingular. If rank A < r, A[P, P]
-is a submatrix of A, so it is singular. A later class whose tables
-_derived_from maps onto the representative's has each matrix A +- a
-row permutation of a certified one, so the certified preadd is A's
-reduced form too, and A = A[:, P] * preadd: a branch there with that
-preadd is the compiled one as built, with no product, echelon check or
-rank.
+document cannot disagree. The loader checks the document's form against
+the layout of N, compiles N, and decodes each preadd in one pass over
+its triplets, checking each one's form, bounds, value and repeat as it
+records it by its row-major position. Each decoded preadd must equal
+the compiled branch's on the same layout slot, and the stored counts
+the compiled ones. A reduced row echelon form is unique for its row
+space, so this accepts exactly the compiled plan, up to the order of
+the branches and of each preadd's triplets, and the loader returns the
+compiled plan itself, constants included.
 """
 
 from __future__ import annotations
@@ -96,10 +78,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, compress, groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -264,10 +246,9 @@ class _FactoredSlot:
     directly, by reducing its distinct rows up to sign, and is yielded
     with those rows boxed in exact for complexity's stacked count. Any
     other slot's matrix is +-source's with its rows permuted, which the
-    walk checked exactly, so it shares source's preadd. The loader's
-    slots carry the preadds it decoded, each certified before the walk
-    reads a later class off it. complexity's slots, which it reads only
-    for their ranks, carry no preadd (reduced is None).
+    walk checked exactly, so it shares source's preadd. complexity's
+    slots, which it reads only for their ranks, carry no preadd (reduced
+    is None).
     """
 
     m: int
@@ -282,7 +263,7 @@ class _FactoredSlot:
     source: _FactoredSlot | None = None
 
     def branch(self, exponents: np.ndarray) -> MultiplicativeBranch:
-        """The slot's branch, as compile_plan and the loader build it.
+        """The slot's branch, as compile_plan builds it.
 
         Its preadd is the slot's reduced form, its postadd the symmetric
         matrix's columns at the preadd's pivots, which are its rows there
@@ -296,11 +277,9 @@ class _FactoredSlot:
             raise ValueError(f"{self.constant_kind} constant {value!r} of "
                              f"m={self.m}, N={n} is not strictly between 0 "
                              f"and 1")
-        # each row's first column; an empty row, which only a tampered
-        # preadd has and the certificate refuses, reads a later row's or 0
+        # each row's first column
         pre = self.reduced
-        pivots = np.append(pre.cols, 0)[np.searchsorted(pre.rows,
-                                                        np.arange(self.rank))]
+        pivots = pre.cols[np.searchsorted(pre.rows, np.arange(self.rank))]
         # the N x rank columns of table[exponents] at the pivots, gathered
         # as its rows there, transposed: the grid is symmetric, so the two
         # agree
@@ -376,21 +355,21 @@ def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
     return sources
 
 
-def _orbit_walk(dec: ClassDecomposition, step: Callable[..., _FactoredSlot]
-                ) -> Iterator[_FactoredSlot]:
-    """Every combination matrix as step(m, layout_row, table, source),
+def _factored_slots(dec: ClassDecomposition, preadds: bool = True
+                    ) -> Iterator[_FactoredSlot]:
+    """Every combination matrix with its rank, and its preadd if preadds,
     class by class in layout order: the one loop over positive classes.
 
     The positive classes of one kind with one g = gcd(m, N/4) form a
-    unit-group orbit. The first class of an orbit is its representative;
-    every later one is checked exactly against it on the tables, and
-    source is the representative's slot its matrix is +- a row
-    permutation of, or None if the check fails and for a representative.
-    Only tables and the representatives' preadds are held across classes
-    (a representative's boxed rows serve only its own stacked count), and
-    no derived matrix is ever built. Lazy on purpose: a consumer that
-    drops each class before asking for the next holds at most one other
-    class at a time.
+    unit-group orbit. The first class of an orbit is its representative
+    and is factored directly; every later one is checked exactly against
+    it on the tables, and each of its slots reads off the
+    representative's slot its matrix is +- a row permutation of, or is
+    factored directly if the check fails. Only tables and the
+    representatives' preadds are held across classes (a representative's
+    boxed rows serve only its own stacked count), and no derived matrix
+    is ever built. Lazy on purpose: a consumer that drops each class
+    before asking for the next holds at most one other class at a time.
     """
     n = dec.n
     reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
@@ -403,21 +382,13 @@ def _orbit_walk(dec: ClassDecomposition, step: Callable[..., _FactoredSlot]
         rep = reps.get(orbit)
         sources = (rep and _derived_from(n, m, layout, tables, rep)
                    or (None,) * len(layout))
-        slots = tuple(step(m, row, table, source) for row, table, source
-                      in zip(layout, tables, sources))
+        slots = tuple(_factored_slot(dec.exponents, m, row, table, source,
+                                     preadds=preadds)
+                      for row, table, source in zip(layout, tables, sources))
         if rep is None:
             reps[orbit] = tuple(f if f.exact is None
                                 else replace(f, exact=None) for f in slots)
         yield from slots
-
-
-def _factored_slots(dec: ClassDecomposition, preadds: bool = True
-                    ) -> Iterator[_FactoredSlot]:
-    """Every combination matrix with its rank, and its preadd if preadds,
-    class by class in layout order: each orbit's representative factored
-    directly and every other class read off it."""
-    return _orbit_walk(dec, partial(_factored_slot, dec.exponents,
-                                    preadds=preadds))
 
 
 def constant_value(kind: str, m: int, n: int) -> float:
@@ -839,37 +810,27 @@ def plan_to_dict(plan: FftPlan) -> dict:
     branch, its layout row (m, constant_kind, destination, sign) and its
     preadd as a sparse {rows, cols, triplets} object with one triplet per
     nonzero, listed row-major, each value the string "1" or "-1". That is
-    all N does not fix: the loader rebuilds every postadd, constant and
-    the additive stage from N and the preadds with compile_plan's own
-    builder, so a reloaded plan executes bit-for-bit like the compiled
-    one. A hand-built plan's document records only its preadds and
-    counts; its postadds, constants and additive stage are not saved.
+    all N does not fix: the loader compiles N, checks the preadds and
+    counts against the compiled plan and returns that plan, so a reloaded
+    plan executes bit-for-bit like the compiled one. A hand-built plan's
+    document records only its preadds and counts; its postadds,
+    constants and additive stage are not saved.
     """
     return json.loads(_plan_text(plan))
 
 
 def plan_from_dict(doc: dict) -> FftPlan:
-    """Rebuild a plan from its JSON document, certifying it exactly.
+    """The plan of a JSON document, certified by compiling its N.
 
-    Raises ValueError unless the document is, up to branch order, the plan
-    compile_plan builds for its N: one branch per layout slot, each with a
-    preadd of N columns and 1 to N rows, every entry +1 or -1, and stored
-    counts equal to the recounted ones. Each branch is built from its
-    preadd by compile_plan's builder (_FactoredSlot.branch), which gathers
-    the postadd as the slot's matrix A at the preadd's pivot columns P and
-    takes the constant from constant_value; the additive stage is M_0
-    (_additive_stage). A branch is then the compiled one iff postadd *
-    preadd equals A, read off N's tables one class at a time along the
-    orbit walk, the preadd is in reduced row echelon form and the postadd
-    has full column rank, since the reduced row echelon form of a row
-    space is unique. The product is a float64 matmul, exact because every
-    partial sum is an integer of size at most N < 2^53; once it holds,
-    the column rank is the exact rank of the r x r block A[P, P], by the
-    module's lemma on symmetric A. A class derived from its orbit
-    representative (_derived_from) needs none of the three for a branch
-    whose preadd is the representative's certified one: its matrix A is
-    +- a row permutation of the representative's, so that preadd is A's
-    reduced form too. A malformed document (a missing key, a key that
+    Raises ValueError unless the document is the plan compile_plan builds
+    for its N, up to the order of its branches and of each preadd's
+    triplets: one branch per layout slot, each preadd equal to the
+    compiled branch's on that slot, and stored counts equal to the
+    compiled ones. The reduced row echelon form of a row space is unique,
+    so a preadd equal to the compiled one is the one minimal
+    factorization of its slot's matrix. The plan returned is the compiled
+    plan, so its postadds, constants and additive stage are compile_plan's
+    bit for bit. A malformed document (a missing key, a key that
     save_plan does not write, a value of the wrong type, an index outside
     its matrix) is a ValueError too, and so is a document of plan version
     1, which held the rebuilt parts as well. Every value is spelled as
@@ -883,34 +844,6 @@ def plan_from_dict(doc: dict) -> FftPlan:
         return _certified_plan(doc)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed plan document: {exc!r}") from exc
-
-
-def _certify(branch: MultiplicativeBranch, a: np.ndarray, slot: str) -> None:
-    """ValueError unless branch, built from a decoded preadd, is the
-    compiled branch of its slot's matrix a: postadd * preadd equals a, the
-    preadd is in reduced row echelon form, and a has rank r, which holds
-    iff the r x r block a[P, P] at the pivots P is nonsingular, since a is
-    symmetric (the module's lemma)."""
-    pre, post, rows = branch.preadd.toarray(), branch.postadd.toarray(), \
-        branch.rank
-    where = f"branch {(branch.m, branch.constant_kind, branch.destination)!r}"
-    # every partial sum of the product is an integer of size at most
-    # N < 2^53, so float64 (and BLAS) computes it exactly
-    if not (np.matmul(post, pre, dtype=np.float64) == a).all():
-        raise ValueError(f"postadd * preadd of {where} is not its {slot} "
-                         f"matrix")
-    # a preadd row split in two at a column where a repeats its pivot's
-    # column, the split-off row listed first, keeps the product exact but
-    # spends a multiplication more than the compiled branch; reduced means
-    # the leading columns increase and, read together, form the identity
-    pivots = (pre != 0).argmax(axis=1)
-    if not ((pivots[1:] > pivots[:-1]).all()
-            and (pre[:, pivots] == np.eye(rows, dtype=np.int8)).all()):
-        raise ValueError(f"{where} preadd is not in reduced row echelon form")
-    # post[pivots] = a[P, P], nonsingular iff a has rank r
-    if rank(RationalMatrix.from_int_matrix(post[pivots])) != rows:
-        raise ValueError(f"{where} postadd does not have full column rank "
-                         f"{rows}")
 
 
 def _refuse_unknown_keys(obj, known: frozenset, what: str) -> None:
@@ -960,32 +893,20 @@ def _certified_plan(doc: dict) -> FftPlan:
         if i == len(by_slot) or (m, *row[1:]) not in by_slot:
             raise ValueError(f"no branch for the {row[0]} matrix of m={m}, "
                              f"N={n}")
-    dec = decompose(n)
-    # each orbit's first class is certified in full; a later class's
-    # branch needs no check if its preadd is the one read off that class
-    branches: list[MultiplicativeBranch] = []
-
-    def certified(m: int, layout_row: tuple, table: np.ndarray,
-                  source: _FactoredSlot | None) -> _FactoredSlot:
-        _, kind, destination, _ = layout_row
-        preadd = _matrix_from_doc(by_slot[(m, *layout_row[1:])]["preadd"], n,
-                                  f"branch {(m, kind, destination)!r} preadd")
-        f = _FactoredSlot(m, *layout_row, table=table,
-                          rank=preadd.shape[0], reduced=preadd)
-        branches.append(f.branch(dec.exponents))
-        if source is None or f.reduced != source.reduced:
-            _certify(branches[-1], table[dec.exponents], f.slot)
-        return f
-
-    for _ in _orbit_walk(dec, certified):
-        pass
-    additive = _additive_stage(dec)
-    counts = _plan_counts(additive, branches)
-    for name, count in zip(("mult_count", "add_count"), counts):
+    plan = compile_plan(decompose(n))
+    # the compiled branches are in walk order, and each document preadd is
+    # decoded only when its slot is reached
+    for b in plan.branches:
+        key = (b.m, b.constant_kind, b.destination, b.sign)
+        where = f"branch {key[:3]!r} preadd"
+        if _matrix_from_doc(by_slot[key]["preadd"], n, where) != b.preadd:
+            raise ValueError(f"{where} is not the compiled preadd for N={n}")
+    for name in ("mult_count", "add_count"):
+        count = getattr(plan, name)
         if type(doc[name]) is not int or doc[name] != count:
             raise ValueError(f"{name} {doc[name]!r} is not the recounted "
                              f"{count}")
-    return FftPlan(n, additive, tuple(branches), *counts)
+    return plan
 
 
 def _triplets_text(mat: UnitMatrix, indent: str) -> str:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 import sympy
@@ -12,7 +13,7 @@ from oracles import heideman_reference
 
 
 def test_factorize_matches_sympy():
-    for n in range(1, 200):
+    for n in range(1, 10**4 + 1):
         expected = tuple(sorted(sympy.factorint(n).items()))
         assert factorize(n) == expected
 
@@ -20,6 +21,34 @@ def test_factorize_matches_sympy():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_refuses_a_large_part_left_by_trial_division():
+    # trial division stops at 10^6: a part left at least 10^12 may not be
+    # prime, so it is refused rather than factored for hours; one below
+    # 10^12 is prime
+    big = (1000003, 1000033)
+    assert all(sympy.isprime(p) for p in big)
+    with pytest.raises(ValueError, match=f"N={big[0] * big[1]}"):
+        factorize(big[0] * big[1])
+    assert factorize(999983 ** 2) == ((999983, 2),)
+    assert factorize(2 ** 20 * big[0]) == ((2, 20), (big[0], 1))
+
+
+def test_heideman_refuses_a_huge_prime_at_once(run_cli):
+    # trial division to its square root took 2.8 s, and a prime near 2^57
+    # would take about an hour
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="N=100000000000031"):
+        heideman_bound(100000000000031)
+    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli("bounds", "100000000000031")
+    assert code == 2 and out == "" and "N=100000000000031" in err
+
+
+def test_heideman_of_the_largest_prime_below_10_to_12_matches_the_oracle():
+    assert sympy.nextprime(999999999989) > 10**12
+    assert heideman_bound(999999999989) == heideman_reference(999999999989)
 
 
 def test_divisors_matches_sympy():

@@ -682,8 +682,8 @@ def _shift_rows(pre):
 def _tamper_redundant_row(doc):
     # the last entry (q, v) of preadd row 0, at a column no other row
     # uses, split off into a new first row as "1": the matrix's column q is
-    # v times its pivot column, so the rebuilt product stays exact, but
-    # the branch spends one multiplication more than the compiled one
+    # v times its pivot column, so postadd * preadd could stay exact, but
+    # the branch would spend one multiplication more than the compiled one
     pre = doc["branches"][0]["preadd"]
     others = {c for r, c, _ in pre["triplets"] if r != 0}
     last = max(t for t in pre["triplets"] if t[0] == 0 and t[1] not in others)
@@ -694,9 +694,9 @@ def _tamper_redundant_row(doc):
 
 def _tamper_idle_row(doc):
     # a new first preadd row led by column 0, where every slot's matrix is
-    # zero: the preadd stays reduced, the rebuilt product exact and the
-    # counts honest, since its postadd column is zero, yet the branch
-    # spends a multiplication on a value no output reads
+    # zero: the preadd stays reduced, postadd * preadd could stay exact and
+    # the counts honest, with a zero postadd column, yet the branch would
+    # spend a multiplication on a value no output reads
     _shift_rows(doc["branches"][0]["preadd"]).insert(0, [0, 0, "1"])
     doc["mult_count"] += 1
 
@@ -744,10 +744,9 @@ _TAMPERS = {
     "preadd_cols": (12, _tamper_preadd_cols, "do not chain"),
     # one more preadd row than triplets fill: with no postadd in the file
     # the shapes still chain, and the empty row is what no reduced form has
-    "preadd_rows": (12, _tamper_preadd_rows,
-                    "not in reduced row echelon form"),
+    "preadd_rows": (12, _tamper_preadd_rows, "is not the compiled preadd"),
     "mult_count": (12, _tamper_mult_count, "mult_count"),
-    "preadd_value": (12, _tamper_preadd_value, "postadd \\* preadd"),
+    "preadd_value": (12, _tamper_preadd_value, "is not the compiled preadd"),
     "dropped_branch": (12, _tamper_dropped_branch, "no branch for"),
     "add_count": (12, _tamper_add_count, "add_count 7"),
     "missing_n": (12, _tamper_missing_n, "malformed.*'N'"),
@@ -757,8 +756,8 @@ _TAMPERS = {
     "rescaled_factor": (12, _tamper_rescaled_factor,
                         "branch .* entry .* other than \\+1 or -1"),
     "redundant_row": (12, _tamper_redundant_row,
-                      "not in reduced row echelon form"),
-    "idle_row": (12, _tamper_idle_row, "full column rank"),
+                      "is not the compiled preadd"),
+    "idle_row": (12, _tamper_idle_row, "is not the compiled preadd"),
     "repeated_preadd_triplet": (
         12, _tamper_repeated_preadd_triplet,
         "triplet index \\(0, 1\\) repeats in branch "
@@ -893,11 +892,11 @@ def test_a_warm_load_builds_no_grid_and_ranks_nothing(plan_cache, monkeypatch,
     def forbidden(*args):
         raise AssertionError("a cached load certified again")
 
-    for name in ("plan_from_dict", "decompose", "rank", "_certify",
-                 "_orbit_walk"):
+    for name in ("plan_from_dict", "decompose", "rank", "compile_plan",
+                 "_factored_slots"):
         monkeypatch.setattr(plan_mod, name, forbidden)
     # the same bytes: the same plan object, whose lowering the executor
-    # keeps, with no parse, grid, product or rank
+    # keeps, with no parse, grid, compile or rank
     assert load_plan(path) is cold
     assert plan_cache.cache_info().hits == 1
 
@@ -988,9 +987,9 @@ _DOC28 = plan_to_dict(compile_plan_for(28))
 @pytest.mark.parametrize("case", ("preadd_value", "redundant_row",
                                   "idle_row"))
 def test_load_plan_rejects_a_tampered_derived_branch(case, m):
-    # N=28 is one orbit with m=1 its representative, so the loader reads
-    # m=2 and 3 off m=1's certified preadds; the tampers edit the first
-    # branch, so class m's branches go first (branch order is free)
+    # N=28 is one orbit with m=1 its representative, so the compiler reads
+    # m=2 and 3 off m=1's preadds; the tampers edit the first branch, so
+    # class m's branches go first (branch order is free)
     assert all(f.source is not None for f in
                plan_mod._factored_slots(decompose(28)) if f.m == m)
     doc = copy.deepcopy(_DOC28)
@@ -1052,8 +1051,8 @@ def _symmetric_matrices(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_symmetric_matrices())
 def test_a_symmetric_matrix_has_the_rank_of_its_pivot_block(a):
-    # the loader's minimality lemma: for symmetric A with pivot columns P,
-    # rank A[P, P] = rank A
+    # the pivot-block lemma: for symmetric A with pivot columns P,
+    # rank A[P, P] = rank A; every combination matrix is symmetric
     pivots = list(rref(RationalMatrix.from_int_matrix(a)).pivot_cols)
     assert sympy_rank(a[np.ix_(pivots, pivots)].tolist()) \
         == sympy_rank(a.tolist())
@@ -1068,41 +1067,41 @@ def test_the_pivot_block_lemma_needs_symmetry():
     assert sympy_rank(a.tolist()) == 1
 
 
-def _idle_row_rank_calls(monkeypatch, tmp_path, warm: bool) -> int:
-    """The exact ranks taken to reject the idle_row tamper of N=12 through
-    load_plan, with the true N=12 file loaded into its cache first or
-    not."""
+def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
+                                                    tmp_path):
+    # the loader certifies a document by compiling its N and comparing, so
+    # refusing the idle_row tamper compiles N=12 once and takes no rank
     calls = []
 
-    def counted(matrix):
-        calls.append(matrix)
-        return rank(matrix)
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
 
-    plan = compile_plan_for(12)
-    if warm:
-        save_plan(plan, tmp_path / "true.json")
-        load_plan(tmp_path / "true.json")
-    monkeypatch.setattr(plan_mod, "rank", counted)
+    for name in ("compile_plan", "rank"):
+        monkeypatch.setattr(plan_mod, name,
+                            counted(name, getattr(plan_mod, name)))
     _, tamper, match = _TAMPERS["idle_row"]
-    doc = plan_to_dict(plan)
+    doc = plan_to_dict(compile_plan_for(12))
+    calls.clear()
     tamper(doc)
     with pytest.raises(ValueError, match=match):
         load_plan(_save_text(tmp_path / "tampered.json", json.dumps(doc)))
-    return len(calls)
+    assert calls == ["compile_plan"]
 
 
-def test_an_idle_row_is_rejected_by_one_exact_rank(plan_cache, monkeypatch,
-                                                   tmp_path):
-    # the tampered branch is the first the walk certifies, and its pivot
-    # block is the only matrix the loader ranks
-    assert _idle_row_rank_calls(monkeypatch, tmp_path, warm=False) == 1
-
-
-def test_a_warm_load_rejects_an_idle_row_by_one_exact_rank(plan_cache,
-                                                          monkeypatch,
-                                                          tmp_path):
-    # its text is not the cached one, so it is certified as cold
-    assert _idle_row_rank_calls(monkeypatch, tmp_path, warm=True) == 1
+@pytest.mark.parametrize("n", (12, 28, 60, 64))
+def test_a_document_loads_whatever_its_branch_and_triplet_order(n):
+    # a document is accepted iff it is the compiled plan up to the order of
+    # its branches and of each preadd's triplets
+    plan = compile_plan_for(n)
+    doc = plan_to_dict(plan)
+    doc["branches"].reverse()
+    for b in doc["branches"]:
+        b["preadd"]["triplets"].reverse()
+    assert plan_mod._plan_text(plan_from_dict(doc)) \
+        == plan_mod._plan_text(plan)
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -1123,7 +1122,7 @@ def test_compiled_postadds_are_the_slot_matrix_at_the_pivot_columns(n):
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_compiled_branches_have_a_nonsingular_pivot_block(n):
     # a compiled branch is minimal, so by the pivot-block lemma its r x r
-    # block A[P, P], the one matrix the loader ranks, is nonsingular
+    # block A[P, P] is nonsingular
     for b in compile_plan_for(n).branches:
         pivots = (b.preadd.toarray() != 0).argmax(axis=1)
         block = b.postadd.toarray()[pivots]
@@ -1313,7 +1312,7 @@ def test_the_first_missing_slot_in_walk_order_is_named(dropped, message):
 
 def test_load_plan_decodes_one_branch_at_a_time():
     # all 126 layout slots of N=256 claim an empty N x N preadd, about a
-    # hundred bytes each: decoding every branch before the first product
+    # hundred bytes each: decoding every branch densely before the first
     # check peaked near 85 MB
     n = 256
     dec = decompose(n)
@@ -1328,7 +1327,7 @@ def test_load_plan_decodes_one_branch_at_a_time():
                         plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]}
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="postadd \\* preadd"):
+        with pytest.raises(ValueError, match="is not the compiled preadd"):
             plan_from_dict(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
