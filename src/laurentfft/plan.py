@@ -38,14 +38,16 @@ whole grid rows t[E[P]].T (in _FactoredSlot.branch).
 
 One builder turns a slot and its preadd into a branch
 (_FactoredSlot.branch: the postadd gathered as whole grid rows, the
-constant from constant_value) and one builds the additive stage from M_0
-(_additive_stage).
+constant from constant_value), one builds the additive stage from M_0
+(_additive_stage), and one builds a plan from the walk's slots, branch
+by branch as the walk yields them (_plan_of_slots), for compile_plan and
+the loader alike.
 
 Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
 sign) arrays, row by row in column order, each sign +1 or -1. One helper,
 _unit_matrix, builds and checks every one, for compile_plan, the builder
 and the JSON decoder alike; the decoder accepts only the values save_plan
-writes (_UNIT_VALUES, the file's rule). The counts, the encoder,
+writes (_UNIT_VALUES, the file's rule). The counts, plan_to_dict,
 coupled_samples and the lowering read the arrays as they are.
 The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
@@ -54,32 +56,27 @@ assumed, and can serialize plans to JSON and back. A plan file (version
 2) holds only what N does not fix: the two counts and, per branch, its
 layout row and its preadd. Everything else is forced: a branch's
 postadd is its matrix at the preadd's pivot columns, its constant is
-its kind's value at m and N, and the additive stage is M_0. One encoder
-(_plan_text) renders a plan as the bytes of json.dumps(document,
-indent=2): json lays out the small skeleton with each preadd's triplets
-held as an index, and each index is replaced by the preadd's triplets,
-written straight from its arrays into one joined %-template, never
-built as lists for json's per-item indenting encoder. save_plan writes
-that text and plan_to_dict is json.loads of it, so the file and the
-document cannot disagree. The loader checks the document's form against
-the layout of N, compiles N, and decodes each preadd in one pass over
-its triplets, checking each one's form, bounds, value and repeat as it
-records it by its row-major position. Each decoded preadd must equal
-the compiled branch's on the same layout slot, and the stored counts
-the compiled ones. A reduced row echelon form is unique for its row
-space, so this accepts exactly the compiled plan, up to the order of
-the branches and of each preadd's triplets, and the loader returns the
-compiled plan itself, constants included.
+its kind's value at m and N, and the additive stage is M_0. save_plan
+writes json.dumps(plan_to_dict(plan), indent=2). The loader checks the
+document's form against the layout of N and then walks N's slots: it
+decodes each slot's document preadd in one pass over its triplets,
+checking each one's form, bounds, value and repeat as it records it by
+its row-major position, and refuses the document unless the decoded
+preadd equals the slot's before that slot's branch is built, so a wrong
+document costs the walk up to its first wrong preadd. The stored counts
+must equal the compiled ones. A reduced row echelon form is unique for
+its row space, so this accepts exactly the compiled plan, up to the
+order of the branches and of each preadd's triplets, and the loader
+returns the compiled plan itself, constants included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import chain, compress, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -227,16 +224,6 @@ def _nonzeros(a: np.ndarray) -> tuple:
     return a.shape, rows, cols, a[rows, cols]
 
 
-def _preadd(reduced: RationalMatrix, m: int) -> UnitMatrix:
-    """The plan matrix of an exact reduced form, its nonzeros read off the
-    rows' entries with no dense array."""
-    shape = reduced.rows, reduced.cols
-    entries = tuple(chain.from_iterable(reduced.entries))
-    at = np.fromiter(compress(range(len(entries)), entries), np.int64)
-    return _unit_matrix(shape, *np.divmod(at, shape[1]),
-                        list(filter(None, entries)), f"preadd of m={m}")
-
-
 @dataclass(frozen=True, eq=False)
 class _FactoredSlot:
     """One combination matrix as its int8 table, layout row and preadd.
@@ -317,9 +304,11 @@ def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
                              reduced=source.reduced, source=source)
     exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
     reduced = rank_factor(exact)[1]
+    # no dtype: a Fraction makes an object array, which _unit_matrix refuses
+    pre = (_unit_matrix(*_nonzeros(np.array(reduced.entries)),
+                        f"preadd of m={m}") if preadds else None)
     return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
-                         reduced=_preadd(reduced, m) if preadds else None,
-                         exact=exact)
+                         reduced=pre, exact=exact)
 
 
 def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
@@ -606,7 +595,15 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     by sqrt(2)/2. Classes m and -m have disjoint supports, so no
     combination matrix is zero and every layout row becomes one branch.
     """
-    branches = [f.branch(dec.exponents) for f in _factored_slots(dec)]
+    return _plan_of_slots(dec, _factored_slots(dec))
+
+
+def _plan_of_slots(dec: ClassDecomposition,
+                   slots: Iterable[_FactoredSlot]) -> FftPlan:
+    """dec's plan with one branch per slot, each built as it comes:
+    compile_plan passes the walk, and the loader the walk with each slot's
+    document preadd checked before its branch is built."""
+    branches = [f.branch(dec.exponents) for f in slots]
     additive = _additive_stage(dec)
     return FftPlan(dec.n, additive, tuple(branches),
                    *_plan_counts(additive, branches))
@@ -754,7 +751,7 @@ PLAN_VERSION = 2
 # and "-1", exactly as save_plan writes them.
 _UNIT_VALUES = {"1": 1, "-1": -1}
 
-# The keys of each object of a plan file, as _plan_text writes them: the
+# The keys of each object of a plan file, as plan_to_dict writes them: the
 # document, a branch and a preadd
 _PLAN_KEYS = frozenset({"format", "version", "N", "mult_count", "add_count",
                         "branches"})
@@ -803,20 +800,35 @@ def _matrix_from_doc(doc: dict, n: int, what: str) -> UnitMatrix:
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
-    """JSON-ready document for a plan: json.loads of the text save_plan
-    writes (_plan_text).
+    """JSON-ready document for a plan, which save_plan writes.
 
     The document (plan format version 2) holds the two counts and, per
     branch, its layout row (m, constant_kind, destination, sign) and its
-    preadd as a sparse {rows, cols, triplets} object with one triplet per
-    nonzero, listed row-major, each value the string "1" or "-1". That is
-    all N does not fix: the loader compiles N, checks the preadds and
-    counts against the compiled plan and returns that plan, so a reloaded
-    plan executes bit-for-bit like the compiled one. A hand-built plan's
-    document records only its preadds and counts; its postadds,
-    constants and additive stage are not saved.
+    preadd as a sparse {rows, cols, triplets} object with one [row, col,
+    value] triplet per nonzero, listed row-major, each value the string
+    "1" or "-1". That is all N does not fix: the loader compiles N, checks
+    the preadds and counts against the compiled plan and returns that
+    plan, so a reloaded plan executes bit-for-bit like the compiled one. A
+    hand-built plan's document records only its preadds and counts; its
+    postadds, constants and additive stage are not saved.
     """
-    return json.loads(_plan_text(plan))
+    return {
+        "format": PLAN_FORMAT,
+        "version": PLAN_VERSION,
+        "N": plan.n,
+        "mult_count": plan.mult_count,
+        "add_count": plan.add_count,
+        "branches": [{
+            "m": b.m,
+            "constant_kind": b.constant_kind,
+            "destination": b.destination,
+            "sign": b.sign,
+            "preadd": {"rows": b.preadd.shape[0], "cols": b.preadd.shape[1],
+                       "triplets": [[i, j, str(v)] for i, j, v in zip(
+                           b.preadd.rows.tolist(), b.preadd.cols.tolist(),
+                           b.preadd.signs.tolist())]},
+        } for b in plan.branches],
+    }
 
 
 def plan_from_dict(doc: dict) -> FftPlan:
@@ -893,14 +905,18 @@ def _certified_plan(doc: dict) -> FftPlan:
         if i == len(by_slot) or (m, *row[1:]) not in by_slot:
             raise ValueError(f"no branch for the {row[0]} matrix of m={m}, "
                              f"N={n}")
-    plan = compile_plan(decompose(n))
-    # the compiled branches are in walk order, and each document preadd is
-    # decoded only when its slot is reached
-    for b in plan.branches:
-        key = (b.m, b.constant_kind, b.destination, b.sign)
+
+    def checked(f: _FactoredSlot) -> _FactoredSlot:
+        # each document preadd is decoded only when the walk reaches its
+        # slot, so the walk stops at the first wrong one
+        key = (f.m, f.constant_kind, f.destination, f.sign)
         where = f"branch {key[:3]!r} preadd"
-        if _matrix_from_doc(by_slot[key]["preadd"], n, where) != b.preadd:
+        if _matrix_from_doc(by_slot[key]["preadd"], n, where) != f.reduced:
             raise ValueError(f"{where} is not the compiled preadd for N={n}")
+        return f
+
+    dec = decompose(n)
+    plan = _plan_of_slots(dec, map(checked, _factored_slots(dec)))
     for name in ("mult_count", "add_count"):
         count = getattr(plan, name)
         if type(doc[name]) is not int or doc[name] != count:
@@ -909,55 +925,11 @@ def _certified_plan(doc: dict) -> FftPlan:
     return plan
 
 
-def _triplets_text(mat: UnitMatrix, indent: str) -> str:
-    """The [row, col, value] list of mat's nonzeros, row-major, as
-    json.dumps(..., indent=2) writes it nested at indent, written from
-    the matrix: one %-template per nonzero, joined and filled from the
-    nonzeros' (row, col, value) in one pass. A value is the string of its
-    +-1, which '"%d"' writes as json does."""
-    if not mat.signs.size:
-        return "[]"
-    inner, leaf = indent + "  ", indent + "    "
-    row = f'{inner}[\n{leaf}%d,\n{leaf}%d,\n{leaf}"%d"\n{inner}]'
-    body = ",\n".join([row] * mat.signs.size)
-    fields = np.column_stack((mat.rows, mat.cols, mat.signs)).ravel()
-    return f"[\n{body}\n{indent}]" % tuple(fields.tolist())
-
-
-def _plan_text(plan: FftPlan) -> str:
-    """The plan file's text, the one encoder of a plan: json.dumps of the
-    plan document with indent=2. json lays out the skeleton with each
-    preadd's triplets held as its branch's index; each index is then
-    replaced by the preadd's triplets, written straight from the matrix
-    into one %-template (_triplets_text) rather than built as lists for
-    json's indenting encoder."""
-    skeleton = json.dumps({
-        "format": PLAN_FORMAT,
-        "version": PLAN_VERSION,
-        "N": plan.n,
-        "mult_count": plan.mult_count,
-        "add_count": plan.add_count,
-        "branches": [{
-            "m": b.m,
-            "constant_kind": b.constant_kind,
-            "destination": b.destination,
-            "sign": b.sign,
-            "preadd": {"rows": b.preadd.shape[0], "cols": b.preadd.shape[1],
-                       "triplets": i},
-        } for i, b in enumerate(plan.branches)],
-    }, indent=2)
-    preadds = [b.preadd for b in plan.branches]
-    return re.sub(r'^( *)"triplets": (\d+)$',
-                  lambda g: f'{g[1]}"triplets": '
-                            f'{_triplets_text(preadds[int(g[2])], g[1])}',
-                  skeleton, flags=re.MULTILINE)
-
-
 def save_plan(plan: FftPlan, path: str | Path) -> None:
-    """Write plan as its file text (_plan_text) + "\\n", the bytes of
-    json.dumps(plan_to_dict(plan), indent=2) + "\\n": the pinned plan
-    file format."""
-    Path(path).write_text(_plan_text(plan) + "\n", encoding="utf-8")
+    """Write json.dumps(plan_to_dict(plan), indent=2) + "\\n" to path: the
+    pinned plan file format."""
+    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n",
+                          encoding="utf-8")
 
 
 # The longest file text load_plan caches: every plan file through N = 128

@@ -4,18 +4,26 @@ Almost everything here is deliberately built on different machinery
 than the package (sympy number theory, recursion instead of product
 iteration) so that agreement between the two is evidence, not an echo.
 direct_factors is the exception: it is the package's own direct path,
-against which the orbit-derived factors are checked.
+against which the orbit-derived factors are checked. plan_text is no
+oracle either: it is a plan file's text, for tests that write one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
+from laurentfft.plan import plan_to_dict
 from laurentfft.rational import RationalMatrix, rank_factor
+
+
+def plan_text(plan) -> str:
+    """The text save_plan writes for plan, less its final newline."""
+    return json.dumps(plan_to_dict(plan), indent=2)
 
 
 def heideman_reference(n: int) -> int:

@@ -17,7 +17,7 @@ from laurentfft.execute import (OpCounters, default_tolerance, execute_complex,
                                 execute_real, naive_dft, verify_plan)
 from laurentfft.plan import (REAL_OUT, compile_plan_for, load_plan,
                              plan_to_dict, save_plan)
-from oracles import term_by_term, term_by_term_sums
+from oracles import plan_text, term_by_term, term_by_term_sums
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -235,7 +235,7 @@ def test_a_warm_reload_is_a_new_plan_lowered_again(plan_cache, tmp_path, n):
     # reload is a plan object of its own, lowered on its own first run,
     # that executes as pinned
     path = tmp_path / "plan.json"
-    path.write_text(plan_mod._plan_text(compile_plan_for(n))
+    path.write_text(plan_text(compile_plan_for(n))
                     + " " * plan_mod._CACHED_TEXT_CHARS)
     cold, warm = load_plan(path), load_plan(path)
     assert warm is not cold and plan_cache.cache_info().currsize == 0

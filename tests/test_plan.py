@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              load_plan, plan_from_dict, plan_to_dict,
                              save_plan)
 from laurentfft.rational import RationalMatrix, rank, rref
-from oracles import direct_factors, sympy_rank
+from oracles import direct_factors, plan_text, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -868,7 +869,7 @@ def test_a_warm_load_rejects_each_tamper_as_a_cold_one(plan_cache, tmp_path,
     # fail with the same message, since a refusal is never cached
     n, tamper, match = _TAMPERS[case]
     plan = compile_plan_for(n)
-    true = _save_text(tmp_path / "true.json", plan_mod._plan_text(plan))
+    true = _save_text(tmp_path / "true.json", plan_text(plan))
     doc = plan_to_dict(plan)
     tamper(doc)
     tampered = _save_text(tmp_path / "tampered.json", json.dumps(doc))
@@ -930,7 +931,7 @@ def test_the_memo_drops_the_least_recently_loaded_plan(plan_cache, tmp_path):
     # texts that differ only in trailing whitespace are one document under
     # distinct keys; the cache keeps the plans of the last 8 loaded
     assert plan_cache.cache_info().maxsize == 8
-    text = plan_mod._plan_text(compile_plan_for(12))
+    text = plan_text(compile_plan_for(12))
     paths = [_save_text(tmp_path / f"plan{k}.json", text + "\n" * k)
              for k in range(9)]
     plans = [load_plan(path) for path in paths]
@@ -946,7 +947,7 @@ def test_the_memo_drops_the_least_recently_loaded_plan(plan_cache, tmp_path):
 def test_the_memo_keeps_no_plan_over_its_budget(plan_cache, tmp_path):
     # a text over _CACHED_TEXT_CHARS, here the N=64 text padded with
     # spaces that json reads past, is certified on each load and not kept
-    text = plan_mod._plan_text(compile_plan_for(64))
+    text = plan_text(compile_plan_for(64))
     small = _save_text(tmp_path / "small.json", text)
     large = _save_text(tmp_path / "large.json",
                        text + " " * plan_mod._CACHED_TEXT_CHARS)
@@ -965,7 +966,7 @@ def test_the_memo_keeps_no_plan_over_its_budget(plan_cache, tmp_path):
 
 
 def test_every_plan_file_through_128_fits_the_cache():
-    assert max(len(plan_mod._plan_text(compile_plan_for(n)))
+    assert max(len(plan_text(compile_plan_for(n)))
                for n in range(4, 129, 4)) < plan_mod._CACHED_TEXT_CHARS
 
 
@@ -1025,20 +1026,6 @@ def test_save_plan_writes_the_json_dumps_bytes(tmp_path, n):
     assert path.read_text() == json.dumps(plan_to_dict(plan), indent=2) + "\n"
 
 
-def test_plan_json_text_renders_empty_triplets_as_json_does():
-    # save_plan splices _triplets_text into json's layout of the rest; an
-    # empty matrix's triplets must come out as json's "[]" at any depth
-    zero = _unit(np.zeros((3, 4), dtype=np.int8))
-    for indent in ("", "      "):
-        assert plan_mod._triplets_text(zero, indent) == "[]"
-    eye = np.eye(3, 4, dtype=np.int8)
-    for mat in (zero, _unit(eye), _unit(-eye)):
-        text = plan_mod._triplets_text(mat, "    ")
-        doc = {"a": {"triplets": _matrix_doc(mat)["triplets"]}}
-        assert json.dumps(doc, indent=2) == \
-            '{\n  "a": {\n    "triplets": ' + text + '\n  }\n}'
-
-
 @st.composite
 def _symmetric_matrices(draw):
     size = draw(st.integers(1, 8))
@@ -1069,8 +1056,8 @@ def test_the_pivot_block_lemma_needs_symmetry():
 
 def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
                                                     tmp_path):
-    # the loader certifies a document by compiling its N and comparing, so
-    # refusing the idle_row tamper compiles N=12 once and takes no rank
+    # the loader certifies a document on the walk compile_plan takes, so
+    # refusing the idle_row tamper walks N=12 once and takes no rank
     calls = []
 
     def counted(name, original):
@@ -1079,7 +1066,7 @@ def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
             return original(*args)
         return call
 
-    for name in ("compile_plan", "rank"):
+    for name in ("_factored_slots", "rank"):
         monkeypatch.setattr(plan_mod, name,
                             counted(name, getattr(plan_mod, name)))
     _, tamper, match = _TAMPERS["idle_row"]
@@ -1088,7 +1075,36 @@ def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
     tamper(doc)
     with pytest.raises(ValueError, match=match):
         load_plan(_save_text(tmp_path / "tampered.json", json.dumps(doc)))
-    assert calls == ["compile_plan"]
+    assert calls == ["_factored_slots"]
+
+
+def test_a_wrong_first_preadd_is_refused_before_the_walk_goes_on(
+        monkeypatch):
+    # the loader compares each preadd as the walk yields its slot: a
+    # complete N=512 document whose first preadd is wrong is refused after
+    # the first class, whose four slots take one rank_factor each
+    doc = plan_to_dict(compile_plan_for(512))
+    first = doc["branches"][0]["preadd"]["triplets"][0]
+    first[2] = {"1": "-1", "-1": "1"}[first[2]]
+    calls = []
+    original = plan_mod.rank_factor
+    monkeypatch.setattr(plan_mod, "rank_factor",
+                        lambda exact: calls.append(1) or original(exact))
+    with pytest.raises(ValueError, match="is not the compiled preadd"):
+        plan_from_dict(doc)
+    assert 0 < len(calls) <= 4
+
+
+def test_a_reduced_form_entry_other_than_a_unit_is_refused(monkeypatch):
+    # a reduced form is read as it is, so an entry 1/2 is refused rather
+    # than truncated to 0 by an integer dtype
+    def halved(exact):
+        return None, RationalMatrix([[1, Fraction(1, 2)]
+                                     + [0] * (exact.cols - 2)])
+
+    monkeypatch.setattr(plan_mod, "rank_factor", halved)
+    with pytest.raises(ValueError, match="other than \\+1 or -1"):
+        compile_plan_for(12)
 
 
 @pytest.mark.parametrize("n", (12, 28, 60, 64))
@@ -1100,8 +1116,8 @@ def test_a_document_loads_whatever_its_branch_and_triplet_order(n):
     doc["branches"].reverse()
     for b in doc["branches"]:
         b["preadd"]["triplets"].reverse()
-    assert plan_mod._plan_text(plan_from_dict(doc)) \
-        == plan_mod._plan_text(plan)
+    assert plan_text(plan_from_dict(doc)) \
+        == plan_text(plan)
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -1130,7 +1146,7 @@ def test_compiled_branches_have_a_nonsingular_pivot_block(n):
             == b.rank, (n, b.m, b.constant_kind, b.destination)
 
 
-_TEXT12 = plan_mod._plan_text(compile_plan_for(12))
+_TEXT12 = plan_text(compile_plan_for(12))
 _DOC12 = json.loads(_TEXT12)
 
 
