@@ -16,7 +16,8 @@ outputs are bit for bit those of a term-by-term evaluation.
 
 The counters are the counts of the term lists, under FftPlan's count
 convention; lowering refuses a plan whose mult_count or add_count
-differs from them, or with an entry other than +1 or -1.
+differs from them. No plan matrix holds an entry other than +1 or -1:
+UnitMatrix refuses one when the matrix is built.
 """
 
 from __future__ import annotations

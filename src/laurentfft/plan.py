@@ -44,11 +44,12 @@ by branch as the walk yields them (_plan_of_slots), for compile_plan and
 the loader alike.
 
 Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
-sign) arrays, row by row in column order, each sign +1 or -1. One helper,
-_unit_matrix, builds and checks every one, for compile_plan, the builder
-and the JSON decoder alike; the decoder accepts only the values save_plan
-writes (_UNIT_VALUES, the file's rule). The counts, plan_to_dict,
-coupled_samples and the lowering read the arrays as they are.
+sign) arrays, row by row in column order, each sign +1 or -1. Its
+constructor is the one check of that form, for compile_plan, the builder,
+the JSON decoder and a matrix built by hand alike; the decoder accepts
+only the values save_plan writes (_UNIT_VALUES, the file's rule). The
+counts, plan_to_dict, coupled_samples and the lowering read the arrays as
+they are.
 The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
@@ -175,10 +176,13 @@ class UnitMatrix:
 
     Nonzero k is signs[k], +1 or -1, at (rows[k], cols[k]); the nonzeros
     are listed row by row, in column order within a row, each position
-    once. rows and cols are read-only int32 arrays, signs a read-only int8
-    array. _unit_matrix builds every matrix of a compiled or loaded plan;
-    the executor checks every matrix of a plan, these and any built by
-    hand, when it lowers the plan.
+    once. Construction is the one check of that form, for compiled,
+    decoded, hand-built and dataclasses.replace'd matrices alike: a
+    ValueError for a shape that is not two integers from 0 to 2**31 - 1,
+    an entry that is not an integer +1 or -1 (a float or a Fraction one
+    too), or a nonzero outside the shape, listed twice or out of
+    row-major order. The matrix keeps read-only copies of its own: rows
+    and cols as int32 arrays, signs as an int8 array.
     """
 
     shape: tuple[int, int]
@@ -186,11 +190,38 @@ class UnitMatrix:
     cols: np.ndarray
     signs: np.ndarray
 
-    def toarray(self) -> np.ndarray:
-        """The matrix as a dense int8 array."""
-        out = np.zeros(self.shape, np.int8)
-        out[self.rows, self.cols] = self.signs
-        return out
+    def __post_init__(self) -> None:
+        shape = self.shape
+        if type(shape) is not tuple or len(shape) != 2 or any(
+                type(s) is not int or not 0 <= s < 2**31 for s in shape):
+            raise ValueError(f"a plan matrix's shape {shape!r} is not two "
+                             f"integers from 0 to 2**31 - 1")
+        rows, cols, signs = map(np.asarray, (self.rows, self.cols,
+                                             self.signs))
+        if signs.size and (signs.dtype.kind != "i"
+                           or np.count_nonzero(np.abs(signs) != 1)):
+            bad = next((x for x in signs.flat if x not in (-1, 1)),
+                       signs.flat[0])
+            raise ValueError(f"a plan matrix has an entry {bad} other than "
+                             f"+1 or -1")
+        # each nonzero's row-major position: increasing iff each is listed
+        # once, in order
+        try:
+            at = np.ravel_multi_index((rows, cols), shape)
+        except (TypeError, ValueError):
+            at = None
+        if at is None or signs.ndim != 1 \
+                or not rows.shape == cols.shape == signs.shape \
+                or np.count_nonzero(at[1:] <= at[:-1]):
+            raise ValueError("a plan matrix lists a nonzero outside its "
+                             "shape, twice or out of row-major order, or not "
+                             "one sign per nonzero")
+        for name, a, dtype in (("rows", rows, np.int32),
+                               ("cols", cols, np.int32),
+                               ("signs", signs, np.int8)):
+            a = a.astype(dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, UnitMatrix) and self.shape == other.shape
@@ -199,27 +230,9 @@ class UnitMatrix:
                             (other.rows, other.cols, other.signs))))
 
 
-def _unit_matrix(shape: tuple[int, int], rows, cols, entries,
-                 what: str) -> UnitMatrix:
-    """The plan matrix of shape whose nonzeros are entries at (rows, cols),
-    which the caller lists row by row in column order: the one builder of
-    every matrix of a compiled or loaded plan. ValueError unless every
-    entry is an integer +1 or -1."""
-    entries = np.asarray(entries)
-    if entries.dtype.kind != "i" or np.count_nonzero(np.abs(entries) != 1):
-        bad = next((x for x in entries.flat if x not in (-1, 1)),
-                   entries.dtype)
-        raise ValueError(f"{what} has an entry {bad} other than +1 or -1")
-    arrays = (rows.astype(np.int32), cols.astype(np.int32),
-              entries.astype(np.int8))
-    for a in arrays:
-        a.setflags(write=False)
-    return UnitMatrix(shape, *arrays)
-
-
 def _nonzeros(a: np.ndarray) -> tuple:
     """(shape, rows, cols, entries) of the dense matrix a's nonzeros, row
-    by row in column order: _unit_matrix's arguments."""
+    by row in column order: UnitMatrix's fields."""
     rows, cols = a.nonzero()
     return a.shape, rows, cols, a[rows, cols]
 
@@ -270,8 +283,7 @@ class _FactoredSlot:
         # the N x rank columns of table[exponents] at the pivots, gathered
         # as its rows there, transposed: the grid is symmetric, so the two
         # agree
-        post = _unit_matrix(*_nonzeros(self.table[exponents[pivots]].T),
-                            f"postadd of the m={self.m} {self.slot} matrix")
+        post = UnitMatrix(*_nonzeros(self.table[exponents[pivots]].T))
         return MultiplicativeBranch(
             m=self.m, constant_kind=self.constant_kind, constant_value=value,
             preadd=self.reduced, postadd=post, destination=self.destination,
@@ -304,9 +316,9 @@ def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
                              reduced=source.reduced, source=source)
     exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
     reduced = rank_factor(exact)[1]
-    # no dtype: a Fraction makes an object array, which _unit_matrix refuses
-    pre = (_unit_matrix(*_nonzeros(np.array(reduced.entries)),
-                        f"preadd of m={m}") if preadds else None)
+    # no dtype: a Fraction makes an object array, which UnitMatrix refuses
+    pre = UnitMatrix(*_nonzeros(np.array(reduced.entries))) if preadds \
+        else None
     return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
                          reduced=pre, exact=exact)
 
@@ -435,8 +447,7 @@ class FftPlan:
     nonzeros and an output its row of M_0 (or 0.0, when that row is
     empty) and then its postadd terms; sign flips and routing by the unit
     factors 1, -j, -1, j are free. No entry outside {-1, 0, 1} costs a
-    further multiplication: compile_plan, the loader and the executor
-    reject one.
+    further multiplication: UnitMatrix refuses one.
     """
 
     n: int
@@ -457,8 +468,8 @@ def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
     """The additive stage of dec's plan: Re and Im of M_0 as plan
     matrices."""
     m0 = dec.matrix(0)
-    return AdditiveStage(re_m0=_unit_matrix(*_nonzeros(m0.re), "Re(M_0)"),
-                         im_m0=_unit_matrix(*_nonzeros(m0.im), "Im(M_0)"))
+    return AdditiveStage(re_m0=UnitMatrix(*_nonzeros(m0.re)),
+                         im_m0=UnitMatrix(*_nonzeros(m0.im)))
 
 
 def _plan_counts(additive: AdditiveStage,
@@ -496,28 +507,10 @@ class _Lowered:
 def _stack(mats: list[UnitMatrix], row_offsets: list[int],
            col_offsets: list[int]) -> tuple[np.ndarray, ...]:
     """(rows, cols, signs) of the nonzeros of mats, matrix by matrix, each
-    matrix's rows and columns moved by its offsets. ValueError unless each
-    matrix lists its nonzeros as UnitMatrix says: inside its shape, row by
-    row in column order, each +1 or -1; a matrix built by hand need not."""
-    sizes = np.array([m.signs.size for m in mats])
+    matrix's rows and columns moved by its offsets."""
+    sizes = [m.signs.size for m in mats]
     rows, cols, signs = (np.concatenate([getattr(m, name) for m in mats])
                          for name in ("rows", "cols", "signs"))
-    if np.count_nonzero(np.abs(signs) != 1):
-        raise ValueError("a plan matrix has an entry that is not +1 or -1")
-    heights, widths = (np.array(side)
-                       for side in zip(*(m.shape for m in mats)))
-    areas = heights * widths
-    width = np.repeat(widths, sizes)
-    # each nonzero's row-major place in its matrix, and in the matrices
-    # laid end to end: increasing iff every matrix lists each nonzero once,
-    # in order
-    local = rows * width + cols
-    at = np.repeat(np.cumsum(areas) - areas, sizes) + local
-    if np.count_nonzero((cols < 0) | (cols >= width) | (local < 0)
-                        | (local >= np.repeat(areas, sizes))) \
-            or np.count_nonzero(np.diff(at) <= 0):
-        raise ValueError("a plan matrix lists a nonzero outside its shape, "
-                         "twice or out of row-major order")
     return (rows + np.repeat(row_offsets, sizes),
             cols + np.repeat(col_offsets, sizes), signs)
 
@@ -535,7 +528,8 @@ def _signed(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray,
 
 def _lower(plan: FftPlan) -> _Lowered:
     """The plan's term lists and their counts; ValueError for a shape that
-    does not chain, a matrix _stack refuses or a count that differs."""
+    does not chain or a count that differs. Each matrix checked its own
+    form when it was built."""
     n = plan.n
     branches = plan.branches
     m0 = [plan.additive.re_m0, plan.additive.im_m0]
@@ -795,8 +789,7 @@ def _matrix_from_doc(doc: dict, n: int, what: str) -> UnitMatrix:
     at = np.fromiter(cells, np.int64, len(cells))
     order = np.argsort(at)
     entries = np.fromiter(cells.values(), np.int8, len(cells))[order]
-    return _unit_matrix((rows, cols), *np.divmod(at[order], cols), entries,
-                        what)
+    return UnitMatrix((rows, cols), *np.divmod(at[order], cols), entries)
 
 
 def plan_to_dict(plan: FftPlan) -> dict:

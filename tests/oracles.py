@@ -5,7 +5,8 @@ than the package (sympy number theory, recursion instead of product
 iteration) so that agreement between the two is evidence, not an echo.
 direct_factors is the exception: it is the package's own direct path,
 against which the orbit-derived factors are checked. plan_text is no
-oracle either: it is a plan file's text, for tests that write one.
+oracle either: it is a plan file's text, for tests that write one, and
+dense is a plan matrix's dense array, for tests that read one whole.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ import sympy
 
 from laurentfft.plan import plan_to_dict
 from laurentfft.rational import RationalMatrix, rank_factor
+
+
+def dense(mat) -> np.ndarray:
+    """The plan matrix mat (a UnitMatrix) as a dense int8 array."""
+    out = np.zeros(mat.shape, np.int8)
+    out[mat.rows, mat.cols] = mat.signs
+    return out
 
 
 def plan_text(plan) -> str:
@@ -121,7 +129,7 @@ def term_by_term_sums(plan, v) -> np.ndarray:
 
     def rows(mat):
         out = []
-        for row in mat.toarray().tolist():
+        for row in dense(mat).tolist():
             terms = [v[c] if x == 1 else -v[c] for c, x in enumerate(row) if x]
             acc = terms[0] if terms else 0.0
             for t in terms[1:]:
@@ -133,7 +141,7 @@ def term_by_term_sums(plan, v) -> np.ndarray:
     for b in plan.branches:
         scaled = [b.constant_value * x for x in rows(b.preadd)]
         out = re_out if b.destination == "real_out" else im_out
-        for i, row in enumerate(b.postadd.toarray().tolist()):
+        for i, row in enumerate(dense(b.postadd).tolist()):
             for j, x in enumerate(row):
                 if x == b.sign:
                     out[i] += scaled[j]

@@ -17,7 +17,7 @@ from laurentfft.execute import (OpCounters, default_tolerance, execute_complex,
                                 execute_real, naive_dft, verify_plan)
 from laurentfft.plan import (REAL_OUT, compile_plan_for, load_plan,
                              plan_to_dict, save_plan)
-from oracles import plan_text, term_by_term, term_by_term_sums
+from oracles import dense, plan_text, term_by_term, term_by_term_sums
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -107,23 +107,23 @@ def test_lowered_form_holds_only_the_plan_terms(n):
         return [c if x == 1 else n + c for c, x in enumerate(row) if x]
 
     pre = [signed(row) for b in plan.branches
-           for row in b.preadd.toarray().tolist()]
+           for row in dense(b.preadd).tolist()]
     out = [signed(row) or [2 * n]
            for mat in (plan.additive.re_m0, plan.additive.im_m0)
-           for row in mat.toarray().tolist()]
+           for row in dense(mat).tolist()]
     empty_m0 = sum(t == [2 * n] for t in out)
     offset = 0
     for b in plan.branches:
         base = 0 if b.destination == REAL_OUT else n
-        for i, row in enumerate(b.postadd.toarray().tolist()):
+        for i, row in enumerate(dense(b.postadd).tolist()):
             out[base + i] += [2 * n + 1 + offset + j + (x != b.sign) * rank
                               for j, x in enumerate(row) if x]
         offset += b.rank
     assert _in_order(lowered.pre_dest, lowered.pre_src) == dict(enumerate(pre))
     assert _in_order(lowered.out_dest, lowered.out_src) == dict(enumerate(out))
-    nonzeros = sum(np.count_nonzero(m.toarray()) for b in plan.branches
+    nonzeros = sum(np.count_nonzero(dense(m)) for b in plan.branches
                    for m in (b.preadd, b.postadd))
-    m0_nonzeros = sum(np.count_nonzero(m.toarray()) for m in
+    m0_nonzeros = sum(np.count_nonzero(dense(m)) for m in
                       (plan.additive.re_m0, plan.additive.im_m0))
     assert lowered.pre_src.size + lowered.out_src.size == \
         nonzeros + m0_nonzeros + empty_m0
@@ -172,7 +172,7 @@ def test_execute_real_impulse_needs_no_branches():
     out, _ = execute_real(plan, np.eye(12)[0])
     assert np.array_equal(out, np.ones(12, dtype=complex))
     for b in plan.branches:
-        assert not b.preadd.toarray()[:, 0].any()
+        assert not dense(b.preadd)[:, 0].any()
 
 
 def test_execute_real_input_checks():
@@ -333,15 +333,21 @@ def _with_matrix(plan, matrix, change):
 
 
 def test_execute_real_rejects_a_hand_built_plan_whose_shapes_do_not_chain():
+    # a matrix one row taller than its place still holds its nonzeros, so
+    # only the lowering can tell that its shape does not chain
     plan = compile_plan_for(12)
-    short = _with_matrix(plan, "re_m0",
-                         lambda m: dataclasses.replace(m, shape=(11, 12)))
-    with pytest.raises(ValueError, match="additive stage is \\(11, 12\\)"):
-        execute_real(short, np.zeros(12))
-    short = _with_matrix(plan, "postadd", lambda m: dataclasses.replace(
-        m, shape=(11, m.shape[1])))
+    tall = _with_matrix(plan, "re_m0",
+                        lambda m: dataclasses.replace(m, shape=(13, 12)))
+    with pytest.raises(ValueError, match="additive stage is \\(13, 12\\)"):
+        execute_real(tall, np.zeros(12))
+    tall = _with_matrix(plan, "postadd", lambda m: dataclasses.replace(
+        m, shape=(13, m.shape[1])))
     with pytest.raises(ValueError, match="do not chain for N=12"):
-        execute_real(short, np.zeros(12))
+        execute_real(tall, np.zeros(12))
+    # one row shorter leaves a nonzero outside the shape: no such matrix
+    # is built
+    with pytest.raises(ValueError, match="outside its shape"):
+        dataclasses.replace(plan.additive.re_m0, shape=(11, 12))
 
 
 def _non_unit(entry):
@@ -356,7 +362,8 @@ def _non_unit(entry):
 def test_execute_real_rejects_a_non_unit_entry():
     # the counts still match: only the entry 2 is wrong
     plan = compile_plan_for(12)
-    with pytest.raises(ValueError, match="not \\+1 or -1"):
+    with pytest.raises(ValueError, match="a plan matrix has an entry 2 "
+                                         "other than \\+1 or -1"):
         execute_real(_with_matrix(plan, "preadd", _non_unit(2)),
                      np.zeros(12))
 
@@ -367,7 +374,8 @@ def test_execute_real_rejects_a_non_unit_entry():
 def test_execute_real_rejects_a_non_unit_entry_in_any_matrix(matrix, entry):
     # the additive stage and the postadds are refused as the preadds are,
     # and a stored 0 as a 2
-    with pytest.raises(ValueError, match="not \\+1 or -1"):
+    with pytest.raises(ValueError, match="a plan matrix has an entry "
+                                         f"{entry} other than \\+1 or -1"):
         execute_real(_with_matrix(compile_plan_for(12), matrix,
                                   _non_unit(entry)), np.zeros(12))
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -22,7 +23,7 @@ from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
                              load_plan, plan_from_dict, plan_to_dict,
                              save_plan)
 from laurentfft.rational import RationalMatrix, rank, rref
-from oracles import direct_factors, plan_text, sympy_rank
+from oracles import dense, direct_factors, plan_text, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
 
@@ -118,7 +119,7 @@ def test_compile_plan_n4_is_additive_only():
     plan = compile_plan_for(4)
     assert plan.branches == ()
     assert plan.mult_count == 0
-    assert np.array_equal(plan.additive.re_m0.toarray(),
+    assert np.array_equal(dense(plan.additive.re_m0),
                           np.array([[1, 1, 1, 1], [1, 0, -1, 0],
                                     [1, -1, 1, -1], [1, 0, -1, 0]]))
 
@@ -155,8 +156,8 @@ def test_branch_factorizations_are_exact():
         for b in plan.branches:
             source = getattr(branch_matrices(dec, b.m),
                              slot_for[(b.constant_kind, b.destination)])
-            product = b.postadd.toarray().astype(int) @ \
-                b.preadd.toarray().astype(int)
+            product = dense(b.postadd).astype(int) @ \
+                dense(b.preadd).astype(int)
             assert np.array_equal(product, source), (n, b.m)
 
 
@@ -268,7 +269,7 @@ def test_derived_slots_match_a_direct_factorization(n):
         assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         branch = f.branch(dec.exponents)
         post, pre = direct_factors(matrix)
-        assert all(np.array_equal(mine.toarray(), direct.entries)
+        assert all(np.array_equal(dense(mine), direct.entries)
                    for mine, direct
                    in zip((branch.postadd, branch.preadd), (post, pre))), \
             (n, f.m, f.slot)
@@ -290,7 +291,7 @@ def test_derived_preadds_are_the_representatives(n):
         assert exact.rows > 0 and f.rank > 0, (n, f.m, f.slot)
         assert f.reduced is f.source.reduced
         assert np.array_equal(rref(exact).rref.entries,
-                              f.source.reduced.toarray()), \
+                              dense(f.source.reduced)), \
             (n, f.m, f.slot)
 
 
@@ -328,7 +329,7 @@ def test_representatives_match_a_full_row_factorization(n):
         matrix = f.table[dec.exponents]
         assert matrix.any() and f.rank > 0, (n, f.m, f.slot)
         pre = direct_factors(matrix)[1]
-        assert np.array_equal(f.reduced.toarray(), pre.entries), \
+        assert np.array_equal(dense(f.reduced), pre.entries), \
             (n, f.m, f.slot)
         assert f.rank == pre.rows, (n, f.m, f.slot)
 
@@ -423,7 +424,7 @@ def test_asymmetric_class_only_when_8_divides_n():
 def test_n12_preadd_rows_match_the_known_reductions():
     plan = compile_plan_for(12)
     rows = {(b.constant_kind, b.destination):
-            [tuple(row) for row in b.preadd.toarray().tolist()]
+            [tuple(row) for row in dense(b.preadd).tolist()]
             for b in plan.branches}
     assert rows[("cosine", "real_out")] == \
         [(0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)]
@@ -467,7 +468,7 @@ def test_coupled_samples_odd_row_leaves_a_singleton():
 def test_n20_couples_the_condensed_row_pattern():
     plan = compile_plan_for(20)
     supports = {tuple(np.flatnonzero(row).tolist())
-                for b in plan.branches for row in b.preadd.toarray()}
+                for b in plan.branches for row in dense(b.preadd)}
     assert (1, 9, 11, 19) in supports
     assert (3, 7, 13, 17) in supports
 
@@ -498,11 +499,10 @@ def test_plan_dict_roundtrip_preserves_everything():
             execute_real(plan, v)[0].tobytes(), n
 
 
-def _unit(dense) -> UnitMatrix:
-    """The plan matrix of the dense array dense, through the package's
-    builder."""
-    return plan_mod._unit_matrix(*plan_mod._nonzeros(np.asarray(dense)),
-                                 "a test matrix")
+def _unit(full) -> UnitMatrix:
+    """The plan matrix of the dense array full, read off it as the package
+    reads its own."""
+    return UnitMatrix(*plan_mod._nonzeros(np.asarray(full)))
 
 
 def _matrix_doc(unit, value=str):
@@ -510,7 +510,7 @@ def _matrix_doc(unit, value=str):
     built from np.nonzero of its dense array apart from the package's
     encoder: [row, col, value] row-major, the value value(+-1), the string
     "1" or "-1" by default."""
-    mat = unit.toarray()
+    mat = dense(unit)
     rows, cols = np.nonzero(mat)
     values = mat[rows, cols].tolist()
     return {"rows": mat.shape[0], "cols": mat.shape[1],
@@ -1103,7 +1103,8 @@ def test_a_reduced_form_entry_other_than_a_unit_is_refused(monkeypatch):
                                      + [0] * (exact.cols - 2)])
 
     monkeypatch.setattr(plan_mod, "rank_factor", halved)
-    with pytest.raises(ValueError, match="other than \\+1 or -1"):
+    with pytest.raises(ValueError, match="a plan matrix has an entry 1/2 "
+                                         "other than \\+1 or -1"):
         compile_plan_for(12)
 
 
@@ -1130,8 +1131,8 @@ def test_compiled_postadds_are_the_slot_matrix_at_the_pivot_columns(n):
         slot = next(row[0] for row in layout
                     if row[1:] == (b.constant_kind, b.destination, b.sign))
         a = plan_mod._slot_tables(n, b.m)[slot][dec.exponents]
-        pivots = (b.preadd.toarray() != 0).argmax(axis=1)
-        assert np.array_equal(b.postadd.toarray(), a[:, pivots]), \
+        pivots = (dense(b.preadd) != 0).argmax(axis=1)
+        assert np.array_equal(dense(b.postadd), a[:, pivots]), \
             (n, b.m, slot)
 
 
@@ -1140,8 +1141,8 @@ def test_compiled_branches_have_a_nonsingular_pivot_block(n):
     # a compiled branch is minimal, so by the pivot-block lemma its r x r
     # block A[P, P] is nonsingular
     for b in compile_plan_for(n).branches:
-        pivots = (b.preadd.toarray() != 0).argmax(axis=1)
-        block = b.postadd.toarray()[pivots]
+        pivots = (dense(b.preadd) != 0).argmax(axis=1)
+        block = dense(b.postadd)[pivots]
         assert rank(RationalMatrix.from_int_matrix(block)) \
             == b.rank, (n, b.m, b.constant_kind, b.destination)
 
@@ -1400,8 +1401,76 @@ def test_preadd_and_postadd_entries_are_unit_for_supported_lengths():
             assert [a.dtype for a in arrays] == [np.int32, np.int32, np.int8]
             assert not any(a.flags.writeable for a in arrays), n
             assert set(mat.signs.tolist()) <= {-1, 1}, n
-            dense = mat.toarray()
-            rows, cols = np.nonzero(dense)
+            full = dense(mat)
+            rows, cols = np.nonzero(full)
             assert np.array_equal(mat.rows, rows), n
             assert np.array_equal(mat.cols, cols), n
-            assert np.array_equal(mat.signs, dense[rows, cols]), n
+            assert np.array_equal(mat.signs, full[rows, cols]), n
+
+
+def test_a_plan_matrix_keeps_its_own_arrays_when_its_caller_changes_theirs():
+    # a matrix copied with the caller's signs must not follow them: not
+    # in itself, in a fresh lowering of its plan or in its plan document
+    plan = compile_plan_for(12)
+    branch = plan.branches[0]
+    signs = branch.preadd.signs.copy()
+    mine = dataclasses.replace(plan, branches=(dataclasses.replace(
+        branch, preadd=dataclasses.replace(branch.preadd, signs=signs)),
+        *plan.branches[1:]))
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, 12)
+    before = execute_real(mine, v)
+    signs[0] = 2
+    assert mine.branches[0].preadd == branch.preadd
+    for again in (mine, dataclasses.replace(mine)):
+        out, counters = execute_real(again, v)
+        assert out.tobytes() == before[0].tobytes()
+        assert (counters.real_mults, counters.real_adds) == (8, 126)
+    assert plan_to_dict(mine) == plan_to_dict(plan)
+
+
+def test_compiled_decoded_and_hand_built_matrices_hold_read_only_arrays():
+    plan = compile_plan_for(12)
+    doc = plan_to_dict(plan)["branches"][0]["preadd"]
+    arrays = (np.array([0, 1]), np.array([1, 2]), np.array([1, -1]))
+    for mat in (plan.branches[0].postadd, plan.additive.im_m0,
+                plan_mod._matrix_from_doc(doc, 12, "a preadd"),
+                UnitMatrix((2, 3), *arrays),
+                UnitMatrix((2, 3), [0, 1], [1, 2], [1, -1])):
+        mine = (mat.rows, mat.cols, mat.signs)
+        assert [a.dtype for a in mine] == [np.int32, np.int32, np.int8]
+        assert not any(a.flags.writeable for a in mine)
+        assert not any(np.shares_memory(a, b) for a in mine for b in arrays)
+
+
+@pytest.mark.parametrize("signs, bad", (
+    # a float +-1 ran and was saved as "1.0", which the loader refuses
+    (np.array([1.0, -1.0]), "1.0"),
+    (np.array([1, Fraction(1, 2)], dtype=object), "1/2"),
+    (np.array([Fraction(1), 1], dtype=object), "1"),
+    (np.array([1, 0]), "0"),
+    (np.array([-1, 2]), "2")))
+def test_a_plan_matrix_refuses_an_entry_other_than_an_integer_unit(signs,
+                                                                     bad):
+    with pytest.raises(ValueError, match=f"a plan matrix has an entry {bad} "
+                                         "other than \\+1 or -1"):
+        UnitMatrix((1, 2), np.array([0, 0]), np.array([0, 1]), signs)
+
+
+@pytest.mark.parametrize("shape", ((12,), (12, 12, 1), [12, 12], (12.0, 12),
+                                   (True, 12), (-1, 12), (12, 2**31),
+                                   (np.int64(12), 12), "12"))
+def test_a_plan_matrix_refuses_a_shape_other_than_two_integers(shape):
+    with pytest.raises(ValueError, match="is not two integers from 0 to "
+                                         "2\\*\\*31 - 1"):
+        UnitMatrix(shape, np.array([0]), np.array([0]), np.array([1]))
+
+
+@pytest.mark.parametrize("rows, cols, signs", (
+    ([0, 1], [0, 1], [1]),
+    ([0, 1], [0], [1, 1]),
+    ([[0, 1]], [[0, 1]], [[1, 1]]),
+    (np.array([0.0]), [0], [1])))
+def test_a_plan_matrix_refuses_other_than_one_sign_at_each_integer_place(
+        rows, cols, signs):
+    with pytest.raises(ValueError, match="or not one sign per nonzero"):
+        UnitMatrix((2, 2), rows, cols, signs)
