@@ -14,6 +14,12 @@ sum is -0.0 + t1 + t2 + ... left to right. -0.0 is the exact additive
 identity (from +0.0 a sum of -0.0 terms would come out +0.0), so the
 outputs are bit for bit those of a term-by-term evaluation.
 
+_run is the one execution, one call per real vector. Each entry point
+checks its arguments once and then calls it: execute_real on its
+vector, execute_complex on the real and on the imaginary part, and
+verify_plan on each trial, which it compares with naive_dft's cached
+matrix directly.
+
 The counters are the counts of the term lists, under FftPlan's count
 convention; lowering refuses a plan whose mult_count or add_count
 differs from them. No plan matrix holds an entry other than +1 or -1:
@@ -22,8 +28,10 @@ UnitMatrix refuses one when the matrix is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -81,36 +89,53 @@ def _sums(size: int, dest: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
-    """Apply the plan to a real vector; returns (DFT values, counters)."""
+def _numeric(v) -> np.ndarray:
+    """v as an array; TypeError unless it holds bools or numbers."""
     vec = np.asarray(v)
-    if np.iscomplexobj(vec):
+    if vec.dtype.kind not in "biufc":
+        raise TypeError(f"expected a numeric vector, not one of dtype "
+                        f"{vec.dtype}")
+    return vec
+
+
+def _spectrum(out: np.ndarray, n: int) -> np.ndarray:
+    """The N complex DFT values of a real run's 2N outputs."""
+    return out[:n] + 1j * out[n:]
+
+
+def execute_real(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
+    """Apply the plan to a real vector; returns (DFT values, counters).
+    Bool, integer and float input is read as float; complex input and
+    input that is not numeric are a TypeError."""
+    vec = _numeric(v)
+    if vec.dtype.kind == "c":
         raise TypeError("execute_real takes a real vector; "
                         "use execute_complex for complex input")
     vec = vec.astype(float, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a real vector of length {plan.n}")
     lowered = plan._term_lists
-    out = _run(lowered, vec)
-    n = plan.n
-    return (out[:n] + 1j * out[n:],
+    return (_spectrum(_run(lowered, vec), plan.n),
             OpCounters(real_mults=lowered.mults, real_adds=lowered.adds))
 
 
 def execute_complex(plan: FftPlan, v) -> tuple[np.ndarray, OpCounters]:
-    """Apply the plan to a complex vector by linearity, running the real
-    and imaginary parts through execute_real; the counters are those of
-    the two real vectors. They leave out the 2N - 4 real additions that
-    combine the two results into re + 1j * im: every output part adds one
-    part of each result, except at k = 0 and N/2, where the imaginary part
-    of a real input's DFT is zero."""
-    vec = np.asarray(v, dtype=complex)
+    """Apply the plan to a complex vector by linearity: its input checked
+    once, the real and imaginary parts each run through the plan's term
+    lists and assembled as execute_real assembles its output, then
+    combined as re + 1j * im. Input that is not numeric is a TypeError.
+    The counters are those of the two real runs. They leave out the
+    2N - 4 real additions that combine the two results into re + 1j * im:
+    every output part adds one part of each result, except at k = 0 and
+    N/2, where the imaginary part of a real input's DFT is zero."""
+    vec = _numeric(v).astype(complex, copy=False)
     if vec.ndim != 1 or vec.size != plan.n:
         raise ValueError(f"expected a vector of length {plan.n}")
-    re_part, counters = execute_real(plan, vec.real)
-    im_part, im_counters = execute_real(plan, vec.imag)
-    counters.merge(im_counters)
-    return re_part + 1j * im_part, counters
+    lowered = plan._term_lists
+    re_part, im_part = (_spectrum(_run(lowered, part), plan.n)
+                        for part in (vec.real, vec.imag))
+    return re_part + 1j * im_part, OpCounters(real_mults=2 * lowered.mults,
+                                              real_adds=2 * lowered.adds)
 
 
 def default_tolerance(n: int) -> float:
@@ -143,6 +168,11 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
                 seed: int = 0) -> VerificationReport:
     """Run seeded random real inputs through the plan against naive_dft.
 
+    trials is an integer of at least 1 (not a bool) and tolerance, when
+    given, a finite number above 0; anything else is a ValueError. The
+    arguments are checked once, then each trial runs through the plan's
+    term lists (_run) and naive_dft's matrix directly, so its outputs and
+    max_error are those of execute_real and naive_dft trial by trial.
     Inputs are uniform in [-1, 1] from numpy's default generator, drawn
     _TRIAL_BLOCK rows at a time: successive draws of the generator, so the
     trials are the rows of one (trials, N) draw, in order, and a (plan,
@@ -154,22 +184,28 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
     only when they equal the plan's: a plan whose counts or entries it
     refuses raises its ValueError instead.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, Integral) \
+            or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     tol = default_tolerance(plan.n) if tolerance is None else tolerance
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    n = plan.n
+    lowered = plan._term_lists
+    dft = _dft_matrix_cached(n)
     rng = np.random.default_rng(seed)
     max_error = 0.0
     for done in range(0, trials, _TRIAL_BLOCK):
-        inputs = rng.uniform(-1.0, 1.0,
-                             (min(_TRIAL_BLOCK, trials - done), plan.n))
-        errors = [np.max(np.abs(execute_real(plan, v)[0] - naive_dft(v)))
-                  for v in inputs]
-        # np.max and np.maximum keep a NaN, where max() would drop it
-        max_error = np.maximum(max_error, np.max(errors))
+        inputs = rng.uniform(-1.0, 1.0, (min(_TRIAL_BLOCK, trials - done), n))
+        for v in inputs:
+            error = np.abs(_spectrum(_run(lowered, v), n)
+                           - dft @ v.astype(complex)).max()
+            # ndarray.max and np.maximum keep a NaN, where max() would
+            # drop it
+            max_error = np.maximum(max_error, error)
     max_error = float(max_error)
-    lowered = plan._term_lists
     return VerificationReport(
-        n=plan.n, trials=trials, tolerance=tol, seed=seed,
+        n=n, trials=trials, tolerance=tol, seed=seed,
         max_error=max_error, passed=max_error < tol,
         counters_match=(lowered.mults, lowered.adds)
         == (plan.mult_count, plan.add_count),

@@ -925,9 +925,10 @@ def save_plan(plan: FftPlan, path: str | Path) -> None:
                           encoding="utf-8")
 
 
-# The longest file text load_plan caches: every plan file through N = 128
-# fits (the longest, N = 124's, is 0.39 MiB), and the heaviest plan whose
-# file fits, N = 156's, holds 1.02 MiB of text, arrays and lowering, so 8
+# The longest file load_plan caches, in bytes (a file save_plan writes is
+# ASCII, so one byte a character): every plan file through N = 128 fits
+# (the longest, N = 124's, is 0.39 MiB), and the heaviest plan whose file
+# fits, N = 156's, holds 1.02 MiB of file, arrays and lowering, so 8
 # entries hold about 8 MiB at most
 _CACHED_TEXT_CHARS = 512 * 2**10
 
@@ -935,26 +936,45 @@ _CACHED_TEXT_CHARS = 512 * 2**10
 def load_plan(path: str | Path) -> FftPlan:
     """The plan in the file at path: plan_from_dict of its JSON.
 
-    The plans of the last 8 file texts loaded are cached, each keyed on
-    the file's whole text, so a load of the same text returns the same
-    FftPlan object without parsing or certifying it again, and the
-    executor reuses that object's lowering. The certificate is a function
-    of the document alone, so the cache accepts nothing plan_from_dict
-    refuses; a refused text raises on every load, since an exception is
-    never cached, and a file rewritten with other content is certified
-    again. A text longer than _CACHED_TEXT_CHARS is certified on every
-    load and not kept.
+    The plans of the last 8 files loaded are cached, each keyed on the
+    file's whole bytes, so a load of the same bytes returns the same
+    FftPlan object without decoding, parsing or certifying it again, and
+    the executor reuses that object's lowering. The certificate is a
+    function of the document alone, so the cache accepts nothing
+    plan_from_dict refuses; a refused file raises on every load, since an
+    exception is never cached, and a file rewritten with other content is
+    certified again. A file longer than _CACHED_TEXT_CHARS bytes is
+    certified on every load and not kept. The file is UTF-8 text.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    if len(text) > _CACHED_TEXT_CHARS:
-        return _plan_of_text.__wrapped__(text)
-    return _plan_of_text(text)
+    key = _FileBytes(Path(path).read_bytes())
+    if len(key.data) > _CACHED_TEXT_CHARS:
+        return _plan_of_text.__wrapped__(key)
+    return _plan_of_text(key)
+
+
+class _FileBytes:
+    """A file's bytes as load_plan's cache key. Keys are equal when their
+    bytes are, compared in full; the hash reads only the length and the
+    64 bytes at each end, so a cache hit costs one comparison of the
+    bytes, not a hash of all of them."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self._hash = hash((len(data), data[:64], data[-64:]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _FileBytes) and self.data == other.data
 
 
 @lru_cache(maxsize=8)
-def _plan_of_text(text: str) -> FftPlan:
+def _plan_of_text(key: _FileBytes) -> FftPlan:
     try:
-        doc = json.loads(text)
+        doc = json.loads(key.data.decode("utf-8"))
     except RecursionError as exc:
         # json's decoder recurses once per level of nesting
         raise ValueError(f"malformed plan document: {exc!r}") from exc

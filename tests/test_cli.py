@@ -156,6 +156,14 @@ def test_verify_failure_exit_code(run_cli):
     assert out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("tol", ("nan", "0", "-1", "inf"))
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(run_cli,
+                                                                    tol):
+    # a NaN, zero or negative tolerance failed every plan with exit 1
+    code, out, err = run_cli("verify", "12", "--tol", tol)
+    assert (code, out) == (2, "") and "tolerance must be finite" in err
+
+
 def test_verify_unsupported_length(run_cli):
     code, _, err = run_cli("verify", "14")
     assert code == 2 and "unsupported" in err

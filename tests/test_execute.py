@@ -586,16 +586,19 @@ def test_verify_plan_memory_does_not_grow_with_trials():
 
 
 def test_verify_plan_runs_the_rows_of_one_draw_across_blocks(monkeypatch):
-    # the trials drawn block by block are the rows of one (trials, N) draw
+    # the trials drawn block by block are the rows of one (trials, N) draw,
+    # each run once through the plan's term lists
     n, trials = 12, 2 * execute._TRIAL_BLOCK + 3
     plan = compile_plan_for(n)
-    seen, run = [], execute.execute_real
-    monkeypatch.setattr(execute, "execute_real",
-                        lambda plan, v: seen.append(v.copy()) or run(plan, v))
+    seen, run = [], execute._run
+    monkeypatch.setattr(execute, "_run", lambda lowered, x:
+                        seen.append(x.copy()) or run(lowered, x))
     report = verify_plan(plan, trials=trials, seed=5)
     inputs = np.random.default_rng(5).uniform(-1.0, 1.0, (trials, n))
     assert np.array_equal(seen, inputs)
-    errors = [np.max(np.abs(run(plan, v)[0] - naive_dft(v))) for v in inputs]
+    monkeypatch.undo()
+    errors = [np.max(np.abs(execute_real(plan, v)[0] - naive_dft(v)))
+              for v in inputs]
     assert np.float64(report.max_error).tobytes() == np.max(errors).tobytes()
 
 
@@ -651,3 +654,55 @@ def test_verify_plan_is_reproducible():
 def test_verify_plan_rejects_zero_trials():
     with pytest.raises(ValueError):
         verify_plan(compile_plan_for(12), trials=0)
+
+
+@pytest.mark.parametrize("trials", (-1, 2.5, "3", True, False, None))
+def test_verify_plan_rejects_a_trial_count_that_is_not_a_positive_integer(
+        trials):
+    # 2.5 and "3" raised TypeError from range(), and True ran one trial
+    # reported as trials=True
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        verify_plan(compile_plan_for(12), trials=trials)
+
+
+@pytest.mark.parametrize("tolerance", (float("nan"), 0.0, 0, -1.0,
+                                       float("inf"), "1e-9"))
+def test_verify_plan_rejects_a_tolerance_that_is_not_finite_and_positive(
+        tolerance):
+    # NaN, 0 and -1 failed every plan without a word
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        verify_plan(compile_plan_for(12), trials=1, tolerance=tolerance)
+
+
+def test_verify_plan_takes_a_numpy_integer_and_any_positive_tolerance():
+    report = verify_plan(compile_plan_for(12), trials=np.int64(3),
+                         tolerance=np.float32(1e-3), seed=2)
+    assert report.trials == 3 and report.passed
+    assert report.totals.real_mults == 3 * 8
+
+
+_NOT_NUMERIC = {
+    "str": np.array(["1"] * 12),
+    "bytes": np.array([b"1"] * 12),
+    "object": np.array([1.0] * 12, dtype=object),
+    "str_list": ["1"] * 12,
+}
+
+
+@pytest.mark.parametrize("execute_fn", (execute_real, execute_complex))
+@pytest.mark.parametrize("case", list(_NOT_NUMERIC))
+def test_execute_refuses_input_that_is_not_numeric(execute_fn, case):
+    # a string array was read as the numbers it spells
+    with pytest.raises(TypeError, match="expected a numeric vector"):
+        execute_fn(compile_plan_for(12), _NOT_NUMERIC[case])
+
+
+@pytest.mark.parametrize("dtype", (bool, np.int8, np.int64, np.uint16,
+                                   np.float32))
+def test_execute_reads_bool_integer_and_float_input_as_float(dtype):
+    plan = compile_plan_for(12)
+    v = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0], dtype=dtype)
+    assert execute_real(plan, v)[0].tobytes() == \
+        execute_real(plan, v.astype(float))[0].tobytes()
+    assert execute_complex(plan, v)[0].tobytes() == \
+        execute_complex(plan, v.astype(complex))[0].tobytes()

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -925,6 +926,94 @@ def test_a_file_rewritten_in_place_is_certified_again(plan_cache, monkeypatch,
     with pytest.raises(ValueError, match=match):
         load_plan(path)
     assert certified == [16, n]
+
+
+def _middle_variant(doc: dict) -> dict:
+    """doc with two triplets of its middle branch's preadd swapped, two
+    whose JSON texts differ but have one length: the same plan, and a file
+    of the same length and ends."""
+    doc = copy.deepcopy(doc)
+    triplets = doc["branches"][len(doc["branches"]) // 2]["preadd"][
+        "triplets"]
+    k = next(k for k, t in enumerate(triplets) if t != triplets[0]
+             and len(json.dumps(t)) == len(json.dumps(triplets[0])))
+    triplets[0], triplets[k] = triplets[k], triplets[0]
+    return doc
+
+
+def test_two_files_that_differ_only_in_the_middle_are_each_certified(
+        plan_cache, monkeypatch, tmp_path):
+    # the key hashes only a file's length and ends: two files alike there
+    # share a hash, and the full comparison keeps their plans apart
+    plan = compile_plan_for(64)
+    texts = (plan_text(plan),
+             json.dumps(_middle_variant(plan_to_dict(plan)), indent=2))
+    assert len(texts[0]) == len(texts[1]) and texts[0] != texts[1]
+    keys = [plan_mod._FileBytes(t.encode()) for t in texts]
+    assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+    paths = [_save_text(tmp_path / f"plan{k}.json", t)
+             for k, t in enumerate(texts)]
+    certified = []
+
+    def counted(doc):
+        certified.append(doc["N"])
+        return plan_from_dict(doc)
+
+    monkeypatch.setattr(plan_mod, "plan_from_dict", counted)
+    plans = [load_plan(path) for path in paths]
+    assert plans[0] is not plans[1] and certified == [64, 64]
+    assert [load_plan(path) for path in paths] == plans
+    assert certified == [64, 64] and plan_cache.cache_info().currsize == 2
+
+
+def test_a_same_length_tamper_is_refused_after_the_true_file_is_cached(
+        plan_cache, tmp_path):
+    # one "1" respelled "2" near the middle of the N=64 file: the same
+    # length and ends as the cached true file, and refused on every load
+    text = plan_text(compile_plan_for(64))
+    at = text.index('"1"', len(text) // 2)
+    tampered_text = text[:at] + '"2"' + text[at + 3:]
+    assert len(tampered_text) == len(text)
+    true = _save_text(tmp_path / "true.json", text)
+    tampered = _save_text(tmp_path / "tampered.json", tampered_text)
+    plan = load_plan(true)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="an entry 2 other than"):
+            load_plan(tampered)
+        assert load_plan(true) is plan
+    assert plan_cache.cache_info().currsize == 1
+
+
+def _called_in(fn, *args) -> tuple[set, object]:
+    """(the names of every Python and C function called while fn(*args)
+    ran, its result)."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+        elif event == "c_call":
+            called.add(arg.__name__)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return called, result
+
+
+def test_a_warm_load_neither_decodes_nor_parses(plan_cache, tmp_path):
+    # a hit reads the file's bytes and compares them with the cached
+    # key's: no decode to text and no json.loads
+    path = tmp_path / "plan.json"
+    save_plan(compile_plan_for(64), path)
+    called, cold = _called_in(load_plan, path)
+    assert {"decode", "loads"} <= called
+    called, warm = _called_in(load_plan, path)
+    assert warm is cold
+    assert not {"decode", "loads", "read_text", "plan_from_dict"} & called
 
 
 def test_the_memo_drops_the_least_recently_loaded_plan(plan_cache, tmp_path):
