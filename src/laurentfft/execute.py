@@ -61,10 +61,6 @@ class OpCounters:
     real_mults: int = 0
     real_adds: int = 0
 
-    def merge(self, other: "OpCounters") -> None:
-        self.real_mults += other.real_mults
-        self.real_adds += other.real_adds
-
 
 def _run(lowered: _Lowered, x: np.ndarray) -> np.ndarray:
     """The 2N plan outputs (real parts, then imaginary) for the real
@@ -164,15 +160,24 @@ class VerificationReport:
 _TRIAL_BLOCK = 256
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """ValueError unless value is an integer of at least low, not a
+    bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None,
                 seed: int = 0) -> VerificationReport:
     """Run seeded random real inputs through the plan against naive_dft.
 
-    trials is an integer of at least 1 (not a bool) and tolerance, when
-    given, a finite number above 0; anything else is a ValueError. The
-    arguments are checked once, then each trial runs through the plan's
-    term lists (_run) and naive_dft's matrix directly, so its outputs and
-    max_error are those of execute_real and naive_dft trial by trial.
+    trials is an integer of at least 1 and seed one of at least 0 (neither
+    a bool), and tolerance, when given, a finite number above 0; anything
+    else is a ValueError. The arguments are checked once, then each trial
+    runs through the plan's term lists (_run) and naive_dft's matrix
+    directly, so its outputs and max_error are those of execute_real and
+    naive_dft trial by trial.
     Inputs are uniform in [-1, 1] from numpy's default generator, drawn
     _TRIAL_BLOCK rows at a time: successive draws of the generator, so the
     trials are the rows of one (trials, N) draw, in order, and a (plan,
@@ -184,9 +189,8 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
     only when they equal the plan's: a plan whose counts or entries it
     refuses raises its ValueError instead.
     """
-    if isinstance(trials, bool) or not isinstance(trials, Integral) \
-            or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
     tol = default_tolerance(plan.n) if tolerance is None else tolerance
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")

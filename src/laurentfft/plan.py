@@ -36,39 +36,30 @@ matrix of Z/N). Every slot's postadd is A at the preadd's pivot columns
 P, and A[:, P] = A[P, :]^T: it is read off the table as the gather of
 whole grid rows t[E[P]].T (in _FactoredSlot.branch).
 
-One builder turns a slot and its preadd into a branch
+compile_plan turns each slot of the walk into a branch
 (_FactoredSlot.branch: the postadd gathered as whole grid rows, the
-constant from constant_value), one builds the additive stage from M_0
-(_additive_stage), and one builds a plan from the walk's slots, branch
-by branch as the walk yields them (_plan_of_slots), for compile_plan and
-the loader alike.
+constant from constant_value) and builds the additive stage from M_0
+(_additive_stage).
 
 Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
 sign) arrays, row by row in column order, each sign +1 or -1. Its
-constructor is the one check of that form, for compile_plan, the builder,
-the JSON decoder and a matrix built by hand alike; the decoder accepts
-only the values save_plan writes (_UNIT_VALUES, the file's rule). The
-counts, plan_to_dict, coupled_samples and the lowering read the arrays as
-they are.
+constructor is the one check of that form, for compile_plan, the builder
+and a matrix built by hand alike. The counts, coupled_samples and the
+lowering read the arrays as they are.
 The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
 assumed, and can serialize plans to JSON and back. A plan file (version
-2) holds only what N does not fix: the two counts and, per branch, its
-layout row and its preadd. Everything else is forced: a branch's
-postadd is its matrix at the preadd's pivot columns, its constant is
-its kind's value at m and N, and the additive stage is M_0. save_plan
-writes json.dumps(plan_to_dict(plan), indent=2). The loader checks the
-document's form against the layout of N and then walks N's slots: it
-decodes each slot's document preadd in one pass over its triplets,
-checking each one's form, bounds, value and repeat as it records it by
-its row-major position, and refuses the document unless the decoded
-preadd equals the slot's before that slot's branch is built, so a wrong
-document costs the walk up to its first wrong preadd. The stored counts
-must equal the compiled ones. A reduced row echelon form is unique for
-its row space, so this accepts exactly the compiled plan, up to the
-order of the branches and of each preadd's triplets, and the loader
-returns the compiled plan itself, constants included.
+3) holds N, the two counts and each branch's layout row, which the
+loader checks against the plan of N. Everything else is forced: a
+branch's preadd is the reduced row echelon form of its slot's matrix,
+its postadd is that matrix at the preadd's pivot columns, its constant
+is its kind's value at m and N, and the additive stage is M_0.
+save_plan writes json.dumps(plan_to_dict(plan), indent=2). The loader
+checks the document's form against the layout of N arithmetically, then
+compiles N and requires the stored counts to equal the compiled ones.
+So it accepts exactly the compiled plan's document, up to the order of
+the branches, and returns the compiled plan itself, constants included.
 """
 
 from __future__ import annotations
@@ -161,8 +152,10 @@ def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
     return BranchMatrices(m=m, kind=_class_kind(dec.n, m), **matrices)
 
 
-def _positive_indices(indices: Iterable[int]) -> tuple[int, ...]:
-    return tuple(m for m in indices if m >= 1)
+def _positive_classes(n: int) -> range:
+    """N's positive class indices, 1 to the top one, as a range whose
+    membership test is arithmetic: no class table is built."""
+    return range(1, _index_range(n).stop)
 
 
 # The row-stacked pairs of complexity's stacked count; an orbit map that
@@ -177,7 +170,7 @@ class UnitMatrix:
     Nonzero k is signs[k], +1 or -1, at (rows[k], cols[k]); the nonzeros
     are listed row by row, in column order within a row, each position
     once. Construction is the one check of that form, for compiled,
-    decoded, hand-built and dataclasses.replace'd matrices alike: a
+    hand-built and dataclasses.replace'd matrices alike: a
     ValueError for a shape that is not two integers from 0 to 2**31 - 1,
     an entry that is not an integer +1 or -1 (a float or a Fraction one
     too), or a nonzero outside the shape, listed twice or out of
@@ -374,7 +367,7 @@ def _factored_slots(dec: ClassDecomposition, preadds: bool = True
     """
     n = dec.n
     reps: dict[tuple[str, int], tuple[_FactoredSlot, ...]] = {}
-    for m in _positive_indices(dec.indices):
+    for m in _positive_classes(n):
         kind = _class_kind(n, m)
         layout = _LAYOUT[kind]
         by_slot = _slot_tables(n, m)
@@ -587,17 +580,10 @@ def compile_plan(dec: ClassDecomposition) -> FftPlan:
     sin is subtracted from the imaginary part. The asymmetric class routes
     (Re+Im) to the real part and (Im-Re) to the imaginary part, both scaled
     by sqrt(2)/2. Classes m and -m have disjoint supports, so no
-    combination matrix is zero and every layout row becomes one branch.
+    combination matrix is zero and every layout row becomes one branch,
+    built as the walk yields its slot.
     """
-    return _plan_of_slots(dec, _factored_slots(dec))
-
-
-def _plan_of_slots(dec: ClassDecomposition,
-                   slots: Iterable[_FactoredSlot]) -> FftPlan:
-    """dec's plan with one branch per slot, each built as it comes:
-    compile_plan passes the walk, and the loader the walk with each slot's
-    document preadd checked before its branch is built."""
-    branches = [f.branch(dec.exponents) for f in slots]
+    branches = [f.branch(dec.exponents) for f in _factored_slots(dec)]
     additive = _additive_stage(dec)
     return FftPlan(dec.n, additive, tuple(branches),
                    *_plan_counts(additive, branches))
@@ -738,72 +724,26 @@ def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
 
 
 PLAN_FORMAT = "laurentfft-plan"
-PLAN_VERSION = 2
+PLAN_VERSION = 3
 
-
-# The entry of each triplet value a plan file may hold: the strings "1"
-# and "-1", exactly as save_plan writes them.
-_UNIT_VALUES = {"1": 1, "-1": -1}
 
 # The keys of each object of a plan file, as plan_to_dict writes them: the
-# document, a branch and a preadd
+# document and a branch
 _PLAN_KEYS = frozenset({"format", "version", "N", "mult_count", "add_count",
                         "branches"})
-_BRANCH_KEYS = frozenset({"m", "constant_kind", "destination", "sign",
-                          "preadd"})
-_MATRIX_KEYS = frozenset({"rows", "cols", "triplets"})
-
-
-def _matrix_from_doc(doc: dict, n: int, what: str) -> UnitMatrix:
-    """The preadd of a {rows, cols, triplets} document, decoded in one pass
-    over the triplets. rows is a JSON integer from 1 to n and cols the JSON
-    integer n; a triplet is [row, col, value] with integer indices inside
-    the matrix, at most one per position, and a value spelled as save_plan
-    writes it, which _UNIT_VALUES maps to its entry. The nonzeros are then
-    put in row-major order, the order save_plan writes them in."""
-    rows, cols = doc["rows"], doc["cols"]
-    if {type(rows), type(cols)} != {int} or not 0 < rows <= n or cols != n:
-        raise ValueError(f"{what} is {rows!r}x{cols!r}, not 1 to N={n} rows "
-                         f"of {n} columns: the shapes do not chain")
-    # each nonzero's entry by its row-major position
-    cells: dict[int, int] = {}
-    for triplet in doc["triplets"]:
-        if len(triplet) != 3:
-            raise ValueError(f"a triplet of {what} is not a [row, col, value] "
-                             f"list")
-        i, j, value = triplet
-        if type(i) is not int or type(j) is not int:
-            raise ValueError(f"triplet index ({i!r}, {j!r}) is not an integer")
-        if type(value) is not str:
-            raise ValueError(f"a triplet value of {what} is not a string")
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"triplet index ({i}, {j}) is outside a "
-                             f"{rows}x{cols} matrix")
-        if value not in _UNIT_VALUES:
-            raise ValueError(f"{what} has an entry {value} other than +1 or "
-                             f"-1")
-        cell = i * cols + j
-        if cell in cells:
-            raise ValueError(f"triplet index ({i}, {j}) repeats in {what}")
-        cells[cell] = _UNIT_VALUES[value]
-    at = np.fromiter(cells, np.int64, len(cells))
-    order = np.argsort(at)
-    entries = np.fromiter(cells.values(), np.int8, len(cells))[order]
-    return UnitMatrix((rows, cols), *np.divmod(at[order], cols), entries)
+_BRANCH_KEYS = frozenset({"m", "constant_kind", "destination", "sign"})
 
 
 def plan_to_dict(plan: FftPlan) -> dict:
     """JSON-ready document for a plan, which save_plan writes.
 
-    The document (plan format version 2) holds the two counts and, per
-    branch, its layout row (m, constant_kind, destination, sign) and its
-    preadd as a sparse {rows, cols, triplets} object with one [row, col,
-    value] triplet per nonzero, listed row-major, each value the string
-    "1" or "-1". That is all N does not fix: the loader compiles N, checks
-    the preadds and counts against the compiled plan and returns that
-    plan, so a reloaded plan executes bit-for-bit like the compiled one. A
-    hand-built plan's document records only its preadds and counts; its
-    postadds, constants and additive stage are not saved.
+    The document (plan format version 3) holds N, the two counts and, per
+    branch, its layout row (m, constant_kind, destination, sign); N fixes
+    every matrix and constant. The loader checks the layout rows and
+    counts against the plan compile_plan builds for N and returns that
+    plan, so a reloaded plan executes bit-for-bit like the compiled one.
+    A hand-built plan's document records only its layout rows and counts;
+    its matrices and constants are not saved.
     """
     return {
         "format": PLAN_FORMAT,
@@ -816,10 +756,6 @@ def plan_to_dict(plan: FftPlan) -> dict:
             "constant_kind": b.constant_kind,
             "destination": b.destination,
             "sign": b.sign,
-            "preadd": {"rows": b.preadd.shape[0], "cols": b.preadd.shape[1],
-                       "triplets": [[i, j, str(v)] for i, j, v in zip(
-                           b.preadd.rows.tolist(), b.preadd.cols.tolist(),
-                           b.preadd.signs.tolist())]},
         } for b in plan.branches],
     }
 
@@ -827,20 +763,15 @@ def plan_to_dict(plan: FftPlan) -> dict:
 def plan_from_dict(doc: dict) -> FftPlan:
     """The plan of a JSON document, certified by compiling its N.
 
-    Raises ValueError unless the document is the plan compile_plan builds
-    for its N, up to the order of its branches and of each preadd's
-    triplets: one branch per layout slot, each preadd equal to the
-    compiled branch's on that slot, and stored counts equal to the
-    compiled ones. The reduced row echelon form of a row space is unique,
-    so a preadd equal to the compiled one is the one minimal
-    factorization of its slot's matrix. The plan returned is the compiled
-    plan, so its postadds, constants and additive stage are compile_plan's
-    bit for bit. A malformed document (a missing key, a key that
-    save_plan does not write, a value of the wrong type, an index outside
-    its matrix) is a ValueError too, and so is a document of plan version
-    1, which held the rebuilt parts as well. Every value is spelled as
-    save_plan writes it: an integer field is a JSON integer, never a
-    float or a bool, and a triplet value is exactly "1" or "-1".
+    Raises ValueError unless the document is the one plan_to_dict writes
+    for compile_plan's plan of its N, up to the order of its branches: one
+    branch per layout slot and stored counts equal to the compiled ones.
+    The plan returned is the compiled plan, so its matrices and constants
+    are compile_plan's bit for bit. A malformed document (a missing key, a
+    key that save_plan does not write, a value of the wrong type) is a
+    ValueError too, and so is a document of plan version 1 or 2, which
+    held the preadds as well. Every value is spelled as save_plan writes
+    it: an integer field is a JSON integer, never a float or a bool.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not "
@@ -873,8 +804,8 @@ def _certified_plan(doc: dict) -> FftPlan:
     # the branches are checked against the layout of N arithmetically,
     # before decompose(n) builds the N x N exponent grid: a document that
     # claims a huge N with too few branches costs what its branches cost
-    positive = range(1, _index_range(n).stop)
-    by_slot: dict[tuple, dict] = {}
+    positive = _positive_classes(n)
+    keys: set[tuple] = set()
     for b in doc["branches"]:
         key = (b["m"], b["constant_kind"], b["destination"], b["sign"])
         if {type(b["m"]), type(b["sign"])} != {int} or b["m"] not in positive \
@@ -883,33 +814,20 @@ def _certified_plan(doc: dict) -> FftPlan:
             raise ValueError(f"branch {key!r} is not in the layout for N={n}: "
                              f"m is not a positive class index or the rest "
                              f"is not a layout row of its class")
-        if key in by_slot:
+        if key in keys:
             raise ValueError(f"duplicate branch {key!r}")
         _refuse_unknown_keys(b, _BRANCH_KEYS, f"branch {key!r}")
-        _refuse_unknown_keys(b.get("preadd"), _MATRIX_KEYS,
-                             f"branch {key!r} preadd")
-        by_slot[key] = b
+        keys.add(key)
     # every key is a distinct layout slot, so the document is complete iff
-    # its first len(by_slot) slots in walk order are all present and no
-    # slot follows them: at most len(by_slot) + 1 slots are visited
+    # its first len(keys) slots in walk order are all present and no slot
+    # follows them: at most len(keys) + 1 slots are visited
     slots = ((m, row) for m in positive
              for row in _LAYOUT[_class_kind(n, m)])
     for i, (m, row) in enumerate(slots):
-        if i == len(by_slot) or (m, *row[1:]) not in by_slot:
+        if i == len(keys) or (m, *row[1:]) not in keys:
             raise ValueError(f"no branch for the {row[0]} matrix of m={m}, "
                              f"N={n}")
-
-    def checked(f: _FactoredSlot) -> _FactoredSlot:
-        # each document preadd is decoded only when the walk reaches its
-        # slot, so the walk stops at the first wrong one
-        key = (f.m, f.constant_kind, f.destination, f.sign)
-        where = f"branch {key[:3]!r} preadd"
-        if _matrix_from_doc(by_slot[key]["preadd"], n, where) != f.reduced:
-            raise ValueError(f"{where} is not the compiled preadd for N={n}")
-        return f
-
-    dec = decompose(n)
-    plan = _plan_of_slots(dec, map(checked, _factored_slots(dec)))
+    plan = compile_plan(decompose(n))
     for name in ("mult_count", "add_count"):
         count = getattr(plan, name)
         if type(doc[name]) is not int or doc[name] != count:
@@ -926,11 +844,11 @@ def save_plan(plan: FftPlan, path: str | Path) -> None:
 
 
 # The longest file load_plan caches, in bytes (a file save_plan writes is
-# ASCII, so one byte a character): every plan file through N = 128 fits
-# (the longest, N = 124's, is 0.39 MiB), and the heaviest plan whose file
-# fits, N = 156's, holds 1.02 MiB of file, arrays and lowering, so 8
-# entries hold about 8 MiB at most
-_CACHED_TEXT_CHARS = 512 * 2**10
+# ASCII, so one byte a character): every plan file through N = 188 fits
+# (N = 128's is 6,872 bytes, N = 188's 10,141), and the heaviest plan
+# whose file fits, N = 188's, holds 0.99 MiB of file, arrays and
+# lowering, so 8 entries hold about 8 MiB at most
+_CACHED_TEXT_CHARS = 10 * 2**10
 
 
 def load_plan(path: str | Path) -> FftPlan:
@@ -946,35 +864,16 @@ def load_plan(path: str | Path) -> FftPlan:
     certified again. A file longer than _CACHED_TEXT_CHARS bytes is
     certified on every load and not kept. The file is UTF-8 text.
     """
-    key = _FileBytes(Path(path).read_bytes())
-    if len(key.data) > _CACHED_TEXT_CHARS:
-        return _plan_of_text.__wrapped__(key)
-    return _plan_of_text(key)
-
-
-class _FileBytes:
-    """A file's bytes as load_plan's cache key. Keys are equal when their
-    bytes are, compared in full; the hash reads only the length and the
-    64 bytes at each end, so a cache hit costs one comparison of the
-    bytes, not a hash of all of them."""
-
-    __slots__ = ("data", "_hash")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self._hash = hash((len(data), data[:64], data[-64:]))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _FileBytes) and self.data == other.data
+    data = Path(path).read_bytes()
+    if len(data) > _CACHED_TEXT_CHARS:
+        return _plan_of_text.__wrapped__(data)
+    return _plan_of_text(data)
 
 
 @lru_cache(maxsize=8)
-def _plan_of_text(key: _FileBytes) -> FftPlan:
+def _plan_of_text(data: bytes) -> FftPlan:
     try:
-        doc = json.loads(key.data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except RecursionError as exc:
         # json's decoder recurses once per level of nesting
         raise ValueError(f"malformed plan document: {exc!r}") from exc

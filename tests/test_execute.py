@@ -534,12 +534,6 @@ def test_default_tolerance_boundary():
     assert default_tolerance(36) == 1e-9
 
 
-def test_op_counters_merge():
-    a = OpCounters(real_mults=3, real_adds=5)
-    a.merge(OpCounters(real_mults=1, real_adds=2))
-    assert (a.real_mults, a.real_adds) == (4, 7)
-
-
 def test_verify_plan_passes_with_defaults():
     report = verify_plan(compile_plan_for(12), trials=50, seed=7)
     assert report.passed and report.counters_match
@@ -609,18 +603,19 @@ def test_verify_plan_reports_what_a_per_trial_loop_measures(n, seed):
     # successive length-N draws of the seeded generator
     plan = compile_plan_for(n)
     rng = np.random.default_rng(seed)
-    max_error, counters_match, totals = 0.0, True, OpCounters()
+    max_error, counters_match, mults, adds = 0.0, True, 0, 0
     for _ in range(7):
         v = rng.uniform(-1.0, 1.0, n)
         got, counters = execute_real(plan, v)
         max_error = np.maximum(max_error, np.max(np.abs(got - naive_dft(v))))
         counters_match &= (counters.real_mults, counters.real_adds) == \
             (plan.mult_count, plan.add_count)
-        totals.merge(counters)
+        mults += counters.real_mults
+        adds += counters.real_adds
     report = verify_plan(plan, trials=7, seed=seed)
     assert np.float64(report.max_error).tobytes() == \
         np.float64(max_error).tobytes()
-    assert report.totals == totals
+    assert report.totals == OpCounters(real_mults=mults, real_adds=adds)
     assert (report.counters_match, report.passed) == \
         (counters_match, max_error < default_tolerance(n))
 
@@ -663,6 +658,14 @@ def test_verify_plan_rejects_a_trial_count_that_is_not_a_positive_integer(
     # reported as trials=True
     with pytest.raises(ValueError, match="trials must be an integer >= 1"):
         verify_plan(compile_plan_for(12), trials=trials)
+
+
+@pytest.mark.parametrize("seed", (1.5, "3", True, -1))
+def test_verify_plan_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 and "3" raised numpy's TypeError, and True ran as seed 1
+    # reported as seed=True
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        verify_plan(compile_plan_for(12), trials=1, seed=seed)
 
 
 @pytest.mark.parametrize("tolerance", (float("nan"), 0.0, 0, -1.0,

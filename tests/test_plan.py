@@ -247,7 +247,9 @@ def test_every_layout_slot_compiles_to_one_branch(n):
     # classes m and -m have disjoint supports, so every combination table
     # has a +-1 entry: no matrix is zero and no layout slot is left empty
     dec = decompose(n)
-    layout = [(m, *row[1:]) for m in plan_mod._positive_indices(dec.indices)
+    positive = [m for m in dec.indices if m >= 1]
+    assert list(plan_mod._positive_classes(n)) == positive
+    layout = [(m, *row[1:]) for m in positive
               for row in plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]
     branches = compile_plan(dec).branches
     assert [(b.m, b.constant_kind, b.destination, b.sign)
@@ -475,9 +477,10 @@ def test_n20_couples_the_condensed_row_pattern():
 
 
 def test_plan_dict_roundtrip_preserves_everything():
-    # the document holds the preadds and counts; the loader rebuilds the
-    # rest, so the reloaded plan must be the compiled one array for array,
-    # with each constant exactly its kind's value and bitwise outputs
+    # the document holds N, the counts and the layout rows; the loader
+    # rebuilds the rest, so the reloaded plan must be the compiled one
+    # array for array, with each constant exactly its kind's value and
+    # bitwise outputs
     rng = np.random.default_rng(16)
     for n in range(4, 129, 4):
         plan = compile_plan_for(n)
@@ -507,9 +510,9 @@ def _unit(full) -> UnitMatrix:
 
 
 def _matrix_doc(unit, value=str):
-    """The plan matrix unit's {rows, cols, triplets} plan-file object,
-    built from np.nonzero of its dense array apart from the package's
-    encoder: [row, col, value] row-major, the value value(+-1), the string
+    """The plan matrix unit's {rows, cols, triplets} object, as plan
+    format versions 1 and 2 held it, built from np.nonzero of its dense
+    array: [row, col, value] row-major, the value value(+-1), the string
     "1" or "-1" by default."""
     mat = dense(unit)
     rows, cols = np.nonzero(mat)
@@ -520,39 +523,31 @@ def _matrix_doc(unit, value=str):
 
 
 @pytest.mark.parametrize("n", SUPPORTED)
-def test_plan_to_dict_holds_every_nonzero_of_every_matrix(n):
+def test_plan_to_dict_holds_n_its_counts_and_layout_rows(n):
     plan = compile_plan_for(n)
     assert plan_to_dict(plan) == {
-        "format": "laurentfft-plan", "version": 2, "N": n,
+        "format": "laurentfft-plan", "version": 3, "N": n,
         "mult_count": plan.mult_count, "add_count": plan.add_count,
         "branches": [{"m": b.m, "constant_kind": b.constant_kind,
-                      "destination": b.destination, "sign": b.sign,
-                      "preadd": _matrix_doc(b.preadd)}
+                      "destination": b.destination, "sign": b.sign}
                      for b in plan.branches]}
 
 
 def test_plan_document_shape():
     doc = plan_to_dict(compile_plan_for(12))
-    assert doc["format"] == "laurentfft-plan" and doc["version"] == 2
+    assert doc["format"] == "laurentfft-plan" and doc["version"] == 3
     assert doc["N"] == 12 and doc["mult_count"] == 8
-    # only what N does not fix: no additive stage, postadd or constant
+    # only what N does not fix: no additive stage, preadd, postadd or
+    # constant
     assert set(doc) == {"format", "version", "N", "mult_count", "add_count",
                         "branches"}
-    assert all(set(b) == {"m", "constant_kind", "destination", "sign",
-                          "preadd"} for b in doc["branches"])
-    assert all(set(b["preadd"]) == {"rows", "cols", "triplets"}
+    assert all(set(b) == {"m", "constant_kind", "destination", "sign"}
                for b in doc["branches"])
-    # the loader refuses any other key, at each of the three levels
-    assert (plan_mod._PLAN_KEYS, plan_mod._BRANCH_KEYS,
-            plan_mod._MATRIX_KEYS) == (set(doc), set(doc["branches"][0]),
-                                       set(doc["branches"][0]["preadd"]))
-    first = doc["branches"][0]["preadd"]
-    assert first["rows"] == 1 and first["cols"] == 12
-    # triplets are [row, col, value] with values as strings, row-major
-    assert first["triplets"][0] == [0, 1, "1"]
-    triplets = doc["branches"][1]["preadd"]["triplets"]
-    assert all(isinstance(v, str) for _, _, v in triplets)
-    assert triplets == sorted(triplets, key=lambda t: (t[0], t[1]))
+    # the loader refuses any other key, at each of the two levels
+    assert (plan_mod._PLAN_KEYS, plan_mod._BRANCH_KEYS) == \
+        (set(doc), set(doc["branches"][0]))
+    assert doc["branches"][0] == {"m": 1, "constant_kind": "cosine",
+                                  "destination": "real_out", "sign": 1}
 
 
 def test_plan_from_dict_rejects_bad_documents():
@@ -560,37 +555,45 @@ def test_plan_from_dict_rejects_bad_documents():
     with pytest.raises(ValueError):
         plan_from_dict({**doc, "format": "something-else"})
     with pytest.raises(ValueError):
-        plan_from_dict({**doc, "version": 3})
+        plan_from_dict({**doc, "version": 4})
     tampered = json.loads(json.dumps(doc))
     tampered["branches"][0]["constant_kind"] = "tangent"
     with pytest.raises(ValueError):
         plan_from_dict(tampered)
 
 
-def _v1_document(plan):
-    """plan's document as plan format version 1 held it: besides the
-    version 2 fields, extra_mult_count, the additive stage (values the JSON
-    integers 1 and -1), and each branch's constant_value and postadd."""
+def _old_document(plan, version):
+    """plan's document as plan format version 1 or 2 held it. Version 2
+    added each branch's preadd to the version 3 fields; version 1 held
+    besides extra_mult_count, the additive stage (values the JSON integers
+    1 and -1), and each branch's constant_value and postadd."""
     doc = plan_to_dict(plan)
-    doc.update(version=1, extra_mult_count=0, additive={
-        "re": _matrix_doc(plan.additive.re_m0, int),
-        "im": _matrix_doc(plan.additive.im_m0, int)})
+    doc["version"] = version
     for b, branch in zip(doc["branches"], plan.branches):
-        b.update(constant_value=branch.constant_value,
-                 postadd=_matrix_doc(branch.postadd))
+        b["preadd"] = _matrix_doc(branch.preadd)
+        if version == 1:
+            b.update(constant_value=branch.constant_value,
+                     postadd=_matrix_doc(branch.postadd))
+    if version == 1:
+        doc.update(extra_mult_count=0, additive={
+            "re": _matrix_doc(plan.additive.re_m0, int),
+            "im": _matrix_doc(plan.additive.im_m0, int)})
     return doc
 
 
-def test_a_version_1_plan_file_is_refused(run_cli, tmp_path):
-    # the loader reads version 2 alone; no version 1 reader is kept
-    doc = _v1_document(compile_plan_for(12))
-    with pytest.raises(ValueError, match="unsupported plan version 1$"):
+@pytest.mark.parametrize("version", (1, 2))
+def test_an_older_plan_version_is_refused(run_cli, tmp_path, version):
+    # the loader reads version 3 alone; no reader of an older one is kept
+    doc = _old_document(compile_plan_for(12), version)
+    with pytest.raises(ValueError,
+                       match=f"unsupported plan version {version}$"):
         plan_from_dict(doc)
-    path = tmp_path / "v1.json"
+    path = tmp_path / f"v{version}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     code, out, err = run_cli("verify", "--plan", str(path), "--trials", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "unsupported plan version 1" in err
+    assert err.startswith("error:") \
+        and f"unsupported plan version {version}" in err
 
 
 def _tamper_unsupported_n(doc):
@@ -609,39 +612,23 @@ def _tamper_destination(doc):
     doc["branches"][0]["destination"] = "bogus"
 
 
+def _first_rank(doc) -> int:
+    """The rank of the compiled branch on the document's first slot."""
+    return compile_plan_for(doc["N"]).branches[0].rank
+
+
 def _tamper_duplicate_branch(doc):
     doc["branches"].append(doc["branches"][0])
-    doc["mult_count"] += doc["branches"][0]["preadd"]["rows"]
-
-
-def _tamper_negative_index(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][1] = -1
-
-
-def _tamper_index_past_the_end(doc):
-    pre = doc["branches"][0]["preadd"]
-    pre["triplets"][0][0] = pre["rows"]
-
-
-def _tamper_preadd_cols(doc):
-    doc["branches"][0]["preadd"]["cols"] = doc["N"] + 1
-
-
-def _tamper_preadd_rows(doc):
-    doc["branches"][0]["preadd"]["rows"] += 1
+    doc["mult_count"] += _first_rank(doc)
 
 
 def _tamper_mult_count(doc):
     doc["mult_count"] = 3
 
 
-def _tamper_preadd_value(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][2] = "-1"
-
-
 def _tamper_dropped_branch(doc):
-    dropped = doc["branches"].pop(0)
-    doc["mult_count"] -= dropped["preadd"]["rows"]
+    doc["mult_count"] -= _first_rank(doc)
+    doc["branches"].pop(0)
 
 
 def _tamper_add_count(doc):
@@ -656,68 +643,8 @@ def _tamper_missing_branches(doc):
     del doc["branches"]
 
 
-def _tamper_float_index(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][1] = 1.0
-
-
 def _tamper_branch_not_object(doc):
     doc["branches"][0] = [1, "cosine"]
-
-
-def _tamper_rescaled_factor(doc):
-    # preadd row 0 times 2, as a branch whose postadd took the halves would
-    # hold it: no compiled plan has an entry other than +-1
-    for t in doc["branches"][0]["preadd"]["triplets"]:
-        if t[0] == 0:
-            t[2] = str(2 * int(t[2]))
-
-
-def _shift_rows(pre):
-    """Move every triplet of preadd document pre one row down, leaving row
-    0 empty, and return the triplets."""
-    for t in pre["triplets"]:
-        t[0] += 1
-    pre["rows"] += 1
-    return pre["triplets"]
-
-
-def _tamper_redundant_row(doc):
-    # the last entry (q, v) of preadd row 0, at a column no other row
-    # uses, split off into a new first row as "1": the matrix's column q is
-    # v times its pivot column, so postadd * preadd could stay exact, but
-    # the branch would spend one multiplication more than the compiled one
-    pre = doc["branches"][0]["preadd"]
-    others = {c for r, c, _ in pre["triplets"] if r != 0}
-    last = max(t for t in pre["triplets"] if t[0] == 0 and t[1] not in others)
-    pre["triplets"].remove(last)
-    _shift_rows(pre).insert(0, [0, last[1], "1"])
-    doc["mult_count"] += 1
-
-
-def _tamper_idle_row(doc):
-    # a new first preadd row led by column 0, where every slot's matrix is
-    # zero: the preadd stays reduced, postadd * preadd could stay exact and
-    # the counts honest, with a zero postadd column, yet the branch would
-    # spend a multiplication on a value no output reads
-    _shift_rows(doc["branches"][0]["preadd"]).insert(0, [0, 0, "1"])
-    doc["mult_count"] += 1
-
-
-def _tamper_repeated_preadd_triplet(doc):
-    triplets = doc["branches"][0]["preadd"]["triplets"]
-    triplets.insert(1, list(triplets[0]))
-
-
-def _tamper_huge_index(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][1] = 2 ** 70
-
-
-def _tamper_huge_negative_index(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][0] = -2 ** 70
-
-
-def _tamper_bool_index(doc):
-    doc["branches"][0]["preadd"]["triplets"][0][1] = True
 
 
 def _tamper_set(*path, value):
@@ -730,9 +657,6 @@ def _tamper_set(*path, value):
     return tamper
 
 
-_PREADD = ("branches", 0, "preadd")
-_VALUE = (*_PREADD, "triplets", 0, 2)
-
 # case id -> (blocklength, tamper, expected message)
 _TAMPERS = {
     "unsupported_n": (4, _tamper_unsupported_n, "unsupported"),
@@ -740,69 +664,19 @@ _TAMPERS = {
     "sign": (12, _tamper_sign, "not in the layout"),
     "destination": (12, _tamper_destination, "not in the layout"),
     "duplicate_branch": (12, _tamper_duplicate_branch, "duplicate branch"),
-    "negative_index": (12, _tamper_negative_index, "outside"),
-    "index_past_the_end": (12, _tamper_index_past_the_end,
-                           "triplet index \\(1, 1\\) is outside a 1x12"),
-    "preadd_cols": (12, _tamper_preadd_cols, "do not chain"),
-    # one more preadd row than triplets fill: with no postadd in the file
-    # the shapes still chain, and the empty row is what no reduced form has
-    "preadd_rows": (12, _tamper_preadd_rows, "is not the compiled preadd"),
     "mult_count": (12, _tamper_mult_count, "mult_count"),
-    "preadd_value": (12, _tamper_preadd_value, "is not the compiled preadd"),
     "dropped_branch": (12, _tamper_dropped_branch, "no branch for"),
     "add_count": (12, _tamper_add_count, "add_count 7"),
     "missing_n": (12, _tamper_missing_n, "malformed.*'N'"),
     "missing_branches": (12, _tamper_missing_branches, "malformed.*branches"),
-    "float_index": (12, _tamper_float_index, "not an integer"),
     "branch_not_object": (12, _tamper_branch_not_object, "malformed"),
-    "rescaled_factor": (12, _tamper_rescaled_factor,
-                        "branch .* entry .* other than \\+1 or -1"),
-    "redundant_row": (12, _tamper_redundant_row,
-                      "is not the compiled preadd"),
-    "idle_row": (12, _tamper_idle_row, "is not the compiled preadd"),
-    "repeated_preadd_triplet": (
-        12, _tamper_repeated_preadd_triplet,
-        "triplet index \\(0, 1\\) repeats in branch "
-        "\\(1, 'cosine', 'real_out'\\) preadd"),
-    "huge_index": (12, _tamper_huge_index, "is outside a"),
-    "huge_negative_index": (12, _tamper_huge_negative_index, "is outside a"),
-    "bool_index": (12, _tamper_bool_index,
-                   "triplet index \\(0, True\\) is not an integer"),
     "string_n": (12, _tamper_set("N", value="12"),
                  "plan N must be an integer"),
     "float_n": (12, _tamper_set("N", value=12.0),
                 "plan N must be an integer"),
     "bool_n": (12, _tamper_set("N", value=True), "plan N must be an integer"),
-    "zero_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value=0),
-                         "do not chain"),
-    "preadd_rows_past_n": (12, _tamper_set(*_PREADD, "rows", value=13),
-                           "do not chain"),
-    "string_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value="1"),
-                           "do not chain"),
-    "short_triplet": (12, _tamper_set(*_PREADD, "triplets", 0, value=[0, 1]),
-                      "not a \\[row, col, value\\] list"),
-    "long_triplet": (12, _tamper_set(*_PREADD, "triplets", 0,
-                                     value=[0, 1, "1", "1"]),
-                     "not a \\[row, col, value\\] list"),
-    # a value is exactly the string "1" or "-1"
-    "plus_one_value": (12, _tamper_set(*_VALUE, value="+1"),
-                       "preadd has an entry \\+1 other than \\+1 or -1"),
-    "zero_padded_value": (12, _tamper_set(*_VALUE, value="01"),
-                          "preadd has an entry 01 other than"),
-    "spaced_value": (12, _tamper_set(*_VALUE, value=" -1"),
-                     "preadd has an entry  -1 other than"),
-    "arabic_indic_value": (12, _tamper_set(*_VALUE, value="\u0661"),
-                           "preadd has an entry \u0661 other than"),
-    "string_zero_value": (12, _tamper_set(*_VALUE, value="0"),
-                          "preadd has an entry 0 other than"),
-    "integer_value": (12, _tamper_set(*_VALUE, value=1),
-                      "a triplet value of branch .* preadd is not a string"),
     # every integer field is a JSON integer: no float, no bool
-    "float_preadd_cols": (12, _tamper_set(*_PREADD, "cols", value=12.0),
-                          "do not chain"),
-    "float_preadd_rows": (12, _tamper_set(*_PREADD, "rows", value=1.0),
-                          "do not chain"),
-    "float_version": (12, _tamper_set("version", value=2.0),
+    "float_version": (12, _tamper_set("version", value=3.0),
                       "unsupported plan version"),
     "bool_version": (12, _tamper_set("version", value=True),
                      "unsupported plan version"),
@@ -820,7 +694,7 @@ _TAMPERS = {
                        "is not the recounted"),
     "float_add_count": (12, _tamper_set("add_count", value=126.0),
                         "is not the recounted"),
-    # a key save_plan does not write, such as a version 1 field, is
+    # a key save_plan does not write, such as a version 1 or 2 field, is
     # refused at every level rather than dropped
     "additive_key": (12, _tamper_set("additive", value={}),
                      "the plan document has keys \\['additive'\\] that a "
@@ -829,9 +703,11 @@ _TAMPERS = {
                                            value=0.5),
                            "branch \\(1, 'cosine', 'real_out', 1\\) has "
                            "keys \\['constant_value'\\]"),
-    "preadd_key": (12, _tamper_set(*_PREADD, "dtype", value="int8"),
-                   "branch \\(1, 'cosine', 'real_out', 1\\) preadd has "
-                   "keys \\['dtype'\\]"),
+    "preadd_key": (12, _tamper_set("branches", 0, "preadd",
+                                   value={"rows": 1, "cols": 12,
+                                          "triplets": []}),
+                   "branch \\(1, 'cosine', 'real_out', 1\\) has "
+                   "keys \\['preadd'\\]"),
 }
 
 
@@ -919,7 +795,7 @@ def test_a_file_rewritten_in_place_is_certified_again(plan_cache, monkeypatch,
     monkeypatch.setattr(plan_mod, "plan_from_dict", counted)
     save_plan(compile_plan_for(16), path)
     assert load_plan(path).n == 16 and certified == [16]
-    n, tamper, match = _TAMPERS["idle_row"]
+    n, tamper, match = _TAMPERS["add_count"]
     doc = plan_to_dict(first)
     tamper(doc)
     _save_text(path, json.dumps(doc))
@@ -929,28 +805,29 @@ def test_a_file_rewritten_in_place_is_certified_again(plan_cache, monkeypatch,
 
 
 def _middle_variant(doc: dict) -> dict:
-    """doc with two triplets of its middle branch's preadd swapped, two
-    whose JSON texts differ but have one length: the same plan, and a file
-    of the same length and ends."""
+    """doc with the m of its middle branch swapped with the m of the next
+    class's branch on the same layout row, both one digit: the same plan
+    with two branches in another order, and a file of the same length and
+    ends."""
     doc = copy.deepcopy(doc)
-    triplets = doc["branches"][len(doc["branches"]) // 2]["preadd"][
-        "triplets"]
-    k = next(k for k, t in enumerate(triplets) if t != triplets[0]
-             and len(json.dumps(t)) == len(json.dumps(triplets[0])))
-    triplets[0], triplets[k] = triplets[k], triplets[0]
+    branches = doc["branches"]
+    middle = branches[len(branches) // 2]
+    row = {**middle, "m": middle["m"] + 1}
+    other = next(b for b in branches if b == row)
+    middle["m"], other["m"] = other["m"], middle["m"]
     return doc
 
 
 def test_two_files_that_differ_only_in_the_middle_are_each_certified(
         plan_cache, monkeypatch, tmp_path):
-    # the key hashes only a file's length and ends: two files alike there
-    # share a hash, and the full comparison keeps their plans apart
+    # the key is a file's whole bytes: two files alike in length and at
+    # both ends are two keys, each certified, and each keeps its own plan
     plan = compile_plan_for(64)
     texts = (plan_text(plan),
              json.dumps(_middle_variant(plan_to_dict(plan)), indent=2))
     assert len(texts[0]) == len(texts[1]) and texts[0] != texts[1]
-    keys = [plan_mod._FileBytes(t.encode()) for t in texts]
-    assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+    assert texts[0][:256] == texts[1][:256]
+    assert texts[0][-256:] == texts[1][-256:]
     paths = [_save_text(tmp_path / f"plan{k}.json", t)
              for k, t in enumerate(texts)]
     certified = []
@@ -968,17 +845,19 @@ def test_two_files_that_differ_only_in_the_middle_are_each_certified(
 
 def test_a_same_length_tamper_is_refused_after_the_true_file_is_cached(
         plan_cache, tmp_path):
-    # one "1" respelled "2" near the middle of the N=64 file: the same
-    # length and ends as the cached true file, and refused on every load
+    # the first layout m after the middle of the N=64 file respelled 9,
+    # which is not a class index of N=64: the same length and ends as the
+    # cached true file, and refused on every load
     text = plan_text(compile_plan_for(64))
-    at = text.index('"1"', len(text) // 2)
-    tampered_text = text[:at] + '"2"' + text[at + 3:]
-    assert len(tampered_text) == len(text)
+    at = text.index('"m": ', len(text) // 2) + len('"m": ')
+    assert text[at] in "12345678" and text[at + 1] == ","
+    tampered_text = text[:at] + "9" + text[at + 1:]
     true = _save_text(tmp_path / "true.json", text)
     tampered = _save_text(tmp_path / "tampered.json", tampered_text)
     plan = load_plan(true)
     for _ in range(2):
-        with pytest.raises(ValueError, match="an entry 2 other than"):
+        with pytest.raises(ValueError, match="\\(9, .* is not in the layout "
+                                             "for N=64"):
             load_plan(tampered)
         assert load_plan(true) is plan
     assert plan_cache.cache_info().currsize == 1
@@ -1059,6 +938,28 @@ def test_every_plan_file_through_128_fits_the_cache():
                for n in range(4, 129, 4)) < plan_mod._CACHED_TEXT_CHARS
 
 
+def test_the_heaviest_cached_plan_holds_about_1_mib():
+    # an entry keeps alive its file, its plan's arrays and its lowering:
+    # over N = 4..256 the heaviest plan whose file fits holds near 1 MiB,
+    # so the 8 entries hold about 8 MiB at most
+    held = {}
+    for n in range(4, 257, 4):
+        plan = compile_plan_for(n)
+        size = len(plan_text(plan)) + 1
+        if size > plan_mod._CACHED_TEXT_CHARS:
+            continue
+        mats = [plan.additive.re_m0, plan.additive.im_m0]
+        mats += [m for b in plan.branches for m in (b.preadd, b.postadd)]
+        lowered = plan._term_lists
+        held[n] = size + sum(a.nbytes for m in mats
+                             for a in (m.rows, m.cols, m.signs)) \
+            + sum(a.nbytes for a in (lowered.pre_dest, lowered.pre_src,
+                                     lowered.out_dest, lowered.out_src,
+                                     lowered.constants))
+    assert max(held) == 188
+    assert 0.9 * 2**20 < max(held.values()) < 1.05 * 2**20
+
+
 def test_a_plan_document_that_is_not_an_object_is_rejected(run_cli,
                                                            tmp_path):
     doc = [plan_to_dict(compile_plan_for(12))]
@@ -1070,33 +971,12 @@ def test_a_plan_document_that_is_not_an_object_is_rejected(run_cli,
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-_DOC28 = plan_to_dict(compile_plan_for(28))
-
-
-@pytest.mark.parametrize("m", (2, 3))
-@pytest.mark.parametrize("case", ("preadd_value", "redundant_row",
-                                  "idle_row"))
-def test_load_plan_rejects_a_tampered_derived_branch(case, m):
-    # N=28 is one orbit with m=1 its representative, so the compiler reads
-    # m=2 and 3 off m=1's preadds; the tampers edit the first branch, so
-    # class m's branches go first (branch order is free)
-    assert all(f.source is not None for f in
-               plan_mod._factored_slots(decompose(28)) if f.m == m)
-    doc = copy.deepcopy(_DOC28)
-    doc["branches"].sort(key=lambda b: b["m"] != m)
-    assert plan_to_dict(plan_from_dict(doc)) == _DOC28
-    _, tamper, match = _TAMPERS[case]
-    tamper(doc)
-    with pytest.raises(ValueError, match=match):
-        plan_from_dict(doc)
-
-
-# sha256 of save_plan's output (plan format version 2) with Python 3.11.7
+# sha256 of save_plan's output (plan format version 3) with Python 3.11.7
 # and numpy 2.4.6; the plan file format must stay byte-stable
 _PLAN_SHA256 = {
-    12: "45c1597ea6f197680eb5af7f6679243969f99067ed417b80fb31de1b0a1ce402",
-    60: "cbbcb5308bf3aa79e8b8f1662163b20adc546711bc663b6b95a539fff63258dd",
-    64: "bf6f70c1f77135e67fa175d389d34e13cfbcf9348bdae473b0cea0b3d919909e",
+    12: "8478041f5d73a9d0046600098d621db37be57d8e5c8881061ee319c05fcd0310",
+    60: "0f34615da1b6011f1e79006b09df048a81bce1fd9f02ea3b0b561df306ad6beb",
+    64: "8a7dbdbe8582e8e7cce85b5032d832cbb61c1732217855cdb18be01f3db09e1f",
 }
 
 
@@ -1145,8 +1025,8 @@ def test_the_pivot_block_lemma_needs_symmetry():
 
 def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
                                                     tmp_path):
-    # the loader certifies a document on the walk compile_plan takes, so
-    # refusing the idle_row tamper walks N=12 once and takes no rank
+    # the loader certifies a document by compiling its N, so refusing the
+    # add_count tamper walks N=12 once and takes no rank
     calls = []
 
     def counted(name, original):
@@ -1158,30 +1038,13 @@ def test_a_cold_load_compiles_once_and_ranks_nothing(plan_cache, monkeypatch,
     for name in ("_factored_slots", "rank"):
         monkeypatch.setattr(plan_mod, name,
                             counted(name, getattr(plan_mod, name)))
-    _, tamper, match = _TAMPERS["idle_row"]
+    _, tamper, match = _TAMPERS["add_count"]
     doc = plan_to_dict(compile_plan_for(12))
     calls.clear()
     tamper(doc)
     with pytest.raises(ValueError, match=match):
         load_plan(_save_text(tmp_path / "tampered.json", json.dumps(doc)))
     assert calls == ["_factored_slots"]
-
-
-def test_a_wrong_first_preadd_is_refused_before_the_walk_goes_on(
-        monkeypatch):
-    # the loader compares each preadd as the walk yields its slot: a
-    # complete N=512 document whose first preadd is wrong is refused after
-    # the first class, whose four slots take one rank_factor each
-    doc = plan_to_dict(compile_plan_for(512))
-    first = doc["branches"][0]["preadd"]["triplets"][0]
-    first[2] = {"1": "-1", "-1": "1"}[first[2]]
-    calls = []
-    original = plan_mod.rank_factor
-    monkeypatch.setattr(plan_mod, "rank_factor",
-                        lambda exact: calls.append(1) or original(exact))
-    with pytest.raises(ValueError, match="is not the compiled preadd"):
-        plan_from_dict(doc)
-    assert 0 < len(calls) <= 4
 
 
 def test_a_reduced_form_entry_other_than_a_unit_is_refused(monkeypatch):
@@ -1198,16 +1061,13 @@ def test_a_reduced_form_entry_other_than_a_unit_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (12, 28, 60, 64))
-def test_a_document_loads_whatever_its_branch_and_triplet_order(n):
-    # a document is accepted iff it is the compiled plan up to the order of
-    # its branches and of each preadd's triplets
+def test_a_document_loads_whatever_its_branch_order(n):
+    # a document is accepted iff it is the compiled plan's up to the order
+    # of its branches
     plan = compile_plan_for(n)
     doc = plan_to_dict(plan)
     doc["branches"].reverse()
-    for b in doc["branches"]:
-        b["preadd"]["triplets"].reverse()
-    assert plan_text(plan_from_dict(doc)) \
-        == plan_text(plan)
+    assert plan_text(plan_from_dict(doc)) == plan_text(plan)
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -1259,8 +1119,6 @@ _KEYED = [p for p, _ in _nodes(_DOC12)
           if p and isinstance(_at(_DOC12, p[:-1]), dict)]
 _LEAVES = [p for p, v in _nodes(_DOC12)
            if p and not isinstance(v, (dict, list))]
-_MATRICES = [p for p, v in _nodes(_DOC12)
-             if isinstance(v, dict) and "triplets" in v]
 
 
 def _other_type(value):
@@ -1298,26 +1156,14 @@ def test_load_plan_fuzz_rejects_or_stays_exact_when_warm(tmp_path_factory,
 
 def _load_one_mutation(data, load):
     doc = copy.deepcopy(_DOC12)
-    mutation = data.draw(st.sampled_from(["delete", "retype", "triplet"]))
-    if mutation == "delete":
+    if data.draw(st.sampled_from(["delete", "retype"])) == "delete":
         path = data.draw(st.sampled_from(_KEYED))
         del _at(doc, path[:-1])[path[-1]]
-    elif mutation == "retype":
+    else:
         path = data.draw(st.sampled_from(_LEAVES))
         holder = _at(doc, path[:-1])
         holder[path[-1]] = data.draw(st.sampled_from(
             _other_type(holder[path[-1]])))
-    else:
-        triplets = _at(doc, data.draw(st.sampled_from(_MATRICES)))["triplets"]
-        triplet = triplets[data.draw(st.integers(0, len(triplets) - 1))]
-        field = data.draw(st.integers(0, 2))
-        if field < 2:  # move it
-            triplet[field] = data.draw(st.integers(-1, 13))
-        elif isinstance(triplet[2], str):
-            triplet[2] = data.draw(st.sampled_from(
-                ["-2", "-1", "0", "1", "2", "+1", "01", " -1"]))
-        else:
-            triplet[2] = data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
     try:
         plan = load(doc)
     except ValueError:
@@ -1335,7 +1181,7 @@ def _load_one_mutation(data, load):
 def test_load_plan_rejects_a_large_claim_in_bounded_memory():
     # 96 bytes that claim N=256: the loader holds one class's matrices at
     # a time, where all 64 classes at once would peak near 70 MB
-    doc = {"format": "laurentfft-plan", "version": 2, "N": 256,
+    doc = {"format": "laurentfft-plan", "version": 3, "N": 256,
            "mult_count": 0, "add_count": 0, "branches": []}
     tracemalloc.start()
     try:
@@ -1374,7 +1220,7 @@ def test_a_blocklength_too_large_to_hold_is_a_value_error(run_cli, tmp_path):
     for build in (compile_plan_for, complexity_for):
         with pytest.raises(ValueError, match=match):
             build(_HUGE_N)
-    doc = {"format": "laurentfft-plan", "version": 2, "N": _HUGE_N,
+    doc = {"format": "laurentfft-plan", "version": 3, "N": _HUGE_N,
            "mult_count": 0, "add_count": 0, "branches": []}
     with pytest.raises(ValueError, match=match):
         plan_from_dict(doc)
@@ -1390,7 +1236,7 @@ def test_a_blocklength_too_large_to_hold_is_a_value_error(run_cli, tmp_path):
 def test_a_document_without_its_branches_is_refused_before_the_grid():
     # N = 4096's exponent grid is 134 MB of int64; the layout check is
     # arithmetic, so refusing the empty document costs next to nothing
-    doc = {"format": "laurentfft-plan", "version": 2, "N": 4096,
+    doc = {"format": "laurentfft-plan", "version": 3, "N": 4096,
            "mult_count": 0, "add_count": 0, "branches": []}
     tracemalloc.start()
     try:
@@ -1414,31 +1260,6 @@ def test_the_first_missing_slot_in_walk_order_is_named(dropped, message):
     with pytest.raises(ValueError, match=f"no branch for the {message}, "
                                          f"N=16"):
         plan_from_dict(doc)
-
-
-def test_load_plan_decodes_one_branch_at_a_time():
-    # all 126 layout slots of N=256 claim an empty N x N preadd, about a
-    # hundred bytes each: decoding every branch densely before the first
-    # check peaked near 85 MB
-    n = 256
-    dec = decompose(n)
-    empty = {"rows": n, "cols": n, "triplets": []}
-    doc = {"format": "laurentfft-plan", "version": 2, "N": n,
-           "mult_count": 0, "add_count": 0,
-           "branches": [{"m": m, "constant_kind": kind,
-                         "destination": destination, "sign": sign,
-                         "preadd": empty}
-                        for m in plan_mod._positive_indices(dec.indices)
-                        for _, kind, destination, sign in
-                        plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]}
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="is not the compiled preadd"):
-            plan_from_dict(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 10**6
 
 
 def test_compile_plan_for_holds_one_class_at_a_time():
@@ -1480,7 +1301,7 @@ def test_preadd_and_postadd_entries_are_unit_for_supported_lengths():
     # every plan matrix, the additive ones included, is one UnitMatrix:
     # read-only int32 rows and columns and int8 signs +-1, each nonzero of
     # its dense array once, row by row in column order, which the
-    # executor, the counts and the codec read as they are
+    # executor and the counts read as they are
     for n in range(4, 129, 4):
         plan = compile_plan_for(n)
         mats = [plan.additive.re_m0, plan.additive.im_m0]
@@ -1519,10 +1340,10 @@ def test_a_plan_matrix_keeps_its_own_arrays_when_its_caller_changes_theirs():
 
 def test_compiled_decoded_and_hand_built_matrices_hold_read_only_arrays():
     plan = compile_plan_for(12)
-    doc = plan_to_dict(plan)["branches"][0]["preadd"]
+    decoded = plan_from_dict(plan_to_dict(plan))
     arrays = (np.array([0, 1]), np.array([1, 2]), np.array([1, -1]))
     for mat in (plan.branches[0].postadd, plan.additive.im_m0,
-                plan_mod._matrix_from_doc(doc, 12, "a preadd"),
+                decoded.branches[0].preadd,
                 UnitMatrix((2, 3), *arrays),
                 UnitMatrix((2, 3), [0, 1], [1, 2], [1, -1])):
         mine = (mat.rows, mat.cols, mat.signs)
