@@ -10,8 +10,7 @@ input needs 2*(1+3) = 8 real multiplications.
 import numpy as np
 
 from laurentfft import (RationalMatrix, branch_matrices, compile_plan_for,
-                        coupled_samples, decompose, execute_real, naive_dft,
-                        rref)
+                        decompose, execute_real, naive_dft, rref)
 
 
 def show_rref(name, mat):
@@ -31,10 +30,10 @@ for m in dec.indices:
 print()
 
 bm = branch_matrices(dec, 1)
-show_rref("Re(M1) + Re(M-1)", bm.re_sum)
-show_rref("Re(M1) - Re(M-1)", bm.re_diff)
-show_rref("Im(M1) + Im(M-1)", bm.im_sum)
-show_rref("Im(M1) - Im(M-1)", bm.im_diff)
+show_rref("Re(M1) + Re(M-1)", bm["re_sum"])
+show_rref("Re(M1) - Re(M-1)", bm["re_diff"])
+show_rref("Im(M1) + Im(M-1)", bm["im_sum"])
+show_rref("Im(M1) - Im(M-1)", bm["im_diff"])
 print()
 
 plan = compile_plan_for(12)
@@ -45,9 +44,16 @@ for b in plan.branches:
           f"sign {b.sign:+d}, rank {b.rank}, constant {b.constant_value:.6f}")
 print()
 
-# the preadd rows couple inputs in fixed +- pairs
-pairs = sorted({(p.first, p.second) for p in coupled_samples(plan)})
-print("coupled input pairs:", pairs)
+# each preadd row is a signed sum of inputs, formed before the branch's
+# one multiplication per row
+print("preadd rows as signed input sums:")
+for b in plan.branches:
+    pre = b.preadd
+    for row in range(b.rank):
+        at = pre.rows == row
+        terms = " ".join(f"{'+' if s > 0 else '-'}v{c}"
+                         for c, s in zip(pre.cols[at], pre.signs[at]))
+        print(f"  {b.constant_kind:>6} -> {b.destination:<8} {terms}")
 print()
 
 # run it against the direct definition

@@ -8,7 +8,7 @@ match. The three agree everywhere up to 64; the table prints them so you
 can see that rather than take it on faith.
 """
 
-from laurentfft import complexity_for
+from laurentfft import complexity_for, nlog2n_rounded
 
 print(f"{'N':>4} {'nlog2n':>7} {'realized':>9} {'stacked':>8} "
       f"{'simplified':>11}  per-class ranks (re_sum, re_diff, im_sum, im_diff)")
@@ -19,8 +19,8 @@ for n in range(4, 65, 4):
         f"{row.rank_im_sum},{row.rank_im_diff})"
         + ("*" if row.kind == "asymmetric" else "")
         for row in r.per_class)
-    print(f"{n:>4} {r.nlog2n:>7} {r.realized_total:>9} {r.stacked_total:>8} "
-          f"{r.simplified_total:>11}  {ranks}")
+    print(f"{n:>4} {nlog2n_rounded(n):>7} {r.realized_total:>9} "
+          f"{r.stacked_total:>8} {r.simplified_total:>11}  {ranks}")
 
 print()
 print("* asymmetric class (m = N/8): only (Re+Im) and (Im-Re) exist, both")

@@ -9,7 +9,7 @@ conclusion from the comparison.
 """
 
 from laurentfft import (bounds_row, complexity_for, euler_totient,
-                        heideman_bound)
+                        heideman_bound, nlog2n_rounded)
 
 print("totient warm-up: phi(n) for n = 1..12:",
       [euler_totient(n) for n in range(1, 13)])
@@ -20,7 +20,7 @@ for n in range(4, 65, 4):
     row = bounds_row(n)
     realized = complexity_for(n).realized_total
     mu_r = "-" if row.heideman_burrus_mu is None else row.heideman_burrus_mu
-    print(f"{n:>4} {row.nlog2n_rounded:>7} {realized:>9} "
+    print(f"{n:>4} {nlog2n_rounded(n):>7} {realized:>9} "
           f"{row.heideman_mu:>7} {mu_r:>6}")
 
 print()

@@ -17,31 +17,27 @@ from .decomposition import (ClassDecomposition, ClassMatrix, PartitionReport,
                             reconstruct_dft, residue_class, verify_partition)
 from .execute import (OpCounters, VerificationReport, default_tolerance,
                       execute_complex, execute_real, naive_dft, verify_plan)
-from .plan import (AdditiveStage, BranchMatrices, ClassRankRow,
-                   ComplexityReport, CoupledPair, FftPlan,
-                   MultiplicativeBranch, branch_matrices, compile_plan,
-                   UnitMatrix, compile_plan_for, complexity, complexity_for,
-                   coupled_samples, load_plan, plan_from_dict, plan_to_dict,
-                   save_plan)
+from .plan import (AdditiveStage, ClassRankRow, ComplexityReport, FftPlan,
+                   MultiplicativeBranch, UnitMatrix, branch_matrices,
+                   compile_plan, compile_plan_for, complexity, complexity_for,
+                   load_plan, plan_from_dict, plan_to_dict, save_plan)
 from .rational import (RationalMatrix, RrefResult, ZeroMatrixError, rank,
                        rank_factor, rref, vstack)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveStage", "BoundsRow", "BranchMatrices", "ClassDecomposition",
-    "ClassMatrix", "ClassRankRow", "ComplexityReport", "CoupledPair",
-    "FftPlan", "MultiplicativeBranch", "NotPowerOfTwoError", "OpCounters",
-    "PartitionReport", "RationalMatrix", "ResidueClass", "RrefResult",
-    "UnitMatrix", "UnsupportedBlocklengthError", "VerificationReport",
-    "ZeroMatrixError", "bounds_row", "branch_matrices", "class_indices",
-    "class_matrix", "class_tables", "compile_plan", "compile_plan_for",
-    "complexity", "complexity_for", "coupled_samples", "decompose",
+    "AdditiveStage", "BoundsRow", "ClassDecomposition", "ClassMatrix",
+    "ClassRankRow", "ComplexityReport", "FftPlan", "MultiplicativeBranch",
+    "NotPowerOfTwoError", "OpCounters", "PartitionReport", "RationalMatrix",
+    "ResidueClass", "RrefResult", "UnitMatrix", "UnsupportedBlocklengthError",
+    "VerificationReport", "ZeroMatrixError", "bounds_row", "branch_matrices",
+    "class_indices", "class_matrix", "class_tables", "compile_plan",
+    "compile_plan_for", "complexity", "complexity_for", "decompose",
     "default_tolerance", "dft_matrix", "divisors", "euler_totient",
     "execute_complex", "execute_real", "exponent_matrix", "factorize",
-    "heideman_bound", "heideman_burrus_bound", "is_power_of_two",
-    "load_plan", "naive_dft", "nlog2n_rounded",
-    "plan_from_dict", "plan_to_dict", "rank", "rank_factor",
-    "reconstruct_dft", "residue_class", "rref", "save_plan",
+    "heideman_bound", "heideman_burrus_bound", "is_power_of_two", "load_plan",
+    "naive_dft", "nlog2n_rounded", "plan_from_dict", "plan_to_dict", "rank",
+    "rank_factor", "reconstruct_dft", "residue_class", "rref", "save_plan",
     "verify_partition", "verify_plan", "vstack",
 ]

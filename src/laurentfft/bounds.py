@@ -127,13 +127,12 @@ class BoundsRow:
     n: int
     heideman_mu: int
     heideman_burrus_mu: int | None
-    nlog2n_rounded: int
 
 
 def bounds_row(n: int) -> BoundsRow:
     hb = heideman_burrus_bound(n) if n >= 2 and is_power_of_two(n) else None
     return BoundsRow(n=n, heideman_mu=heideman_bound(n),
-                     heideman_burrus_mu=hb, nlog2n_rounded=nlog2n_rounded(n))
+                     heideman_burrus_mu=hb)
 
 
 # Display-only comparison columns: real nontrivial multiplication counts of

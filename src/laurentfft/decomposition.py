@@ -160,11 +160,6 @@ class ClassDecomposition:
     indices: tuple[int, ...]
     exponents: np.ndarray = field(repr=False)
 
-    @property
-    def genus(self) -> int:
-        """Number of classes, n/4."""
-        return self.n // 4
-
     def matrix(self, m: int) -> ClassMatrix:
         """M_m; ValueError when m is not a class index."""
         return class_matrix(self.exponents, m)

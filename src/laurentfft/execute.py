@@ -172,12 +172,12 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
                 seed: int = 0) -> VerificationReport:
     """Run seeded random real inputs through the plan against naive_dft.
 
-    trials is an integer of at least 1 and seed one of at least 0 (neither
-    a bool), and tolerance, when given, a finite number above 0; anything
-    else is a ValueError. The arguments are checked once, then each trial
-    runs through the plan's term lists (_run) and naive_dft's matrix
-    directly, so its outputs and max_error are those of execute_real and
-    naive_dft trial by trial.
+    trials is an integer of at least 1 and seed one of at least 0, and
+    tolerance, when given, a finite number above 0, none of them a bool;
+    anything else is a ValueError. The arguments are checked once, then
+    each trial runs through the plan's term lists (_run) and naive_dft's
+    matrix directly, so its outputs and max_error are those of
+    execute_real and naive_dft trial by trial.
     Inputs are uniform in [-1, 1] from numpy's default generator, drawn
     _TRIAL_BLOCK rows at a time: successive draws of the generator, so the
     trials are the rows of one (trials, N) draw, in order, and a (plan,
@@ -192,7 +192,8 @@ def verify_plan(plan: FftPlan, trials: int = 100, tolerance: float | None = None
     _check_integer("trials", trials, 1)
     _check_integer("seed", seed, 0)
     tol = default_tolerance(plan.n) if tolerance is None else tolerance
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, Real)
+                                     and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
     n = plan.n
     lowered = plan._term_lists

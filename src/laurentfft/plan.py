@@ -44,8 +44,8 @@ constant from constant_value) and builds the additive stage from M_0
 Every plan matrix is a UnitMatrix: its nonzeros as read-only (row, col,
 sign) arrays, row by row in column order, each sign +1 or -1. Its
 constructor is the one check of that form, for compile_plan, the builder
-and a matrix built by hand alike. The counts, coupled_samples and the
-lowering read the arrays as they are.
+and a matrix built by hand alike. The counts and the lowering read the
+arrays as they are.
 The module also reports the count three ways
 (per-branch ranks, an independent stacked elimination, and the doubled
 sum over real-part ranks) so their agreement can be checked rather than
@@ -74,7 +74,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bounds import nlog2n_rounded
 from .decomposition import (ClassDecomposition, _index_range, class_tables,
                             decompose)
 from .rational import RationalMatrix, rank, rank_factor, vstack
@@ -111,24 +110,6 @@ def _class_kind(n: int, m: int) -> str:
     return ASYMMETRIC if n % 8 == 0 and m == n // 8 else SYMMETRIC
 
 
-@dataclass(frozen=True, eq=False)
-class BranchMatrices:
-    """The multiplicative combination matrices for one positive class index.
-
-    Symmetric kind: re_sum = Re(M_m)+Re(M_-m), re_diff = Re(M_m)-Re(M_-m),
-    and likewise im_sum/im_diff. Asymmetric kind (m = N/8, only when 8 | N):
-    re_sum = Re(M_m)+Im(M_m) and im_diff = Im(M_m)-Re(M_m); the other two
-    slots are None because the class has no negative partner.
-    """
-
-    m: int
-    kind: str
-    re_sum: np.ndarray
-    re_diff: np.ndarray | None
-    im_sum: np.ndarray | None
-    im_diff: np.ndarray
-
-
 def _slot_tables(n: int, m: int) -> dict[str, np.ndarray]:
     """The length-N int8 table of each combination matrix of positive class
     m, by slot: the matrix is its table read at the exponent grid. The
@@ -143,13 +124,18 @@ def _slot_tables(n: int, m: int) -> dict[str, np.ndarray]:
             "im_sum": im + neg_im, "im_diff": im - neg_im}
 
 
-def branch_matrices(dec: ClassDecomposition, m: int) -> BranchMatrices:
+def branch_matrices(dec: ClassDecomposition, m: int) -> dict[str, np.ndarray]:
+    """The combination matrices of positive class m by slot, each its
+    _slot_tables table read at the exponent grid. A symmetric class has
+    re_sum = Re(M_m)+Re(M_-m), re_diff = Re(M_m)-Re(M_-m) and likewise
+    im_sum and im_diff; the asymmetric class (m = N/8, only when 8 | N) has
+    no negative partner and only re_sum = Re(M_m)+Im(M_m) and
+    im_diff = Im(M_m)-Re(M_m). ValueError unless m is a positive class
+    index of dec."""
     if m < 1 or m not in dec.indices:
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
-    tables = _slot_tables(dec.n, m)
-    matrices = {slot: tables[slot][dec.exponents] if slot in tables else None
-                for slot in ("re_sum", "re_diff", "im_sum", "im_diff")}
-    return BranchMatrices(m=m, kind=_class_kind(dec.n, m), **matrices)
+    return {slot: table[dec.exponents]
+            for slot, table in _slot_tables(dec.n, m).items()}
 
 
 def _positive_classes(n: int) -> range:
@@ -215,12 +201,6 @@ class UnitMatrix:
             a = a.astype(dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UnitMatrix) and self.shape == other.shape
-                and all(map(np.array_equal,
-                            (self.rows, self.cols, self.signs),
-                            (other.rows, other.cols, other.signs))))
 
 
 def _nonzeros(a: np.ndarray) -> tuple:
@@ -634,7 +614,6 @@ class ComplexityReport:
     realized_total: int
     stacked_total: int
     simplified_total: int
-    nlog2n: int
 
 
 def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
@@ -678,49 +657,11 @@ def complexity(dec: ClassDecomposition) -> ComplexityReport:
     realized, stacked, simplified = totals
     return ComplexityReport(n=dec.n, per_class=tuple(rows),
                             realized_total=realized, stacked_total=stacked,
-                            simplified_total=simplified,
-                            nlog2n=nlog2n_rounded(dec.n))
+                            simplified_total=simplified)
 
 
 def complexity_for(n: int) -> ComplexityReport:
     return complexity(decompose(n))
-
-
-@dataclass(frozen=True)
-class CoupledPair:
-    """Two input indices entering one preadd row together.
-
-    relative_sign is +1 when both enter with the same sign, -1 otherwise.
-    A row with an odd number of nonzeros leaves its last index unpaired
-    (second and relative_sign are None).
-    """
-
-    first: int
-    second: int | None
-    relative_sign: int | None
-
-
-def coupled_samples(plan: FftPlan) -> list[CoupledPair]:
-    """Read the preadd rows as signed input pairings.
-
-    Walks each branch's preadd rows in order and pairs consecutive nonzero
-    columns; a pattern like +v1 -v5 -v7 +v11 reports (1, 5, -1) and
-    (7, 11, -1). Purely diagnostic: it shows which input samples each
-    multiplicative branch couples, in the order the plan adds them.
-    """
-    pairs: list[CoupledPair] = []
-    for branch in plan.branches:
-        pre = branch.preadd
-        terms = zip(pre.rows.tolist(), pre.cols.tolist(), pre.signs.tolist())
-        for _, row in groupby(terms, key=lambda t: t[0]):
-            row = list(row)
-            for (_, c1, s1), (_, c2, s2) in zip(row[::2], row[1::2]):
-                pairs.append(CoupledPair(first=c1, second=c2,
-                                         relative_sign=s1 * s2))
-            if len(row) % 2:
-                pairs.append(CoupledPair(first=row[-1][1], second=None,
-                                         relative_sign=None))
-    return pairs
 
 
 PLAN_FORMAT = "laurentfft-plan"

@@ -6,9 +6,7 @@ positive denominator). Every rank reported by this module is therefore
 exact rather than a floating-point estimate. Entries start in
 {-2, ..., 2} and almost every pivot is +1 or -1, so elimination runs on
 Python ints and only a non-unit pivot divides through ``Fraction``; an
-integral result goes back to ``int``. ``Fraction(1) == 1`` and both hash
-alike, so equality and hashing of matrices do not depend on which of the
-two types holds an integral value.
+integral result goes back to ``int``.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable
 
 import numpy as np
 
@@ -28,14 +25,6 @@ class ZeroMatrixError(ValueError):
 def _exact(x: int | Fraction) -> int | Fraction:
     """x as an int when it is integral, else the Fraction itself."""
     return x.numerator if x.denominator == 1 else x
-
-
-def _as_exact(value) -> int | Fraction:
-    if isinstance(value, Fraction):
-        return _exact(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
 def _integral(value) -> int:
@@ -55,28 +44,12 @@ class RationalMatrix:
 
     Instances are treated as immutable: entries are stored as nested tuples
     and all operations return new matrices. A matrix may have zero rows (the
-    reduced form of a zero matrix) but never zero columns.
+    reduced form of a zero matrix) but never zero columns. from_int_matrix
+    builds one from integers; a Fraction entry only comes out of rref. Two
+    matrices are compared by their entries.
     """
 
     __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
-        data = tuple(tuple(_as_exact(x) for x in row) for row in entries)
-        if data:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise ValueError(f"cols={cols} does not match row width {width}")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        else:
-            width = cols
-        if width == 0:
-            raise ValueError("matrix must have at least one column")
-        if any(len(row) != width for row in data):
-            raise ValueError("rows have inconsistent lengths")
-        self.rows = len(data)
-        self.cols = width
-        self.entries = data
 
     @classmethod
     def _of_exact(cls, entries: tuple[tuple[int | Fraction, ...], ...],
@@ -105,20 +78,11 @@ class RationalMatrix:
             rows = [[_integral(x) for x in row] for row in rows]
         return cls._of_exact(tuple(map(tuple, rows)), arr.shape[1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols,
-                                                        other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RrefResult:
     """Reduced row echelon form with all-zero rows dropped.
 

@@ -119,8 +119,7 @@ def test_nlog2n_rounded():
 
 def test_bounds_row_power_of_two_marker():
     row = bounds_row(16)
-    assert (row.heideman_mu, row.heideman_burrus_mu, row.nlog2n_rounded) == \
-        (10, 20, 64)
+    assert (row.heideman_mu, row.heideman_burrus_mu) == (10, 20)
     assert bounds_row(12).heideman_burrus_mu is None
 
 

@@ -132,7 +132,7 @@ def test_class_matrix_rejects_bad_index():
 def test_decompose_structure():
     dec = decompose(16)
     assert isinstance(dec, ClassDecomposition)
-    assert dec.genus == 4
+    assert len(dec.indices) == 4
     assert dec.indices == (-1, 0, 1, 2)
     assert tuple(dec.matrix(m).m for m in dec.indices) == dec.indices
     assert dec.matrix(2).m == 2
@@ -146,11 +146,11 @@ def test_n8_class1_re_and_im_share_their_rref():
     cm = dec.matrix(1)
     re_rref = rref(RationalMatrix.from_int_matrix(cm.re))
     im_rref = rref(RationalMatrix.from_int_matrix(cm.im))
-    expected = RationalMatrix([[0, 1, 0, 0, 0, -1, 0, 0],
-                               [0, 0, 0, 1, 0, 0, 0, -1]])
+    expected = ((0, 1, 0, 0, 0, -1, 0, 0),
+                (0, 0, 0, 1, 0, 0, 0, -1))
     assert re_rref.rank == im_rref.rank == 2
-    assert re_rref.rref == expected
-    assert im_rref.rref == expected
+    assert re_rref.rref.entries == expected
+    assert im_rref.rref.entries == expected
     # the matrices themselves differ; only their row spaces agree
     assert not np.array_equal(cm.re, cm.im)
 
@@ -172,7 +172,7 @@ def test_n12_imaginary_parts_share_their_rref():
     r1 = rref(RationalMatrix.from_int_matrix(dec.matrix(1).im))
     rm1 = rref(RationalMatrix.from_int_matrix(dec.matrix(-1).im))
     assert r1.rank == 6
-    assert r1.rref == rm1.rref
+    assert r1.rref.entries == rm1.rref.entries
 
 
 def test_n12_re_m0_row_structure():

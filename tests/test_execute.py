@@ -669,10 +669,11 @@ def test_verify_plan_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
 
 
 @pytest.mark.parametrize("tolerance", (float("nan"), 0.0, 0, -1.0,
-                                       float("inf"), "1e-9"))
+                                       float("inf"), "1e-9", True, False))
 def test_verify_plan_rejects_a_tolerance_that_is_not_finite_and_positive(
         tolerance):
-    # NaN, 0 and -1 failed every plan without a word
+    # NaN, 0 and -1 failed every plan without a word, and True ran as 1.0
+    # reported as tolerance=True
     with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
         verify_plan(compile_plan_for(12), trials=1, tolerance=tolerance)
 

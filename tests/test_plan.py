@@ -14,13 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurentfft import plan as plan_mod
-from laurentfft.bounds import nlog2n_rounded
 from laurentfft.decomposition import UnsupportedBlocklengthError, decompose
 from laurentfft.execute import execute_real, verify_plan
-from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, AdditiveStage, FftPlan,
-                             MultiplicativeBranch, UnitMatrix, branch_matrices,
-                             compile_plan, compile_plan_for, complexity,
-                             complexity_for, constant_value, coupled_samples,
+from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, UnitMatrix,
+                             branch_matrices, compile_plan, compile_plan_for,
+                             complexity, complexity_for, constant_value,
                              load_plan, plan_from_dict, plan_to_dict,
                              save_plan)
 from laurentfft.rational import RationalMatrix, rank, rref
@@ -33,24 +31,19 @@ TABLE2 = {8: 2, 16: 12, 32: 54, 64: 224}
 
 
 def _ranks(bm):
-    out = {}
-    for slot in ("re_sum", "re_diff", "im_sum", "im_diff"):
-        mat = getattr(bm, slot)
-        out[slot] = None if mat is None else rank(
-            RationalMatrix.from_int_matrix(mat))
-    return out
+    return {slot: rank(RationalMatrix.from_int_matrix(mat))
+            for slot, mat in bm.items()}
 
 
 def test_branch_matrices_n12_ranks():
     bm = branch_matrices(decompose(12), 1)
-    assert bm.kind == SYMMETRIC
     assert _ranks(bm) == {"re_sum": 1, "re_diff": 1, "im_sum": 3, "im_diff": 3}
 
 
 def test_branch_matrices_n8_asymmetric():
+    # the asymmetric class has no negative partner: only its two slots
     bm = branch_matrices(decompose(8), 1)
-    assert bm.kind == ASYMMETRIC
-    assert bm.re_diff is None and bm.im_sum is None
+    assert list(bm) == ["re_sum", "im_diff"]
     ranks = _ranks(bm)
     # per-matrix ranks are 1 and 1: (Re+Im) and (Im-Re) are each rank one,
     # so the class costs 2 multiplications in total
@@ -62,10 +55,10 @@ def test_branch_matrices_symmetric_definition():
     for m in (1, 2):
         bm = branch_matrices(dec, m)
         pos, neg = dec.matrix(m), dec.matrix(-m)
-        assert np.array_equal(bm.re_sum, pos.re + neg.re)
-        assert np.array_equal(bm.re_diff, pos.re - neg.re)
-        assert np.array_equal(bm.im_sum, pos.im + neg.im)
-        assert np.array_equal(bm.im_diff, pos.im - neg.im)
+        assert np.array_equal(bm["re_sum"], pos.re + neg.re)
+        assert np.array_equal(bm["re_diff"], pos.re - neg.re)
+        assert np.array_equal(bm["im_sum"], pos.im + neg.im)
+        assert np.array_equal(bm["im_diff"], pos.im - neg.im)
 
 
 def test_branch_matrices_entries_stay_unit():
@@ -77,11 +70,8 @@ def test_branch_matrices_entries_stay_unit():
         for m in dec.indices:
             if m < 1:
                 continue
-            bm = branch_matrices(dec, m)
-            for slot in ("re_sum", "re_diff", "im_sum", "im_diff"):
-                mat = getattr(bm, slot)
-                if mat is not None:
-                    assert int(np.abs(mat).max(initial=0)) <= 1
+            for mat in branch_matrices(dec, m).values():
+                assert int(np.abs(mat).max(initial=0)) <= 1
 
 
 def test_branch_matrices_rejects_bad_index():
@@ -155,8 +145,8 @@ def test_branch_factorizations_are_exact():
                     ("half_sqrt2", "real_out"): "re_sum",
                     ("half_sqrt2", "imag_out"): "im_diff"}
         for b in plan.branches:
-            source = getattr(branch_matrices(dec, b.m),
-                             slot_for[(b.constant_kind, b.destination)])
+            source = branch_matrices(dec, b.m)[
+                slot_for[(b.constant_kind, b.destination)]]
             product = dense(b.postadd).astype(int) @ \
                 dense(b.preadd).astype(int)
             assert np.array_equal(product, source), (n, b.m)
@@ -205,12 +195,9 @@ def test_class_ranks_match_sympy(n):
     for row in complexity(dec).per_class:
         bm = branch_matrices(dec, row.m)
         for slot in ("re_sum", "re_diff", "im_sum", "im_diff"):
-            mat = getattr(bm, slot)
+            mat = bm.get(slot)
             expected = None if mat is None else sympy_rank(mat.tolist())
             assert getattr(row, f"rank_{slot}") == expected, (n, row.m, slot)
-
-
-SLOTS = ("re_sum", "re_diff", "im_sum", "im_diff")
 
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
@@ -223,8 +210,7 @@ def test_orbit_classes_are_signed_column_permutations(n):
     q = n // 4
     first: dict[int, tuple[int, dict]] = {}
     for m in (m for m in dec.indices if m >= 1):
-        bm = branch_matrices(dec, m)
-        mats = {s: getattr(bm, s) for s in SLOTS if getattr(bm, s) is not None}
+        mats = branch_matrices(dec, m)
         r, rep = first.setdefault(math.gcd(m, q), (m, mats))
         if r == m:
             continue
@@ -358,7 +344,8 @@ def test_distinct_rows_keep_the_row_space(seed):
         assert len({row.tobytes() for row in out}) == len(out)
         assert all(row[np.flatnonzero(row)[0]] > 0 for row in out)
         got, want = (rref(RationalMatrix.from_int_matrix(x)) for x in (out, a))
-        assert got == want
+        assert (got.rref.entries, got.rank, got.pivot_cols) == \
+            (want.rref.entries, want.rank, want.pivot_cols)
         assert rank(RationalMatrix.from_int_matrix(out)) == want.rank
 
 
@@ -411,7 +398,6 @@ def test_per_class_rows_structure():
     assert sym.kind == SYMMETRIC
     assert asym.kind == ASYMMETRIC
     assert asym.rank_re_diff is None and asym.rank_im_sum is None
-    assert report.nlog2n == nlog2n_rounded(16)
 
 
 def test_asymmetric_class_only_when_8_divides_n():
@@ -443,31 +429,6 @@ def test_n12_preadd_rows_match_the_known_reductions():
          (0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0)]
 
 
-def test_coupled_samples_n12():
-    pairs = coupled_samples(compile_plan_for(12))
-    seen = {(p.first, p.second, p.relative_sign) for p in pairs}
-    for a, b in ((1, 5), (7, 11), (2, 10), (4, 8)):
-        assert (a, b, 1) in seen and (a, b, -1) in seen
-    assert all(p.second is not None for p in pairs)
-
-
-def test_coupled_samples_n4_empty():
-    assert coupled_samples(compile_plan_for(4)) == []
-
-
-def test_coupled_samples_odd_row_leaves_a_singleton():
-    branch = MultiplicativeBranch(
-        m=1, constant_kind="cosine", constant_value=0.5,
-        preadd=_unit([[1, 0, -1, 1]]), postadd=_unit([[1], [0], [0], [0]]),
-        destination="real_out", sign=1)
-    zero = _unit(np.zeros((4, 4), dtype=np.int8))
-    plan = FftPlan(n=4, additive=AdditiveStage(re_m0=zero, im_m0=zero),
-                   branches=(branch,), mult_count=1, add_count=2)
-    pairs = coupled_samples(plan)
-    assert [(p.first, p.second, p.relative_sign) for p in pairs] == \
-        [(0, 2, -1), (3, None, None)]
-
-
 def test_n20_couples_the_condensed_row_pattern():
     plan = compile_plan_for(20)
     supports = {tuple(np.flatnonzero(row).tolist())
@@ -489,15 +450,18 @@ def test_plan_dict_roundtrip_preserves_everything():
         assert plan_to_dict(again) == doc, n
         assert (again.n, again.mult_count, again.add_count) == \
             (plan.n, plan.mult_count, plan.add_count), n
-        assert again.additive.re_m0 == plan.additive.re_m0
-        assert again.additive.im_m0 == plan.additive.im_m0
+        for name in ("re_m0", "im_m0"):
+            assert np.array_equal(dense(getattr(again.additive, name)),
+                                  dense(getattr(plan.additive, name))), n
         assert len(again.branches) == len(plan.branches)
         for a, b in zip(again.branches, plan.branches):
             assert (a.m, a.constant_kind, a.destination, a.sign) == \
                 (b.m, b.constant_kind, b.destination, b.sign)
             assert a.constant_value == b.constant_value == \
                 constant_value(a.constant_kind, a.m, n), (n, a.m)
-            assert a.preadd == b.preadd and a.postadd == b.postadd
+            for name in ("preadd", "postadd"):
+                assert np.array_equal(dense(getattr(a, name)),
+                                      dense(getattr(b, name))), (n, a.m)
         v = rng.uniform(-1.0, 1.0, n)
         assert execute_real(again, v)[0].tobytes() == \
             execute_real(plan, v)[0].tobytes(), n
@@ -1051,8 +1015,8 @@ def test_a_reduced_form_entry_other_than_a_unit_is_refused(monkeypatch):
     # a reduced form is read as it is, so an entry 1/2 is refused rather
     # than truncated to 0 by an integer dtype
     def halved(exact):
-        return None, RationalMatrix([[1, Fraction(1, 2)]
-                                     + [0] * (exact.cols - 2)])
+        return None, rref(RationalMatrix.from_int_matrix(
+            [[2, 1] + [0] * (exact.cols - 2)])).rref
 
     monkeypatch.setattr(plan_mod, "rank_factor", halved)
     with pytest.raises(ValueError, match="a plan matrix has an entry 1/2 "
@@ -1281,7 +1245,7 @@ def test_save_and_load_plan(tmp_path):
     loaded = load_plan(path)
     assert loaded.mult_count == plan.mult_count
     assert len(loaded.branches) == len(plan.branches)
-    assert all(a.preadd == b.preadd
+    assert all(np.array_equal(dense(a.preadd), dense(b.preadd))
                for a, b in zip(loaded.branches, plan.branches))
 
 
@@ -1330,7 +1294,8 @@ def test_a_plan_matrix_keeps_its_own_arrays_when_its_caller_changes_theirs():
     v = np.random.default_rng(0).uniform(-1.0, 1.0, 12)
     before = execute_real(mine, v)
     signs[0] = 2
-    assert mine.branches[0].preadd == branch.preadd
+    assert np.array_equal(dense(mine.branches[0].preadd),
+                          dense(branch.preadd))
     for again in (mine, dataclasses.replace(mine)):
         out, counters = execute_real(again, v)
         assert out.tobytes() == before[0].tobytes()

@@ -10,29 +10,32 @@ from oracles import exact_product, sympy_rank, sympy_rref
 
 
 def test_constructor_and_accessors():
-    m = RationalMatrix([[1, 2], [3, Fraction(1, 2)]])
-    assert (m.rows, m.cols) == (2, 2)
-    assert m.entries == ((1, 2), (3, Fraction(1, 2)))
-    with pytest.raises(TypeError, match="'1/2'"):
-        RationalMatrix([[1, "1/2"]])
+    # from_int_matrix is the one public builder
+    m = RationalMatrix.from_int_matrix([[1, 2, 0], [3, -4, 5]])
+    assert (m.rows, m.cols) == (2, 3)
+    assert m.entries == ((1, 2, 0), (3, -4, 5))
+    with pytest.raises(ValueError, match="not an integer"):
+        RationalMatrix.from_int_matrix([[1, "1/2"]])
 
 
 def test_constructor_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]])
+        RationalMatrix.from_int_matrix([[1, 2], [3]])
 
 
 def test_empty_matrix_needs_explicit_cols():
+    # an empty list has no column count; a 0 x 5 array has one
     with pytest.raises(ValueError):
-        RationalMatrix([])
-    m = RationalMatrix([], cols=5)
+        RationalMatrix.from_int_matrix([])
+    m = RationalMatrix.from_int_matrix(np.zeros((0, 5), dtype=int))
     assert (m.rows, m.cols) == (0, 5)
     assert m.entries == ()
 
 
 def test_zero_columns_rejected():
-    with pytest.raises(ValueError):
-        RationalMatrix([], cols=0)
+    for shape in ((0, 0), (2, 0)):
+        with pytest.raises(ValueError, match="at least one column"):
+            RationalMatrix.from_int_matrix(np.zeros(shape, dtype=int))
 
 
 def test_from_int_matrix_roundtrip():
@@ -68,7 +71,7 @@ def test_integral_entries_are_ints_and_the_rest_fractions():
         if result.rank:
             for factor in rank_factor(m):
                 check(factor)
-    half = rref(RationalMatrix([[2, 1]])).rref.entries
+    half = rref(RationalMatrix.from_int_matrix([[2, 1]])).rref.entries
     assert half == ((1, Fraction(1, 2)),)
     assert type(half[0][0]) is int and type(half[0][1]) is Fraction
 
@@ -81,7 +84,7 @@ def test_identity_and_zeros():
 
 
 def test_rref_simple_example():
-    m = RationalMatrix([[2, 4], [1, 2]])
+    m = RationalMatrix.from_int_matrix([[2, 4], [1, 2]])
     result = rref(m)
     assert result.rank == 1
     assert result.pivot_cols == (0,)
@@ -96,10 +99,10 @@ def test_rref_of_zero_matrix_is_empty():
 
 
 def test_rref_idempotent():
-    m = RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    m = RationalMatrix.from_int_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     once = rref(m).rref
     again = rref(once)
-    assert again.rref == once
+    assert again.rref.entries == once.entries
 
 
 def _random_int_matrix(rng: random.Random):
@@ -119,7 +122,7 @@ def test_rref_matches_sympy_on_random_matrices():
     rng = random.Random(20260822)
     for _ in range(200):
         data = _random_int_matrix(rng)
-        m = RationalMatrix(data)
+        m = RationalMatrix.from_int_matrix(data)
         result = rref(m)
         expected_rows, expected_pivots = sympy_rref(data)
         assert result.rank == sympy_rank(data)
@@ -132,7 +135,7 @@ def test_rank_factor_reconstructs_exactly():
     checked = 0
     while checked < 100:
         data = _random_int_matrix(rng)
-        m = RationalMatrix(data)
+        m = RationalMatrix.from_int_matrix(data)
         if rank(m) == 0:
             continue
         c, r = rank_factor(m)
@@ -148,22 +151,22 @@ def test_rank_factor_rejects_zero_matrix():
 
 
 def test_vstack():
-    a = RationalMatrix([[1, 0]])
-    b = RationalMatrix([[0, 1], [1, 1]])
+    a = RationalMatrix.from_int_matrix([[1, 0]])
+    b = RationalMatrix.from_int_matrix([[0, 1], [1, 1]])
     assert vstack(a, b).entries == ((Fraction(1), Fraction(0)),
                                     (Fraction(0), Fraction(1)),
                                     (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
-        vstack(a, RationalMatrix([[1, 2, 3]]))
+        vstack(a, RationalMatrix.from_int_matrix([[1, 2, 3]]))
 
 
 def test_vstack_rank_is_subadditive():
     rng = random.Random(7)
     for _ in range(50):
-        a = RationalMatrix(_random_int_matrix(rng))
+        a = RationalMatrix.from_int_matrix(_random_int_matrix(rng))
         b_data = [[rng.randint(-3, 3) for _ in range(a.cols)]
                   for _ in range(rng.randint(1, 4))]
-        b = RationalMatrix(b_data)
+        b = RationalMatrix.from_int_matrix(b_data)
         stacked = rank(vstack(a, b))
         assert max(rank(a), rank(b)) <= stacked <= rank(a) + rank(b)
 
