@@ -9,17 +9,19 @@ blocklengths and checks they tile the exponent range exactly.
 
 import numpy as np
 
-from laurentfft import (class_indices, decompose, exponent_matrix,
-                        residue_class, verify_partition)
+from laurentfft import (class_indices, class_members, class_tables,
+                        exponent_matrix)
 
 for n in (12, 16, 20):
-    print(f"blocklength {n}: genus {n // 4}, indices {class_indices(n)}")
-    for m in class_indices(n):
-        cls = residue_class(n, m)
-        print(f"  C[{m:>2}] = {cls.members}")
-    report = verify_partition(n)
-    print(f"  partition holds: {report.holds} "
-          f"({report.class_count} classes x 4 members)")
+    indices = class_indices(n)
+    print(f"blocklength {n}: genus {n // 4}, indices {tuple(indices)}")
+    for m in indices:
+        print(f"  C[{m:>2}] = {class_members(n, m)}")
+    # the classes partition [0, n) exactly when every residue carries one
+    # unit entry across all the classes' (re, im) tables
+    tables = [t for m in indices for t in class_tables(n, m)]
+    holds = bool(np.all(np.abs(tables).sum(axis=0) == 1))
+    print(f"  partition holds: {holds} ({len(indices)} classes x 4 members)")
     print()
 
 # the exponent grid itself, small enough to eyeball at N=8
@@ -28,9 +30,9 @@ print("exponent grid for N=8 (entry = k*n mod 8):")
 print(exp)
 print()
 
-# each grid cell belongs to exactly one class matrix
-dec = decompose(8)
-claimed = sum((cm.re != 0) | (cm.im != 0)
-              for cm in map(dec.matrix, dec.indices))
+# each grid cell belongs to exactly one class matrix, the class's tables
+# read at the grid
+claimed = sum((re[exp] != 0) | (im[exp] != 0)
+              for re, im in (class_tables(8, m) for m in class_indices(8)))
 print("cells claimed by exactly one class matrix:",
       bool(np.all(claimed == 1)))

@@ -9,8 +9,9 @@ input needs 2*(1+3) = 8 real multiplications.
 
 import numpy as np
 
-from laurentfft import (RationalMatrix, branch_matrices, compile_plan_for,
-                        decompose, execute_real, naive_dft, rref)
+from laurentfft import (RationalMatrix, branch_matrices, class_indices,
+                        class_tables, compile_plan_for, decompose,
+                        execute_real, naive_dft, rref)
 
 
 def show_rref(name, mat):
@@ -22,10 +23,11 @@ def show_rref(name, mat):
 
 dec = decompose(12)
 print("class matrix ranks:")
-for m in dec.indices:
-    cm = dec.matrix(m)
-    re_rank = rref(RationalMatrix.from_int_matrix(cm.re)).rank
-    im_rank = rref(RationalMatrix.from_int_matrix(cm.im)).rank
+for m in class_indices(12):
+    # class m's matrix is its (re, im) tables read at the exponent grid
+    re, im = (t[dec.exponents] for t in class_tables(12, m))
+    re_rank = rref(RationalMatrix.from_int_matrix(re)).rank
+    im_rank = rref(RationalMatrix.from_int_matrix(im)).rank
     print(f"  M[{m:>2}]: rank(re) = {re_rank}, rank(im) = {im_rank}")
 print()
 

@@ -10,11 +10,10 @@ execution, and set against classical lower bounds.
 from .bounds import (BoundsRow, NotPowerOfTwoError, bounds_row, divisors,
                      euler_totient, factorize, heideman_bound,
                      heideman_burrus_bound, is_power_of_two, nlog2n_rounded)
-from .decomposition import (ClassDecomposition, ClassMatrix, PartitionReport,
-                            ResidueClass, UnsupportedBlocklengthError,
-                            class_indices, class_matrix, class_tables,
+from .decomposition import (ClassDecomposition, UnsupportedBlocklengthError,
+                            class_indices, class_members, class_tables,
                             decompose, dft_matrix, exponent_matrix,
-                            reconstruct_dft, residue_class, verify_partition)
+                            reconstruct_dft)
 from .execute import (OpCounters, VerificationReport, default_tolerance,
                       execute_complex, execute_real, naive_dft, verify_plan)
 from .plan import (AdditiveStage, ClassRankRow, ComplexityReport, FftPlan,
@@ -27,17 +26,16 @@ from .rational import (RationalMatrix, RrefResult, ZeroMatrixError, rank,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveStage", "BoundsRow", "ClassDecomposition", "ClassMatrix",
-    "ClassRankRow", "ComplexityReport", "FftPlan", "MultiplicativeBranch",
-    "NotPowerOfTwoError", "OpCounters", "PartitionReport", "RationalMatrix",
-    "ResidueClass", "RrefResult", "UnitMatrix", "UnsupportedBlocklengthError",
-    "VerificationReport", "ZeroMatrixError", "bounds_row", "branch_matrices",
-    "class_indices", "class_matrix", "class_tables", "compile_plan",
-    "compile_plan_for", "complexity", "complexity_for", "decompose",
-    "default_tolerance", "dft_matrix", "divisors", "euler_totient",
-    "execute_complex", "execute_real", "exponent_matrix", "factorize",
-    "heideman_bound", "heideman_burrus_bound", "is_power_of_two", "load_plan",
-    "naive_dft", "nlog2n_rounded", "plan_from_dict", "plan_to_dict", "rank",
-    "rank_factor", "reconstruct_dft", "residue_class", "rref", "save_plan",
-    "verify_partition", "verify_plan", "vstack",
+    "AdditiveStage", "BoundsRow", "ClassDecomposition", "ClassRankRow",
+    "ComplexityReport", "FftPlan", "MultiplicativeBranch",
+    "NotPowerOfTwoError", "OpCounters", "RationalMatrix", "RrefResult",
+    "UnitMatrix", "UnsupportedBlocklengthError", "VerificationReport",
+    "ZeroMatrixError", "bounds_row", "branch_matrices", "class_indices",
+    "class_members", "class_tables", "compile_plan", "compile_plan_for",
+    "complexity", "complexity_for", "decompose", "default_tolerance",
+    "dft_matrix", "divisors", "euler_totient", "execute_complex",
+    "execute_real", "exponent_matrix", "factorize", "heideman_bound",
+    "heideman_burrus_bound", "is_power_of_two", "load_plan", "naive_dft",
+    "nlog2n_rounded", "plan_from_dict", "plan_to_dict", "rank", "rank_factor",
+    "reconstruct_dft", "rref", "save_plan", "verify_plan", "vstack",
 ]

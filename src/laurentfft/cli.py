@@ -27,7 +27,8 @@ import numpy as np
 
 from .bounds import (RADER_BRENNER_REAL_MULTS, RADIX2_REAL_MULTS, bounds_row,
                      nlog2n_rounded)
-from .decomposition import class_indices, decompose, residue_class
+from .decomposition import (class_indices, class_members, class_tables,
+                            exponent_matrix)
 from .execute import execute_real, naive_dft, verify_plan
 from .plan import compile_plan_for, complexity_for, load_plan, save_plan
 from .rational import RationalMatrix, rref
@@ -56,7 +57,7 @@ def cmd_classes(args) -> int:
     indices = class_indices(n)
     print(f"blocklength {n}: {len(indices)} classes (genus {n // 4})")
     for m in indices:
-        members = ", ".join(str(x) for x in residue_class(n, m).members)
+        members = ", ".join(str(x) for x in class_members(n, m))
         print(f"C[{m}]: members ({members}), coefficients {_COEFFS}")
     return 0
 
@@ -72,11 +73,11 @@ def _print_matrix(rows) -> None:
 
 
 def cmd_matrices(args) -> int:
-    dec = decompose(args.N)
-    indices = dec.indices if args.m is None else (args.m,)
+    exp = exponent_matrix(args.N)
+    indices = class_indices(args.N) if args.m is None else (args.m,)
     for m in indices:
-        cm = dec.matrix(m)  # raises ValueError for a bad --m
-        for name, mat in (("re", cm.re), ("im", cm.im)):
+        re, im = class_tables(args.N, m)  # raises ValueError for a bad --m
+        for name, mat in (("re", re[exp]), ("im", im[exp])):
             reduced = rref(RationalMatrix.from_int_matrix(mat))
             print(f"M[{m}] {name} rank={reduced.rank}")
             _print_matrix(mat.tolist())

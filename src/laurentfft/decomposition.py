@@ -2,13 +2,16 @@
 
 For a blocklength N divisible by 4, the exponents kn mod N split into N/4
 classes: class m holds the four values x with 4x = 4m (mod N), i.e. with
-x = m (mod N/4). Each class m gets a Gaussian-integer matrix M_m collecting
-every DFT entry whose exponent falls in the class, weighted by one of the
-four unit factors 1, -j, -1, j. Summing M_m * W^m over all classes, with
-W = exp(-2j*pi/N), rebuilds the DFT matrix exactly; the per-class matrices
-are what the plan compiler rank-factors. An entry of M_m depends on its
-exponent alone, so M_m is a length-N table read at the exponent grid,
-t[E] (a group matrix of Z/N; Winograd 1978), and is built as one gather.
+x = m (mod N/4); class_members lists them. Each class m gets a
+Gaussian-integer matrix M_m collecting every DFT entry whose exponent
+falls in the class, weighted by one of the four unit factors 1, -j, -1, j.
+Summing M_m * W^m over all classes, with W = exp(-2j*pi/N), rebuilds the
+DFT matrix exactly; the per-class matrices are what the plan compiler
+rank-factors. An entry of M_m depends on its exponent alone, so a class
+is described by its two length-N int8 tables (class_tables), and M_m is
+those tables read at the exponent grid, t[E] (a group matrix of Z/N;
+Winograd 1978): one gather. The classes' tables tile [0, N), one unit
+entry per residue, which is the partition.
 
 Class indices run m = -(N/4-1)/2 .. +(N/4-1)/2 when N = 4 (mod 8). When
 8 | N that range is not integral; the indices become -(N/8-1) .. +N/8, and
@@ -66,8 +69,14 @@ def exponent_matrix(n: int) -> np.ndarray:
             f"cannot be allocated") from None
 
 
-def _index_range(n: int) -> range:
-    """class_indices(n) as a range, whose membership test is arithmetic."""
+def class_indices(n: int) -> range:
+    """Ordered class indices for blocklength n, always n/4 of them, as a
+    range whose membership test is arithmetic.
+
+    Symmetric layout -(n/4-1)/2 .. +(n/4-1)/2 when n = 4 (mod 8); shifted
+    layout -(n/8-1) .. +n/8 when 8 | n, the top index being the asymmetric
+    class.
+    """
     _check_blocklength(n)
     if n % 8 == 4:
         h = (n // 4 - 1) // 2
@@ -75,54 +84,14 @@ def _index_range(n: int) -> range:
     return range(-(n // 8 - 1), n // 8 + 1)
 
 
-def class_indices(n: int) -> tuple[int, ...]:
-    """Ordered class indices for blocklength n, always n/4 of them.
-
-    Symmetric layout -(n/4-1)/2 .. +(n/4-1)/2 when n = 4 (mod 8); shifted
-    layout -(n/8-1) .. +n/8 when 8 | n, the top index being the asymmetric
-    class.
-    """
-    return tuple(_index_range(n))
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """The four exponents x with 4x = 4m (mod n).
-
-    ``members[k] = (m + k*n/4) mod n``, stored in that k order (not sorted)
-    so position k pairs with the unit coefficient (-j)^k.
-    """
-
-    n: int
-    m: int
-    members: tuple[int, int, int, int]
-
-
-def residue_class(n: int, m: int) -> ResidueClass:
-    return ResidueClass(n=n, m=m, members=_members(n, m))
-
-
-def _members(n: int, m: int) -> tuple[int, int, int, int]:
-    """Class m's four exponents in coefficient order; ValueError when m is
-    not a class index."""
-    if m not in _index_range(n):
+def class_members(n: int, m: int) -> tuple[int, int, int, int]:
+    """The four exponents x with 4x = 4m (mod n): position k holds
+    (m + k*n/4) mod n, in that k order (not sorted), so that it pairs with
+    the unit coefficient (-j)^k. ValueError when m is not a class index."""
+    if m not in class_indices(n):
         raise ValueError(f"{m} is not a class index for blocklength {n}")
     q = n // 4
     return (m % n, (m + q) % n, (m + 2 * q) % n, (m + 3 * q) % n)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassMatrix:
-    """Real and imaginary int8 parts of one class matrix M_m.
-
-    At every grid position at most one of (re, im) is nonzero, with value
-    in {-1, +1}; the union of nonzero positions is exactly where the
-    exponent grid lies in class m.
-    """
-
-    m: int
-    re: np.ndarray
-    im: np.ndarray
 
 
 # position k in a class carries coefficient (-j)^k: 1, -j, -1, j; as
@@ -134,74 +103,35 @@ def class_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(re, im): read-only length-n int8 tables with M_m = re[E] + j*im[E],
     E the exponent grid. Entry x is the unit coefficient of x's position
     in class m, split into its real and imaginary parts, and 0 off the
-    class; ValueError when m is not a class index."""
+    class, so at most one of re[x], im[x] is nonzero and the classes'
+    tables tile [0, n); ValueError when m is not a class index."""
     tables = np.zeros((2, n), dtype=np.int8)
-    tables[:, _members(n, m)] = _COEFF_SPLIT
+    tables[:, class_members(n, m)] = _COEFF_SPLIT
     tables.flags.writeable = False
     return tables[0], tables[1]
 
 
-def class_matrix(exp: np.ndarray, m: int) -> ClassMatrix:
-    """M_m as int8 parts: class m's tables read at the exponent grid."""
-    re, im = class_tables(exp.shape[0], m)
-    return ClassMatrix(m=m, re=re[exp], im=im[exp])
-
-
 @dataclass(frozen=True, eq=False)
 class ClassDecomposition:
-    """The classes of one blocklength, each class matrix built on demand.
+    """A blocklength and its read-only N x N exponent grid E.
 
-    Only the read-only N x N exponent grid is held, O(N^2) memory; all N/4
-    class matrices at once would take O(N^3). A consumer that asks for one
-    class at a time (compile_plan, complexity) holds one at a time.
+    Class m's matrix is class_tables(n, m) read at E, built by whoever
+    needs it. Only E is held, O(N^2) memory; all N/4 class matrices at
+    once would take O(N^3). A consumer that reads one class at a time
+    (compile_plan, complexity, reconstruct_dft) holds one at a time.
     """
 
     n: int
-    indices: tuple[int, ...]
     exponents: np.ndarray = field(repr=False)
-
-    def matrix(self, m: int) -> ClassMatrix:
-        """M_m; ValueError when m is not a class index."""
-        return class_matrix(self.exponents, m)
 
 
 def decompose(n: int) -> ClassDecomposition:
-    """Decompose blocklength n into its residue classes; class matrices are
-    built when asked for."""
+    """Decompose blocklength n into its residue classes: the exponent grid
+    that every class table is read at."""
     n = _check_blocklength(n)
     exp = exponent_matrix(n)
     exp.flags.writeable = False
-    return ClassDecomposition(n=n, indices=class_indices(n), exponents=exp)
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Outcome of checking that the classes tile [0, n) exactly once."""
-
-    n: int
-    holds: bool
-    class_count: int
-    cardinalities: tuple[int, ...]
-    missing: tuple[int, ...]
-    duplicated: tuple[int, ...]
-
-
-def verify_partition(n: int) -> PartitionReport:
-    """Check the classes are pairwise disjoint, size 4, and cover [0, n)."""
-    indices = class_indices(n)
-    classes = [residue_class(n, m) for m in indices]
-    seen: dict[int, int] = {}
-    for cls in classes:
-        for x in cls.members:
-            seen[x] = seen.get(x, 0) + 1
-    missing = tuple(x for x in range(n) if x not in seen)
-    duplicated = tuple(sorted(x for x, c in seen.items() if c > 1))
-    cardinalities = tuple(len(set(cls.members)) for cls in classes)
-    holds = (not missing and not duplicated
-             and all(c == 4 for c in cardinalities))
-    return PartitionReport(n=n, holds=holds, class_count=len(classes),
-                           cardinalities=cardinalities, missing=missing,
-                           duplicated=duplicated)
+    return ClassDecomposition(n=n, exponents=exp)
 
 
 def reconstruct_dft(dec: ClassDecomposition) -> np.ndarray:
@@ -212,9 +142,9 @@ def reconstruct_dft(dec: ClassDecomposition) -> np.ndarray:
     """
     w = np.exp(-2j * np.pi / dec.n)
     out = np.zeros((dec.n, dec.n), dtype=complex)
-    for m in dec.indices:
-        cm = dec.matrix(m)
-        out += (cm.re + 1j * cm.im) * w ** m
+    for m in class_indices(dec.n):
+        re, im = class_tables(dec.n, m)
+        out += (re + 1j * im)[dec.exponents] * w ** m
     return out
 
 

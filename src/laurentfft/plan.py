@@ -74,7 +74,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import (ClassDecomposition, _index_range, class_tables,
+from .decomposition import (ClassDecomposition, class_indices, class_tables,
                             decompose)
 from .rational import RationalMatrix, rank, rank_factor, vstack
 
@@ -132,7 +132,7 @@ def branch_matrices(dec: ClassDecomposition, m: int) -> dict[str, np.ndarray]:
     no negative partner and only re_sum = Re(M_m)+Im(M_m) and
     im_diff = Im(M_m)-Re(M_m). ValueError unless m is a positive class
     index of dec."""
-    if m < 1 or m not in dec.indices:
+    if m not in _positive_classes(dec.n):
         raise ValueError(f"{m} is not a positive class index for n={dec.n}")
     return {slot: table[dec.exponents]
             for slot, table in _slot_tables(dec.n, m).items()}
@@ -141,7 +141,7 @@ def branch_matrices(dec: ClassDecomposition, m: int) -> dict[str, np.ndarray]:
 def _positive_classes(n: int) -> range:
     """N's positive class indices, 1 to the top one, as a range whose
     membership test is arithmetic: no class table is built."""
-    return range(1, _index_range(n).stop)
+    return range(1, class_indices(n).stop)
 
 
 # The row-stacked pairs of complexity's stacked count; an orbit map that
@@ -440,9 +440,9 @@ class FftPlan:
 def _additive_stage(dec: ClassDecomposition) -> AdditiveStage:
     """The additive stage of dec's plan: Re and Im of M_0 as plan
     matrices."""
-    m0 = dec.matrix(0)
-    return AdditiveStage(re_m0=UnitMatrix(*_nonzeros(m0.re)),
-                         im_m0=UnitMatrix(*_nonzeros(m0.im)))
+    re, im = class_tables(dec.n, 0)
+    return AdditiveStage(re_m0=UnitMatrix(*_nonzeros(re[dec.exponents])),
+                         im_m0=UnitMatrix(*_nonzeros(im[dec.exponents])))
 
 
 def _plan_counts(additive: AdditiveStage,

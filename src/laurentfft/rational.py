@@ -51,6 +51,10 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("RationalMatrix has no public constructor; build one "
+                        "with RationalMatrix.from_int_matrix")
+
     @classmethod
     def _of_exact(cls, entries: tuple[tuple[int | Fraction, ...], ...],
                   cols: int) -> "RationalMatrix":

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from laurentfft.bounds import heideman_bound, heideman_burrus_bound
-from laurentfft.decomposition import (decompose, dft_matrix, reconstruct_dft,
-                                      verify_partition)
+from laurentfft.decomposition import (class_indices, class_members,
+                                      class_tables, decompose, dft_matrix,
+                                      reconstruct_dft)
 from laurentfft.execute import execute_real, naive_dft
 from laurentfft.plan import compile_plan_for, complexity_for, load_plan, save_plan
 from laurentfft.rational import RationalMatrix, rref
@@ -57,27 +58,30 @@ def test_criterion_03_heideman_burrus_column():
 
 
 def test_criterion_04_blocklength_12_worked_example():
-    dec = decompose(12)
+    exp = decompose(12).exponents
+    # (Re M_m, Im M_m): class m's tables read at the exponent grid
+    (re0, im0), (re1, im1), (re_1, im_1) = (
+        tuple(t[exp] for t in class_tables(12, m)) for m in (0, 1, -1))
 
     def _rank(mat):
         return rref(RationalMatrix.from_int_matrix(mat)).rank
 
-    assert _rank(dec.matrix(0).re) == 6
-    assert _rank(dec.matrix(0).im) == 2
-    assert _rank(dec.matrix(1).re) == _rank(dec.matrix(-1).re) == 2
-    assert _rank(dec.matrix(1).im) == _rank(dec.matrix(-1).im) == 6
+    assert _rank(re0) == 6
+    assert _rank(im0) == 2
+    assert _rank(re1) == _rank(re_1) == 2
+    assert _rank(im1) == _rank(im_1) == 6
 
-    re_sum = dec.matrix(1).re + dec.matrix(-1).re
+    re_sum = re1 + re_1
     reduced = rref(RationalMatrix.from_int_matrix(re_sum))
     assert reduced.rank == 1
     assert [int(x) for x in reduced.rref.entries[0]] == \
         [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]
 
-    im_diff = dec.matrix(1).im - dec.matrix(-1).im
+    im_diff = im1 - im_1
     assert rref(RationalMatrix.from_int_matrix(im_diff)).rank == 3
 
-    im_pos = rref(RationalMatrix.from_int_matrix(dec.matrix(1).im))
-    im_neg = rref(RationalMatrix.from_int_matrix(dec.matrix(-1).im))
+    im_pos = rref(RationalMatrix.from_int_matrix(im1))
+    im_neg = rref(RationalMatrix.from_int_matrix(im_1))
     assert im_pos.rref.entries == im_neg.rref.entries
     _ok(4, "blocklength-12 ranks and reductions")
 
@@ -130,9 +134,11 @@ def test_criterion_06_counter_exactness(oracle_workload):
 
 def test_criterion_07_partition_property():
     for n in ALL_SUPPORTED:
-        report = verify_partition(n)
-        assert report.holds, report
-        assert report.cardinalities == (4,) * (n // 4)
+        classes = [class_members(n, m) for m in class_indices(n)]
+        assert len(classes) == n // 4
+        assert all(len(set(members)) == 4 for members in classes), n
+        assert sorted(x for members in classes for x in members) \
+            == list(range(n)), n
     _ok(7, "residue classes partition the exponent range")
 
 

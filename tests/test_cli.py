@@ -44,6 +44,61 @@ COMPLEXITY_TABLE1_RANGE = """\
   60     354     208      208      56       -
 """
 
+# `laurentfft matrices 8`: every class's (re, im) matrix and its reduced
+# row echelon form
+MATRICES_8 = """\
+M[0] re rank=4
+   1  1  1  1  1  1  1  1
+   1  0  0  0 -1  0  0  0
+   1  0 -1  0  1  0 -1  0
+   1  0  0  0 -1  0  0  0
+   1 -1  1 -1  1 -1  1 -1
+   1  0  0  0 -1  0  0  0
+   1  0 -1  0  1  0 -1  0
+   1  0  0  0 -1  0  0  0
+M[0] re rref:
+  1 0 0 0 0 0 0 0
+  0 1 0 1 0 1 0 1
+  0 0 1 0 0 0 1 0
+  0 0 0 0 1 0 0 0
+M[0] im rank=2
+   0  0  0  0  0  0  0  0
+   0  0 -1  0  0  0  1  0
+   0 -1  0  1  0 -1  0  1
+   0  0  1  0  0  0 -1  0
+   0  0  0  0  0  0  0  0
+   0  0 -1  0  0  0  1  0
+   0  1  0 -1  0  1  0 -1
+   0  0  1  0  0  0 -1  0
+M[0] im rref:
+   0  1  0 -1  0  1  0 -1
+   0  0  1  0  0  0 -1  0
+M[1] re rank=2
+   0  0  0  0  0  0  0  0
+   0  1  0  0  0 -1  0  0
+   0  0  0  0  0  0  0  0
+   0  0  0  1  0  0  0 -1
+   0  0  0  0  0  0  0  0
+   0 -1  0  0  0  1  0  0
+   0  0  0  0  0  0  0  0
+   0  0  0 -1  0  0  0  1
+M[1] re rref:
+   0  1  0  0  0 -1  0  0
+   0  0  0  1  0  0  0 -1
+M[1] im rank=2
+   0  0  0  0  0  0  0  0
+   0  0  0 -1  0  0  0  1
+   0  0  0  0  0  0  0  0
+   0 -1  0  0  0  1  0  0
+   0  0  0  0  0  0  0  0
+   0  0  0  1  0  0  0 -1
+   0  0  0  0  0  0  0  0
+   0  1  0  0  0 -1  0  0
+M[1] im rref:
+   0  1  0  0  0 -1  0  0
+   0  0  0  1  0  0  0 -1
+"""
+
 
 def test_classes_golden(run_cli):
     code, out, _ = run_cli("classes", "12")
@@ -122,6 +177,12 @@ def test_bounds_accepts_any_positive_length(run_cli):
     code, out, _ = run_cli("bounds", "1..6", "--step", "1")
     assert code == 0
     assert len(out.splitlines()) == 7
+
+
+def test_matrices_golden(run_cli):
+    code, out, _ = run_cli("matrices", "8")
+    assert code == 0
+    assert out == MATRICES_8
 
 
 def test_matrices_single_class(run_cli):

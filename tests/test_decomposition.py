@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 from laurentfft.decomposition import (ClassDecomposition,
                                       UnsupportedBlocklengthError,
-                                      class_indices, class_matrix,
+                                      class_indices, class_members,
                                       class_tables, decompose, dft_matrix,
-                                      exponent_matrix, reconstruct_dft,
-                                      residue_class, verify_partition)
+                                      exponent_matrix, reconstruct_dft)
 from laurentfft.rational import RationalMatrix, rref
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -41,55 +41,57 @@ def test_unsupported_blocklengths_raise(bad):
         decompose(bad)
 
 
+def _class_parts(exp, m):
+    """(Re M_m, Im M_m): class m's tables read at the exponent grid."""
+    return tuple(t[exp] for t in class_tables(exp.shape[0], m))
+
+
 def test_class_indices_layouts():
-    assert class_indices(4) == (0,)
-    assert class_indices(8) == (0, 1)
-    assert class_indices(12) == (-1, 0, 1)
-    assert class_indices(16) == (-1, 0, 1, 2)
-    assert class_indices(20) == (-2, -1, 0, 1, 2)
+    assert tuple(class_indices(4)) == (0,)
+    assert tuple(class_indices(8)) == (0, 1)
+    assert tuple(class_indices(12)) == (-1, 0, 1)
+    assert tuple(class_indices(16)) == (-1, 0, 1, 2)
+    assert tuple(class_indices(20)) == (-2, -1, 0, 1, 2)
 
 
 def test_class_indices_count_is_quarter_n():
     for n in SUPPORTED:
         indices = class_indices(n)
+        assert isinstance(indices, range)
         assert len(indices) == n // 4
         assert list(indices) == sorted(indices)
 
 
 def test_residue_class_members_in_coefficient_order():
-    assert residue_class(12, 0).members == (0, 3, 6, 9)
-    assert residue_class(12, -1).members == (11, 2, 5, 8)
-    assert residue_class(20, -2).members == (18, 3, 8, 13)
-    assert residue_class(20, -1).members == (19, 4, 9, 14)
+    assert class_members(12, 0) == (0, 3, 6, 9)
+    assert class_members(12, -1) == (11, 2, 5, 8)
+    assert class_members(20, -2) == (18, 3, 8, 13)
+    assert class_members(20, -1) == (19, 4, 9, 14)
 
 
 def test_residue_class_rejects_non_indices():
-    with pytest.raises(ValueError):
-        residue_class(12, 2)
-    with pytest.raises(ValueError):
-        residue_class(16, -2)
+    with pytest.raises(ValueError,
+                       match="2 is not a class index for blocklength 12"):
+        class_members(12, 2)
+    with pytest.raises(ValueError,
+                       match="-2 is not a class index for blocklength 16"):
+        class_members(16, -2)
 
 
 def test_residue_class_defining_congruence():
     for n in (12, 16, 20, 64):
         for m in class_indices(n):
-            for x in residue_class(n, m).members:
+            for x in class_members(n, m):
                 assert (4 * x - 4 * m) % n == 0
-
-
-def test_partition_holds_for_all_supported_blocklengths():
-    for n in SUPPORTED:
-        report = verify_partition(n)
-        assert report.holds, report
-        assert report.class_count == n // 4
-        assert report.cardinalities == (4,) * (n // 4)
-        assert report.missing == () and report.duplicated == ()
 
 
 def test_class_tables_tile_the_residues():
     # every residue of [0, N) carries exactly one unit entry across all
-    # classes' (re, im) tables, so the class matrices t[E] tile the grid
-    for n in (4, 8, 12, 20, 64, 100):
+    # classes' (re, im) tables, so the classes partition [0, N) and the
+    # class matrices t[E] tile the grid
+    for n in (*SUPPORTED, 100):
+        assert all(len(set(class_members(n, m))) == 4
+                   for m in class_indices(n)), n
         tables = [t for m in class_indices(n) for t in class_tables(n, m)]
         assert all(t.dtype == np.int8 and t.shape == (n,) for t in tables)
         assert set(np.unique(tables).tolist()) <= {-1, 0, 1}, n
@@ -100,13 +102,13 @@ def test_class_matrix_support_and_values():
     for n in (8, 12, 16, 20):
         exp = exponent_matrix(n)
         for m in class_indices(n):
-            cm = class_matrix(exp, m)
-            overlap = (cm.re != 0) & (cm.im != 0)
+            re, im = _class_parts(exp, m)
+            overlap = (re != 0) & (im != 0)
             assert not overlap.any()
-            assert set(np.unique(cm.re)) <= {-1, 0, 1}
-            assert set(np.unique(cm.im)) <= {-1, 0, 1}
-            members = set(residue_class(n, m).members)
-            support = (cm.re != 0) | (cm.im != 0)
+            assert set(np.unique(re)) <= {-1, 0, 1}
+            assert set(np.unique(im)) <= {-1, 0, 1}
+            members = set(class_members(n, m))
+            support = (re != 0) | (im != 0)
             assert np.array_equal(support, np.isin(exp, sorted(members)))
 
 
@@ -116,67 +118,65 @@ def test_class_matrix_coefficients_are_unit_powers():
     for n in (12, 16, 20):
         exp = exponent_matrix(n)
         for m in class_indices(n):
-            cm = class_matrix(exp, m)
-            members = residue_class(n, m).members
-            for k, member in enumerate(members):
+            re, im = _class_parts(exp, m)
+            for k, member in enumerate(class_members(n, m)):
                 cells = exp == member
-                values = cm.re[cells] + 1j * cm.im[cells]
+                values = re[cells] + 1j * im[cells]
                 assert np.all(values == units[k]), (n, m, k)
 
 
 def test_class_matrix_rejects_bad_index():
     with pytest.raises(ValueError):
-        class_matrix(exponent_matrix(12), 3)
+        class_tables(12, 3)
 
 
 def test_decompose_structure():
     dec = decompose(16)
     assert isinstance(dec, ClassDecomposition)
-    assert len(dec.indices) == 4
-    assert dec.indices == (-1, 0, 1, 2)
-    assert tuple(dec.matrix(m).m for m in dec.indices) == dec.indices
-    assert dec.matrix(2).m == 2
-    assert residue_class(16, 1).members == (1, 5, 9, 13)
+    assert [f.name for f in dataclasses.fields(dec)] == ["n", "exponents"]
+    assert dec.n == 16
+    assert np.array_equal(dec.exponents, exponent_matrix(16))
+    assert not dec.exponents.flags.writeable
+    assert tuple(class_indices(dec.n)) == (-1, 0, 1, 2)
+    assert class_members(16, 1) == (1, 5, 9, 13)
     with pytest.raises(ValueError):
-        dec.matrix(5)
+        class_tables(16, 5)
 
 
 def test_n8_class1_re_and_im_share_their_rref():
-    dec = decompose(8)
-    cm = dec.matrix(1)
-    re_rref = rref(RationalMatrix.from_int_matrix(cm.re))
-    im_rref = rref(RationalMatrix.from_int_matrix(cm.im))
+    re, im = _class_parts(decompose(8).exponents, 1)
+    re_rref = rref(RationalMatrix.from_int_matrix(re))
+    im_rref = rref(RationalMatrix.from_int_matrix(im))
     expected = ((0, 1, 0, 0, 0, -1, 0, 0),
                 (0, 0, 0, 1, 0, 0, 0, -1))
     assert re_rref.rank == im_rref.rank == 2
     assert re_rref.rref.entries == expected
     assert im_rref.rref.entries == expected
     # the matrices themselves differ; only their row spaces agree
-    assert not np.array_equal(cm.re, cm.im)
+    assert not np.array_equal(re, im)
 
 
 def test_n12_class_matrix_ranks():
-    dec = decompose(12)
+    exp = decompose(12).exponents
     ranks = {}
-    for m in dec.indices:
-        cm = dec.matrix(m)
-        ranks[m] = (rref(RationalMatrix.from_int_matrix(cm.re)).rank,
-                    rref(RationalMatrix.from_int_matrix(cm.im)).rank)
+    for m in class_indices(12):
+        ranks[m] = tuple(rref(RationalMatrix.from_int_matrix(part)).rank
+                         for part in _class_parts(exp, m))
     assert ranks[0] == (6, 2)
     assert ranks[1] == (2, 6)
     assert ranks[-1] == (2, 6)
 
 
 def test_n12_imaginary_parts_share_their_rref():
-    dec = decompose(12)
-    r1 = rref(RationalMatrix.from_int_matrix(dec.matrix(1).im))
-    rm1 = rref(RationalMatrix.from_int_matrix(dec.matrix(-1).im))
+    exp = decompose(12).exponents
+    r1 = rref(RationalMatrix.from_int_matrix(_class_parts(exp, 1)[1]))
+    rm1 = rref(RationalMatrix.from_int_matrix(_class_parts(exp, -1)[1]))
     assert r1.rank == 6
     assert r1.rref.entries == rm1.rref.entries
 
 
 def test_n12_re_m0_row_structure():
-    re0 = decompose(12).matrix(0).re
+    re0 = _class_parts(decompose(12).exponents, 0)[0]
     assert re0[0].tolist() == [1] * 12
     assert re0[6].tolist() == [1, -1] * 6
 

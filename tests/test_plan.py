@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurentfft import plan as plan_mod
-from laurentfft.decomposition import UnsupportedBlocklengthError, decompose
+from laurentfft.decomposition import (UnsupportedBlocklengthError,
+                                      class_indices, class_tables, decompose)
 from laurentfft.execute import execute_real, verify_plan
 from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, UnitMatrix,
                              branch_matrices, compile_plan, compile_plan_for,
@@ -54,11 +55,12 @@ def test_branch_matrices_symmetric_definition():
     dec = decompose(20)
     for m in (1, 2):
         bm = branch_matrices(dec, m)
-        pos, neg = dec.matrix(m), dec.matrix(-m)
-        assert np.array_equal(bm["re_sum"], pos.re + neg.re)
-        assert np.array_equal(bm["re_diff"], pos.re - neg.re)
-        assert np.array_equal(bm["im_sum"], pos.im + neg.im)
-        assert np.array_equal(bm["im_diff"], pos.im - neg.im)
+        pos_re, pos_im = (t[dec.exponents] for t in class_tables(20, m))
+        neg_re, neg_im = (t[dec.exponents] for t in class_tables(20, -m))
+        assert np.array_equal(bm["re_sum"], pos_re + neg_re)
+        assert np.array_equal(bm["re_diff"], pos_re - neg_re)
+        assert np.array_equal(bm["im_sum"], pos_im + neg_im)
+        assert np.array_equal(bm["im_diff"], pos_im - neg_im)
 
 
 def test_branch_matrices_entries_stay_unit():
@@ -67,7 +69,7 @@ def test_branch_matrices_entries_stay_unit():
     # constant scaling
     for n in SUPPORTED:
         dec = decompose(n)
-        for m in dec.indices:
+        for m in class_indices(n):
             if m < 1:
                 continue
             for mat in branch_matrices(dec, m).values():
@@ -209,7 +211,7 @@ def test_orbit_classes_are_signed_column_permutations(n):
     dec = decompose(n)
     q = n // 4
     first: dict[int, tuple[int, dict]] = {}
-    for m in (m for m in dec.indices if m >= 1):
+    for m in (m for m in class_indices(n) if m >= 1):
         mats = branch_matrices(dec, m)
         r, rep = first.setdefault(math.gcd(m, q), (m, mats))
         if r == m:
@@ -233,7 +235,7 @@ def test_every_layout_slot_compiles_to_one_branch(n):
     # classes m and -m have disjoint supports, so every combination table
     # has a +-1 entry: no matrix is zero and no layout slot is left empty
     dec = decompose(n)
-    positive = [m for m in dec.indices if m >= 1]
+    positive = [m for m in class_indices(n) if m >= 1]
     assert list(plan_mod._positive_classes(n)) == positive
     layout = [(m, *row[1:]) for m in positive
               for row in plan_mod._LAYOUT[plan_mod._class_kind(n, m)]]
@@ -263,7 +265,7 @@ def test_derived_slots_match_a_direct_factorization(n):
                    in zip((branch.postadd, branch.preadd), (post, pre))), \
             (n, f.m, f.slot)
         assert f.rank == pre.rows
-    orbits = {math.gcd(m, n // 4) for m in dec.indices if m >= 1}
+    orbits = {math.gcd(m, n // 4) for m in class_indices(n) if m >= 1}
     assert len({m for m, _ in reps}) == len(orbits)
 
 

@@ -18,6 +18,14 @@ def test_constructor_and_accessors():
         RationalMatrix.from_int_matrix([[1, "1/2"]])
 
 
+@pytest.mark.parametrize("args", [(), ([[1]],), ([[1, 2]], 2)],
+                         ids=["bare", "rows", "rows_and_cols"])
+def test_the_class_itself_builds_no_matrix(args):
+    # a bare instance would have no rows, cols or entries
+    with pytest.raises(TypeError, match="from_int_matrix"):
+        RationalMatrix(*args)
+
+
 def test_constructor_rejects_ragged_rows():
     with pytest.raises(ValueError):
         RationalMatrix.from_int_matrix([[1, 2], [3]])
