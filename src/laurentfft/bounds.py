@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 # factorize divides by every d below this; a part left at least its square
@@ -75,23 +74,37 @@ def heideman_bound(n: int) -> int:
     sum over divisor tuples (d_1..d_m), d_k | phi(p_k^i_k)/phi(gcd(p_k^i_k, 4)),
     of prod phi(d_k) / phi(lcm(d_1..d_m))). The bound is 2n minus that
     total. The inner sums are rational term by term but the total per
-    tuple is an integer; evaluating with Fraction keeps that exact and
-    checkable instead of trusting float division.
+    tuple is an integer; each is summed exactly in integers, its terms
+    first grouped by their denominator phi(lcm) and then brought to the
+    least common denominator, which must divide the total: checkable
+    instead of trusting float division. Each totient is computed once per
+    call.
     """
-    primes = factorize(n)
+    phi: dict[int, int] = {}
+
+    def totient(k: int) -> int:
+        if k not in phi:
+            phi[k] = euler_totient(k)
+        return phi[k]
+
+    # per prime, per exponent i: p^i and the divisors d of
+    # phi(p^i)/phi(gcd(p^i, 4)), each with phi(d)
+    choices = [[(p ** i, [(d, totient(d)) for d in divisors(
+                    totient(p ** i) // totient(math.gcd(p ** i, 4)))])
+                for i in range(e + 1)]
+               for p, e in factorize(n)]
     total = 0
-    for exps in itertools.product(*(range(e + 1) for _, e in primes)):
-        parts = [p ** i for (p, _), i in zip(primes, exps)]
-        g = euler_totient(math.gcd(math.prod(parts), 4))
-        div_lists = [divisors(euler_totient(pp)
-                              // euler_totient(math.gcd(pp, 4)))
-                     for pp in parts]
-        inner = Fraction(0)
-        for dtuple in itertools.product(*div_lists):
-            num = math.prod(euler_totient(d) for d in dtuple)
-            inner += Fraction(num, euler_totient(math.lcm(*dtuple, 1)))
-        assert inner.denominator == 1
-        total += g * (1 + int(inner))
+    for parts in itertools.product(*choices):
+        g = totient(math.gcd(math.prod(q for q, _ in parts), 4))
+        by_lcm: dict[int, int] = {}
+        for dtuple in itertools.product(*(divs for _, divs in parts)):
+            lcm = math.lcm(*(d for d, _ in dtuple), 1)
+            by_lcm[lcm] = by_lcm.get(lcm, 0) + math.prod(t for _, t in dtuple)
+        # the inner sum over the least common denominator of its terms
+        den = math.lcm(*map(totient, by_lcm))
+        num = sum(s * (den // totient(lcm)) for lcm, s in by_lcm.items())
+        assert num % den == 0
+        total += g * (1 + num // den)
     return 2 * n - total
 
 

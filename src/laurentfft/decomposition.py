@@ -149,6 +149,12 @@ def reconstruct_dft(dec: ClassDecomposition) -> np.ndarray:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Direct DFT matrix, entry (k, i) = exp(-2j*pi*k*i/n)."""
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+    """Direct DFT matrix, entry (k, i) = exp(-2j*pi*k*i/n).
+
+    Each exponent k*i is reduced mod n in integers and the entry read from
+    a table of the n values exp(-2j*pi*x/n), each x taken as the residue
+    nearest 0, so every phase lies in [-pi, pi] and is rounded a few times
+    at most, however large k*i is; n exponentials are taken, not n^2."""
+    x = np.arange(n)
+    table = np.exp(-2j * np.pi * (x - n * (2 * x > n)) / n)
+    return table[np.outer(x, x) % n]

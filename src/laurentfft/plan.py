@@ -74,8 +74,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .decomposition import (ClassDecomposition, class_indices, class_tables,
-                            decompose)
+from .decomposition import (ClassDecomposition, class_indices, class_members,
+                            class_tables, decompose)
 from .rational import RationalMatrix, rank, rank_factor, vstack
 
 SYMMETRIC = "symmetric"
@@ -110,18 +110,37 @@ def _class_kind(n: int, m: int) -> str:
     return ASYMMETRIC if n % 8 == 0 and m == n // 8 else SYMMETRIC
 
 
+# Each combination matrix's table entries at the class_members of m, then
+# (symmetric class) at those of -m: the sums and differences of class_tables'
+# unit coefficients, re (1, 0, -1, 0) and im (0, -1, 0, 1), of the two
+# classes, or of the asymmetric class's re and im
+_SLOT_COEFFS = {
+    SYMMETRIC: (("re_sum", "re_diff", "im_sum", "im_diff"),
+                np.array(((1, 0, -1, 0, 1, 0, -1, 0),
+                          (1, 0, -1, 0, -1, 0, 1, 0),
+                          (0, -1, 0, 1, 0, -1, 0, 1),
+                          (0, -1, 0, 1, 0, 1, 0, -1)), dtype=np.int8)),
+    ASYMMETRIC: (("re_sum", "im_diff"),
+                 np.array(((1, -1, -1, 1), (-1, -1, 1, 1)), dtype=np.int8)),
+}
+
+
 def _slot_tables(n: int, m: int) -> dict[str, np.ndarray]:
-    """The length-N int8 table of each combination matrix of positive class
-    m, by slot: the matrix is its table read at the exponent grid. The
-    re and im tables of classes m and -m are nonzero on disjoint
-    exponents, so every entry stays in {-1, 0, 1}.
+    """The read-only length-N int8 table of each combination matrix of
+    positive class m, by slot: the matrix is its table read at the
+    exponent grid. Classes m and -m have disjoint members, so every entry
+    is one coefficient, in {-1, 0, 1}. All of m's tables are rows of one
+    array, filled by one assignment.
     """
-    re, im = class_tables(n, m)
-    if _class_kind(n, m) == ASYMMETRIC:
-        return {"re_sum": re + im, "im_diff": im - re}
-    neg_re, neg_im = class_tables(n, -m)
-    return {"re_sum": re + neg_re, "re_diff": re - neg_re,
-            "im_sum": im + neg_im, "im_diff": im - neg_im}
+    kind = _class_kind(n, m)
+    slots, coeffs = _SLOT_COEFFS[kind]
+    at = class_members(n, m)
+    if kind == SYMMETRIC:
+        at += class_members(n, -m)
+    tables = np.zeros((len(slots), n), dtype=np.int8)
+    tables[:, at] = coeffs
+    tables.flags.writeable = False
+    return dict(zip(slots, tables))
 
 
 def branch_matrices(dec: ClassDecomposition, m: int) -> dict[str, np.ndarray]:
@@ -269,12 +288,15 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     and dropping a repeat keep the row space, so the result has a's rank
     and reduced row echelon form. Each combination matrix up to N=128 has
     exactly rank-many distinct rows up to sign, against N rows in all."""
-    a = a[a.any(axis=1)]
-    lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
-    a = np.ascontiguousarray(a * np.sign(lead)[:, None])
-    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1])))
-    first = np.unique(rows.ravel(), return_index=True)[1]
-    return a[np.sort(first)]
+    a = np.ascontiguousarray(
+        a * np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None])
+    # each row as one bytes key: numpy's fixed-width bytes drop trailing
+    # zero bytes, which keeps keys of equal-width rows distinct and makes a
+    # zero row b""; the dict keeps each key's first row
+    keys = a.view(np.dtype((np.bytes_, a.itemsize * a.shape[1]))).ravel()
+    first = dict(zip(reversed(keys.tolist()), range(len(a) - 1, -1, -1)))
+    first.pop(b"", None)
+    return a[sorted(first.values())]
 
 
 def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
@@ -309,19 +331,24 @@ def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
     the exponent grid holds every residue, so this holds exactly when m's
     matrix is +- rep's with its columns read at c*i mod n, that is with
     its rows read at c*k: it has rep's row space, reduced form and rank.
+    Each of m's tables reads the first of rep's that it matches. Tables
+    are compared by their bytes, all int8 as _slot_tables makes them.
     """
     q = n // 4
     targets = {rep[0].m % q, -rep[0].m % q}
     c = next(c for c in range(1, n, 2)
              if c * m % q in targets and math.gcd(c, n) == 1)
-    # hit[i, j]: m's table i is +- rep's table j moved; each of m's tables
-    # takes the first of rep's that it hits
     moved = np.stack([f.table for f in rep])[:, np.arange(n) * c % n]
-    mine = np.stack(tables)[:, None, :]
-    hit = (mine == moved).all(axis=2) | (mine == -moved).all(axis=2)
-    if not hit.any(axis=1).all():
+    # each moved table and its negative, keyed by its bytes, to the first
+    # of rep's slots that gives it
+    index: dict[bytes, int] = {}
+    for j, (plus, minus) in enumerate(zip(moved, -moved)):
+        index.setdefault(plus.tobytes(), j)
+        index.setdefault(minus.tobytes(), j)
+    found = [index.get(t.tobytes()) for t in tables]
+    if None in found:
         return None
-    sources = tuple(rep[j] for j in hit.argmax(axis=1))
+    sources = tuple(rep[j] for j in found)
     of = {row[0]: source.slot for row, source in zip(layout, sources)}
     pairs = {frozenset(p) for p in _STACKED_PAIRS if of.keys() >= set(p)}
     if {frozenset(map(of.get, p)) for p in pairs} != pairs:
@@ -477,15 +504,16 @@ class _Lowered:
     adds: int
 
 
-def _stack(mats: list[UnitMatrix], row_offsets: list[int],
-           col_offsets: list[int]) -> tuple[np.ndarray, ...]:
+def _stack(mats: list[UnitMatrix], row_offsets: np.ndarray,
+           col_offsets: np.ndarray, sizes: list[int]
+           ) -> tuple[np.ndarray, ...]:
     """(rows, cols, signs) of the nonzeros of mats, matrix by matrix, each
-    matrix's rows and columns moved by its offsets."""
-    sizes = [m.signs.size for m in mats]
-    rows, cols, signs = (np.concatenate([getattr(m, name) for m in mats])
-                         for name in ("rows", "cols", "signs"))
-    return (rows + np.repeat(row_offsets, sizes),
-            cols + np.repeat(col_offsets, sizes), signs)
+    matrix's rows and columns moved by its offsets; sizes are the
+    matrices' nonzero counts."""
+    rows = np.concatenate([m.rows for m in mats])
+    cols = np.concatenate([m.cols for m in mats])
+    return (rows + row_offsets.repeat(sizes), cols + col_offsets.repeat(sizes),
+            np.concatenate([m.signs for m in mats]))
 
 
 def _signed(rows: np.ndarray, cols: np.ndarray, signs: np.ndarray,
@@ -515,22 +543,28 @@ def _lower(plan: FftPlan) -> _Lowered:
                              f"and a {b.postadd.shape} postadd: the shapes "
                              f"do not chain for N={n}")
     # p lists every branch's preadd rows, in branch order
-    ranks = [b.rank for b in branches]
-    rank = sum(ranks)
-    first = np.cumsum([0] + ranks)[:-1].tolist()
-    sign = np.repeat(np.array([b.sign for b in branches], dtype=np.int8),
-                     ranks)
-    constants = np.repeat(np.array([b.constant_value for b in branches],
-                                   dtype=float), ranks)
+    pre = [b.preadd for b in branches]
+    ranks = np.array([m.shape[0] for m in pre], dtype=np.int64)
+    rank = int(ranks.sum())
+    first = np.cumsum(ranks) - ranks
+    sign = np.array([b.sign for b in branches], dtype=np.int8).repeat(ranks)
+    constants = np.array([b.constant_value for b in branches],
+                         dtype=float).repeat(ranks)
     # M_0's rows are the outputs, a preadd's rows its entries of p, and a
     # postadd's rows and columns its outputs and its entries of p
-    pre = [b.preadd for b in branches]
     dest = [0 if b.destination == REAL_OUT else n for b in branches]
-    ends = np.cumsum([sum(m.signs.size for m in mats) for mats in (m0, pre)])
-    m0_terms, pre_terms, (i, k, entries) = zip(*(
-        np.split(x, ends) for x in _stack(
-            m0 + pre + [b.postadd for b in branches], [0, n] + first + dest,
-            [0, 0] + [0] * len(branches) + first)))
+    mats = m0 + pre + [b.postadd for b in branches]
+    sizes = [m.signs.size for m in mats]
+    # int64 even with no branch, where dest is an empty list
+    row_offsets = np.concatenate(([0, n], first, dest)).astype(np.int64)
+    col_offsets = np.concatenate(([0, 0], 0 * first, first)).astype(np.int64)
+    rows, cols, signs = _stack(mats, row_offsets, col_offsets, sizes)
+    # the nonzeros of M_0, then of the preadds, then of the postadds
+    a = sizes[0] + sizes[1]
+    b = a + sum(sizes[2:2 + len(branches)])
+    m0_terms = rows[:a], cols[:a], signs[:a]
+    pre_terms = rows[a:b], cols[a:b], signs[a:b]
+    i, k, entries = rows[b:], cols[b:], signs[b:]
     m0_dest, m0_src = _signed(*m0_terms, 2 * n, n)
     pre_dest, pre_src = _signed(*pre_terms, rank, n)
     # output o sums the terms of row o of M_0, then its postadd terms in

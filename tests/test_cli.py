@@ -44,6 +44,27 @@ COMPLEXITY_TABLE1_RANGE = """\
   60     354     208      208      56       -
 """
 
+# `laurentfft complexity 12..64 96`: every blocklength of the benchmark's
+# sweep ladder, whose ranks and stacked totals come off the orbit walk
+COMPLEXITY_SWEEP_LADDER = """\
+   N  nlog2n   mults  stacked  mu_DFT    mu_r
+  12      43       8        8       4       -
+  16      64      12       12      10      20
+  20      86      32       32      16       -
+  24     110      24       24      12       -
+  28     135      72       72      28       -
+  32     160      54       54      32      64
+  36     186      88       88      32       -
+  40     213      84       84      36       -
+  44     240     200      200      60       -
+  48     268      88       88      38       -
+  52     296     288      288      68       -
+  56     325     184      184      60       -
+  60     354     208      208      56       -
+  64     384     224      224      84     168
+  96     632     344      344     106       -
+"""
+
 # `laurentfft matrices 8`: every class's (re, im) matrix and its reduced
 # row echelon form
 MATRICES_8 = """\
@@ -136,6 +157,11 @@ def test_table_2_golden(run_cli):
 def test_complexity_range_golden(run_cli):
     code, out, _ = run_cli("complexity", "12..60", "--step", "8")
     assert (code, out) == (0, COMPLEXITY_TABLE1_RANGE)
+
+
+def test_complexity_sweep_ladder_golden(run_cli):
+    code, out, _ = run_cli("complexity", "12..64", "96")
+    assert (code, out) == (0, COMPLEXITY_SWEEP_LADDER)
 
 
 def test_complexity_single_degenerate_length(run_cli):

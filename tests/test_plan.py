@@ -309,6 +309,57 @@ def test_derived_from_rejects_a_table_with_one_entry_flipped(n):
                 assert got is None, (n, m, j, e)
 
 
+@pytest.mark.parametrize("n", (20, 32, 60, 64, 96))
+def test_derived_from_reads_the_first_slot_a_table_matches(n):
+    # a table that is +- two of the representative's moved tables reads
+    # the lower-index slot, whichever sign matches there, and a table that
+    # matches only a negated moved table is found: the slot choice feeds
+    # complexity's stacked-pair check
+    classes: dict[int, list] = {}
+    for f in plan_mod._factored_slots(decompose(n)):
+        classes.setdefault(f.m, []).append(f)
+    derived = [m for m, slots in classes.items() if slots[0].source]
+    assert derived, n
+    for m in derived:
+        rep = tuple(classes[classes[m][0].source.m])
+        layout = plan_mod._LAYOUT[plan_mod._class_kind(n, m)]
+        tables = [f.table for f in classes[m]]
+        want = plan_mod._derived_from(n, m, layout, tables, rep)
+        assert [f.slot for f in want] == \
+            [f.source.slot for f in classes[m]], (n, m)
+        negated = [-t for t in tables]
+        assert plan_mod._derived_from(n, m, layout, negated, rep) == want
+        for j, source in enumerate(want):
+            i = rep.index(source)
+            twin = dataclasses.replace(source, table=-source.table)
+            # the negated twin before the slot, then after it
+            got = plan_mod._derived_from(n, m, layout, tables,
+                                         rep[:i] + (twin,) + rep[i:])
+            assert got[j] is twin, (n, m, j)
+            got = plan_mod._derived_from(n, m, layout, tables,
+                                         rep[:i + 1] + (twin,) + rep[i + 1:])
+            assert got == want, (n, m, j)
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_slot_tables_are_the_class_tables_summed(n):
+    # each combination table is the sum or difference of class_tables' re
+    # and im tables of m and -m (of m's re and im for the asymmetric class)
+    for m in plan_mod._positive_classes(n):
+        re, im = class_tables(n, m)
+        if plan_mod._class_kind(n, m) == ASYMMETRIC:
+            want = {"re_sum": re + im, "im_diff": im - re}
+        else:
+            neg_re, neg_im = class_tables(n, -m)
+            want = {"re_sum": re + neg_re, "re_diff": re - neg_re,
+                    "im_sum": im + neg_im, "im_diff": im - neg_im}
+        got = plan_mod._slot_tables(n, m)
+        assert list(got) == list(want), (n, m)
+        for slot, table in got.items():
+            assert table.dtype == np.int8 and not table.flags.writeable
+            assert np.array_equal(table, want[slot]), (n, m, slot)
+
+
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_representatives_match_a_full_row_factorization(n):
     # a representative is reduced on its distinct rows up to sign; its
@@ -951,6 +1002,35 @@ def test_saved_plan_bytes_are_pinned(tmp_path, n):
     path = tmp_path / "plan.json"
     save_plan(compile_plan_for(n), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PLAN_SHA256[n]
+
+
+# one sha256 over every compiled plan of N = 4..256 step 4 and 512: its N
+# and counts, each branch's layout row and constant, and every matrix's
+# shape, rows, cols and signs (Python 3.11.7, numpy 2.4.6); a plan file
+# holds only N, its counts and its layout rows, so this is what pins the
+# matrices and constants the compiler builds
+_ALL_PLANS_SHA256 = \
+    "c371e87ce6f4a36bfb19e4de41c79eecbc2b62d4de91fd3d6018a51329fcc6fd"
+
+
+def test_every_compiled_plan_is_pinned():
+    digest = hashlib.sha256()
+    for n in (*range(4, 257, 4), 512):
+        plan = compile_plan_for(n)
+        digest.update(repr((plan.n, plan.mult_count,
+                            plan.add_count)).encode())
+        mats = [plan.additive.re_m0, plan.additive.im_m0]
+        for b in plan.branches:
+            digest.update(repr((b.m, b.constant_kind, b.destination,
+                                b.sign)).encode())
+            digest.update(np.array(b.constant_value, dtype="<f8").tobytes())
+            mats += [b.preadd, b.postadd]
+        for mat in mats:
+            digest.update(repr(mat.shape).encode())
+            for a, dtype in ((mat.rows, "<i4"), (mat.cols, "<i4"),
+                             (mat.signs, "i1")):
+                digest.update(a.astype(dtype).tobytes())
+    assert digest.hexdigest() == _ALL_PLANS_SHA256
 
 
 @pytest.mark.parametrize("n", range(4, 129, 4))
