@@ -27,10 +27,17 @@ every residue, so the check is exact. Since k*(c*i) = (c*k)*i, reading
 those columns is reading rows c*k: the derived matrix is +- a row
 permutation of the representative's, with its row space, so it takes
 the representative's rank and its preadd, the reduced row echelon form,
-unchanged, and is never built as an N x N matrix. A representative is
-eliminated on its distinct rows up to sign (_distinct_rows), which span
-the same rows and so give the same reduced form and rank; a combination
-matrix repeats its rows so heavily that these are rank-many of its N.
+unchanged, and is never built as an N x N matrix. A representative's
+rows are grouped up to sign (_row_groups), and its r distinct rows D
+span its rows; a combination matrix repeats its rows so heavily that r
+is its rank, against N rows. The matrix is symmetric (below), so its
+columns group as its rows do and D = D[:, F] G exactly, F the groups'
+first rows and G the r x N signed grouping, which has full row rank and
+is already reduced. So the rank is that of the r x r core D[:, F], the
+one elimination (rank_factor) a representative costs, and when it is
+r, as at every N = 4..512 step 4 and 1024, the reduced form, the
+preadd, is G, read off the grouping (_factored_slot); a singular core
+would take it from rank_factor on D.
 E is symmetric, so every combination matrix A = t[E] is too (A is a group
 matrix of Z/N). Every slot's postadd is A at the preadd's pivot columns
 P, and A[:, P] = A[P, :]^T: it is read off the table as the gather of
@@ -235,12 +242,13 @@ class _FactoredSlot:
 
     The matrix is table read at the exponent grid and its rank is the
     preadd's row count. A slot of an orbit representative was factored
-    directly, by reducing its distinct rows up to sign, and is yielded
-    with those rows boxed in exact for complexity's stacked count. Any
-    other slot's matrix is +-source's with its rows permuted, which the
-    walk checked exactly, so it shares source's preadd. complexity's
-    slots, which it reads only for their ranks, carry no preadd (reduced
-    is None).
+    directly, by eliminating the r x r core of its distinct rows up to
+    sign (_factored_slot), and is yielded with grouped, those rows as
+    int8 with _row_groups' group and signs, for complexity's stacked
+    count. Any other slot's matrix is +-source's with its rows permuted,
+    which the walk checked exactly, so it shares source's preadd.
+    complexity's slots, which it reads only for their ranks, carry no
+    preadd (reduced is None).
     """
 
     m: int
@@ -251,7 +259,7 @@ class _FactoredSlot:
     table: np.ndarray
     rank: int
     reduced: UnitMatrix | None
-    exact: RationalMatrix | None = None
+    grouped: tuple[np.ndarray, ...] | None = None
     source: _FactoredSlot | None = None
 
     def branch(self, exponents: np.ndarray) -> MultiplicativeBranch:
@@ -282,40 +290,73 @@ class _FactoredSlot:
             sign=self.sign)
 
 
-def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """a's nonzero rows, each times the sign of its leading entry, one copy
-    of each, in order of first appearance. Negating, dropping a zero row
-    and dropping a repeat keep the row space, so the result has a's rank
-    and reduced row echelon form. Each combination matrix up to N=128 has
-    exactly rank-many distinct rows up to sign, against N rows in all."""
-    a = np.ascontiguousarray(
-        a * np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None])
-    # each row as one bytes key: numpy's fixed-width bytes drop trailing
-    # zero bytes, which keeps keys of equal-width rows distinct and makes a
-    # zero row b""; the dict keeps each key's first row
-    keys = a.view(np.dtype((np.bytes_, a.itemsize * a.shape[1]))).ravel()
-    first = dict(zip(reversed(keys.tolist()), range(len(a) - 1, -1, -1)))
-    first.pop(b"", None)
-    return a[sorted(first.values())]
+def _row_groups(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(first, group, signs): a's nonzero rows grouped up to sign.
+
+    Row i of a is signs[i] times row first[group[i]]: first lists each
+    group's first row, in increasing order, and a zero row has group -1
+    and sign 0. So a[first] are a's distinct rows up to sign; negating,
+    dropping a zero row and dropping a repeat keep the row space, so they
+    have a's rank and reduced row echelon form. Each combination matrix of
+    N = 4..512 step 4 and 1024 has exactly rank-many of them, against N
+    rows in all."""
+    n = len(a)
+    lead = np.sign(a[np.arange(n), (a != 0).argmax(axis=1)])
+    rows = np.ascontiguousarray(a * lead[:, None])
+    # each row times its leading sign as one bytes key: numpy's fixed-width
+    # bytes drop trailing zero bytes, which keeps keys of equal-width rows
+    # distinct and makes a zero row b""; setdefault gives each row its
+    # key's first row, and the dict's values are the first rows in order
+    keys = rows.view(np.dtype((np.bytes_, rows.itemsize * rows.shape[1])))
+    seen: dict[bytes, int] = {}
+    firsts = np.fromiter(map(seen.setdefault, keys.ravel().tolist(),
+                             range(n)), np.intp, n)
+    seen.pop(b"", None)
+    first = np.fromiter(seen.values(), np.intp, len(seen))
+    place = np.full(n, -1)
+    place[first] = np.arange(len(first))
+    return first, place[firsts], lead * lead[firsts]
 
 
 def _factored_slot(exponents: np.ndarray, m: int, layout_row: tuple,
                    table: np.ndarray, source: _FactoredSlot | None, *,
                    preadds: bool) -> _FactoredSlot:
     """table's slot: source's rank and preadd when the walk read it off
-    source, else the rank and reduced form of the distinct rows up to sign
-    of its matrix, which is built for that and dropped; the reduced form
-    becomes the slot's preadd only if preadds."""
+    source, else factored directly on its matrix's distinct rows up to
+    sign, the matrix built for that and dropped; the preadd is made only
+    if preadds.
+
+    The matrix a = table[exponents] is symmetric, so its columns group as
+    its rows do (_row_groups): column i is signs[i] times column
+    first[group[i]]. So the distinct rows D = a[first] are D[:, first] @ G
+    exactly, G the r x N signed grouping with signs[i] at (group[i], i).
+    G's rows have disjoint supports and +1 at their group's first column,
+    so G has full row rank and is in reduced row echelon form. Hence rank
+    a = rank D[:, first], the r x r core rank_factor eliminates, and when
+    that rank is r the reduced form of D is G itself, the preadd. A
+    singular core, which no N = 4..512 step 4 or 1024 has, takes the
+    preadd from rank_factor on D.
+    """
     if source is not None:
         return _FactoredSlot(m, *layout_row, table=table, rank=source.rank,
                              reduced=source.reduced, source=source)
-    exact = RationalMatrix.from_int_matrix(_distinct_rows(table[exponents]))
-    reduced = rank_factor(exact)[1]
-    # no dtype: a Fraction makes an object array, which UnitMatrix refuses
-    pre = UnitMatrix(*_nonzeros(np.array(reduced.entries))) if preadds \
-        else None
-    return _FactoredSlot(m, *layout_row, table=table, rank=reduced.rows,
-                         reduced=pre, exact=exact)
+    a = table[exponents]
+    first, group, signs = _row_groups(a)
+    distinct = a[first]
+    r = rank_factor(RationalMatrix.from_int_matrix(distinct[:, first]))[1].rows
+    pre = None
+    if preadds and r == len(first):
+        # G's nonzeros row by row: the zero columns' group -1 sorts first
+        cols = np.argsort(group, kind="stable")[len(a)
+                                                - np.count_nonzero(signs):]
+        pre = UnitMatrix((r, len(a)), group[cols], cols, signs[cols])
+    elif preadds:
+        reduced = rank_factor(RationalMatrix.from_int_matrix(distinct))[1]
+        # no dtype: a Fraction makes an object array, which UnitMatrix
+        # refuses
+        pre = UnitMatrix(*_nonzeros(np.array(reduced.entries)))
+    return _FactoredSlot(m, *layout_row, table=table, rank=r,
+                         reduced=pre, grouped=(distinct, group, signs))
 
 
 def _derived_from(n: int, m: int, layout: tuple, tables: list[np.ndarray],
@@ -387,8 +428,8 @@ def _factored_slots(dec: ClassDecomposition, preadds: bool = True
                                      preadds=preadds)
                       for row, table, source in zip(layout, tables, sources))
         if rep is None:
-            reps[orbit] = tuple(f if f.exact is None
-                                else replace(f, exact=None) for f in slots)
+            reps[orbit] = tuple(f if f.grouped is None
+                                else replace(f, grouped=None) for f in slots)
         yield from slots
 
 
@@ -633,14 +674,21 @@ class ComplexityReport:
     plan.mult_count. stacked_total is an independent elimination: it ranks
     the row-stacked pairs [re_sum; im_sum] and [re_diff; im_diff] of each
     symmetric orbit representative, which collapses any rank shared
-    between the real and imaginary families; a derived class repeats its
-    representative's count, since the walk checked that its pairs map onto
-    the representative's. simplified_total doubles the (re_sum, im_sum)
-    ranks per symmetric class, valid whenever sum and difference ranks
-    agree. All three coincide on every supported blocklength up to 128
-    and at 256, 512 and 1024; the tests check that claim, each per-branch
-    rank against sympy up to 36, every derived factorization against a
-    direct one up to 128 and every derived preadd up to 256.
+    between the real and imaginary families. Each pair is eliminated on
+    its distinct rows at one column per set of columns equal up to sign,
+    read off the two slots' groupings (_stacked_rank); every such core of
+    N = 4..512 step 4 and 1024 is square and of full rank. A derived
+    class repeats its representative's count, since the walk checked
+    that its pairs map onto the representative's. simplified_total
+    doubles the (re_sum, im_sum) ranks per symmetric class, valid
+    whenever sum and difference ranks agree. All three coincide on every
+    supported blocklength up to 128 and at 256, 512 and 1024; the tests
+    check that claim, each per-branch rank against sympy up to 36, every
+    derived factorization against a direct one up to 128, every derived
+    preadd up to 256, every representative's preadd and rank against
+    its reduced distinct rows up to 256 and at 512 and 1024, and every
+    stacked count against its distinct rows over all N columns up to
+    128.
     """
 
     n: int
@@ -648,6 +696,30 @@ class ComplexityReport:
     realized_total: int
     stacked_total: int
     simplified_total: int
+
+
+def _stacked_rank(top: _FactoredSlot, bottom: _FactoredSlot) -> int:
+    """The rank of two directly factored slots' matrices stacked, [A; B],
+    eliminated on the distinct columns of their distinct rows [D_A; D_B].
+
+    Column i of D_A is signs_a[i] times the first column of its group
+    group_a[i] (_factored_slot), and likewise for B, so column i of
+    [D_A; D_B] is fixed up to sign by the key (group_a[i], group_b[i],
+    signs_a[i] * signs_b[i]): a zero half has group -1 and sign 0, and a
+    column zero in both halves is dropped. One column per key spans the
+    same columns, so it keeps the rank.
+    """
+    (a, group_a, signs_a), (b, group_b, signs_b) = top.grouped, bottom.grouped
+    # each key's first column, in column order: the dict keeps first
+    # appearances in the order they appear
+    first: dict[tuple[int, int, int], int] = {}
+    for i, key in enumerate(zip(group_a.tolist(), group_b.tolist(),
+                                (signs_a * signs_b).tolist())):
+        first.setdefault(key, i)
+    first.pop((-1, -1, 0), None)
+    at = list(first.values())
+    return rank(vstack(RationalMatrix.from_int_matrix(a[:, at]),
+                       RationalMatrix.from_int_matrix(b[:, at])))
 
 
 def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
@@ -672,8 +744,7 @@ def _class_ranks(n: int, m: int, slots: Iterable[_FactoredSlot],
         return row, realized, realized, realized
     source = by_slot["re_sum"].source
     if source is None:
-        stacked_of[m] = sum(rank(vstack(by_slot[top].exact,
-                                        by_slot[bottom].exact))
+        stacked_of[m] = sum(_stacked_rank(by_slot[top], by_slot[bottom])
                             for top, bottom in _STACKED_PAIRS)
     stacked = stacked_of[m if source is None else source.m]
     return row, realized, stacked, 2 * (ranks["re_sum"] + ranks["im_sum"])

@@ -22,7 +22,7 @@ from laurentfft.plan import (ASYMMETRIC, SYMMETRIC, UnitMatrix,
                              complexity, complexity_for, constant_value,
                              load_plan, plan_from_dict, plan_to_dict,
                              save_plan)
-from laurentfft.rational import RationalMatrix, rank, rref
+from laurentfft.rational import RationalMatrix, rank, rref, vstack
 from oracles import dense, direct_factors, plan_text, sympy_rank
 
 SUPPORTED = tuple(range(4, 65, 4))
@@ -277,8 +277,8 @@ def test_derived_preadds_are_the_representatives(n):
     for f in plan_mod._factored_slots(dec):
         if f.source is None:
             continue
-        exact = RationalMatrix.from_int_matrix(
-            plan_mod._distinct_rows(f.table[dec.exponents]))
+        a = f.table[dec.exponents]
+        exact = RationalMatrix.from_int_matrix(a[plan_mod._row_groups(a)[0]])
         assert exact.rows > 0 and f.rank > 0, (n, f.m, f.slot)
         assert f.reduced is f.source.reduced
         assert np.array_equal(rref(exact).rref.entries,
@@ -362,8 +362,8 @@ def test_slot_tables_are_the_class_tables_summed(n):
 
 @pytest.mark.parametrize("n", range(4, 129, 4))
 def test_representatives_match_a_full_row_factorization(n):
-    # a representative is reduced on its distinct rows up to sign; its
-    # preadd and rank must be those of reducing all N rows
+    # a representative is eliminated on the core of its distinct rows up
+    # to sign; its preadd and rank must be those of reducing all N rows
     dec = decompose(n)
     for f in plan_mod._factored_slots(dec):
         if f.source is not None:
@@ -376,6 +376,79 @@ def test_representatives_match_a_full_row_factorization(n):
         assert f.rank == pre.rows, (n, f.m, f.slot)
 
 
+@pytest.mark.parametrize("n", (*range(4, 257, 4), 512, 1024))
+def test_representative_preadds_are_the_reduced_distinct_rows(n):
+    # a representative is eliminated on the r x r core of its r distinct
+    # rows up to sign, and its preadd is their signed grouping: both must
+    # be what reducing all r distinct rows over N columns gives
+    dec = decompose(n)
+    for f in plan_mod._factored_slots(dec):
+        if f.source is not None:
+            continue
+        a = f.table[dec.exponents]
+        first = plan_mod._row_groups(a)[0]
+        want = rref(RationalMatrix.from_int_matrix(a[first]))
+        core = rank(RationalMatrix.from_int_matrix(a[np.ix_(first, first)]))
+        assert f.rank == core == want.rank == len(first), (n, f.m, f.slot)
+        assert np.array_equal(dense(f.reduced), want.rref.entries), \
+            (n, f.m, f.slot)
+
+
+def test_a_singular_core_takes_its_preadd_from_the_distinct_rows():
+    # random tables read at the exponent grid of N = 2..16 give symmetric
+    # matrices, some with fewer independent rows than distinct ones; on
+    # both paths the rank and preadd are those of the reduced distinct
+    # rows, and a reduced form with an entry other than +-1 is refused
+    rng = np.random.default_rng(7)
+    row = plan_mod._LAYOUT[SYMMETRIC][0]
+    paths = {"full": 0, "singular": 0, "refused": 0}
+    for _ in range(200):
+        n = int(rng.integers(2, 17))
+        table = rng.integers(-1, 2, size=n).astype(np.int8)
+        if not table.any():
+            continue
+        exponents = np.outer(np.arange(n), np.arange(n)) % n
+        a = table[exponents]
+        first = plan_mod._row_groups(a)[0]
+        want = rref(RationalMatrix.from_int_matrix(a[first]))
+        singular = want.rank < len(first)
+        paths["singular" if singular else "full"] += 1
+        f = plan_mod._factored_slot(exponents, 1, row, table, None,
+                                    preadds=False)
+        assert f.rank == want.rank and f.reduced is None, (n, table)
+        try:
+            f = plan_mod._factored_slot(exponents, 1, row, table, None,
+                                        preadds=True)
+        except ValueError as exc:
+            assert singular and "other than +1 or -1" in str(exc)
+            paths["refused"] += 1
+            continue
+        assert f.rank == want.rank, (n, table)
+        assert np.array_equal(dense(f.reduced), want.rref.entries), \
+            (n, table)
+    assert min(paths.values()) > 0 and paths["singular"] > paths["refused"], \
+        paths
+
+
+@pytest.mark.parametrize("n", range(4, 129, 4))
+def test_stacked_ranks_on_joint_distinct_columns_are_full_width(n):
+    # complexity ranks each stacked pair on one column per joint key; that
+    # must be the rank of both halves' distinct rows over all N columns
+    reps = {(f.m, f.slot): f
+            for f in plan_mod._factored_slots(decompose(n), preadds=False)
+            if f.source is None}
+    pairs = [(reps[m, top], reps[m, bottom])
+             for m in sorted({m for m, _ in reps})
+             if plan_mod._class_kind(n, m) == SYMMETRIC
+             for top, bottom in plan_mod._STACKED_PAIRS]
+    assert pairs or n <= 8
+    for top, bottom in pairs:
+        full = rank(vstack(*(RationalMatrix.from_int_matrix(f.grouped[0])
+                             for f in (top, bottom))))
+        assert plan_mod._stacked_rank(top, bottom) == full, \
+            (n, top.m, top.slot)
+
+
 def _with_repeats(rng, a):
     """a's rows plus copies, negated copies and zero rows, shuffled."""
     picks = rng.integers(0, len(a), size=4)
@@ -386,16 +459,27 @@ def _with_repeats(rng, a):
 @pytest.mark.parametrize("seed", range(40))
 def test_distinct_rows_keep_the_row_space(seed):
     rng = np.random.default_rng(seed)
-    rows, cols = rng.integers(1, 7, size=2)
-    base = rng.integers(-2, 3, size=(rows, cols), dtype=np.int8)
+    height, width = rng.integers(1, 7, size=2)
+    base = rng.integers(-2, 3, size=(height, width), dtype=np.int8)
     if seed == 0:  # the all-zero matrix
         base[:] = 0
     cases = [base, base[:1], _with_repeats(rng, base)]
     for a in cases:
-        out = plan_mod._distinct_rows(a)
+        first, group, signs = plan_mod._row_groups(a)
+        out = a[first]
         assert out.shape[1] == a.shape[1]
-        assert len({row.tobytes() for row in out}) == len(out)
-        assert all(row[np.flatnonzero(row)[0]] > 0 for row in out)
+        # one row per group: distinct up to sign, zero rows in no group
+        assert len({row.tobytes() for row in np.concatenate((out, -out))}) \
+            == 2 * len(out)
+        assert out.any(axis=1).all()
+        # each row is its sign times its group's first row, which is the
+        # group's lowest
+        assert np.array_equal(group == -1, ~a.any(axis=1))
+        assert np.array_equal(signs == 0, group == -1)
+        assert all(np.array_equal(a[i], signs[i] * out[g])
+                   for i, g in enumerate(group) if g >= 0)
+        assert list(first) == [int(np.flatnonzero(group == g)[0])
+                               for g in range(len(first))]
         got, want = (rref(RationalMatrix.from_int_matrix(x)) for x in (out, a))
         assert (got.rref.entries, got.rank, got.pivot_cols) == \
             (want.rref.entries, want.rank, want.pivot_cols)
